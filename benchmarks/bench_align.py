@@ -75,7 +75,7 @@ def main():
     print(f"pure python : {pure_s:8.3f}s  ({args.pairs / pure_s:8.1f} aligns/s)")
 
     if _dpcore is None:
-        print("compiled    : extension not built (pip install -e . to build)")
+        print("compiled    : kernel unavailable (needs cc on PATH or pip install -e .)")
         return
 
     start = time.perf_counter()

@@ -1,31 +1,22 @@
 """Build script: compiles the optional alignment kernel.
 
-The package is fully functional without the extension; phonoscope.alignment
-falls back to the pure-Python kernel when the import fails.
+_dpkernel.c is plain C that phonoscope._dpcore loads through ctypes, not
+a CPython extension module; it is declared as an Extension only so that
+setuptools compiles it and installs the library next to the package.
+When this build is skipped or fails, the first import compiles the
+source into __pycache__ instead, and without a C compiler
+phonoscope.alignment falls back to the pure-Python kernel.
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "phonoscope._dpcore",
-                ["src/phonoscope/_dpcore.pyx"],
-                extra_compile_args=["-O3"],
-                optional=True,
-            )
-        ],
-        compiler_directives={
-            "language_level": 3,
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-        },
-    )
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "phonoscope._dpkernel",
+            ["src/phonoscope/_dpkernel.c"],
+            extra_compile_args=["-O2"],
+            optional=True,
+        )
+    ]
+)

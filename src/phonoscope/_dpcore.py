@@ -1,0 +1,100 @@
+"""Compiled weighted edit-distance kernel: _dpkernel.c through ctypes.
+
+The library is the one setup.py built next to this file, else a compile
+of _dpkernel.c cached as __pycache__/_dpkernel-<sha256 of the source>.so,
+made with ``cc`` on the first import that misses it. Any failure to build
+or load raises ImportError, so phonoscope.alignment falls back to _dppy.
+"""
+
+import ctypes
+import hashlib
+import os
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
+
+import numpy as np
+
+_HERE = Path(__file__).resolve().parent
+_SOURCE = _HERE / "_dpkernel.c"
+_INT64 = np.dtype(np.int64)
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _cached_build() -> Path:
+    """The cached compile of _dpkernel.c, compiling it on a cache miss.
+
+    The compiler writes a temporary file that os.replace moves into
+    place, so concurrent first imports never load a partial library.
+    """
+    digest = hashlib.sha256(_SOURCE.read_bytes()).hexdigest()
+    target = _HERE / "__pycache__" / f"_dpkernel-{digest}.so"
+    if target.is_file():
+        return target
+    import subprocess
+    import tempfile
+
+    target.parent.mkdir(exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix="_dpkernel-", suffix=".tmp", dir=target.parent)
+    os.close(fd)
+    try:
+        proc = subprocess.run(["cc", "-O2", "-shared", "-fPIC", "-o", tmp, str(_SOURCE)],
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise ImportError(f"cc failed on {_SOURCE}:\n{proc.stderr}")
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return target
+
+
+def _load():
+    built = [_HERE / f"_dpkernel{suffix}" for suffix in EXTENSION_SUFFIXES]
+    try:
+        path = next((p for p in built if p.is_file()), None) or _cached_build()
+        return ctypes.CDLL(str(path)).dp_align
+    except (OSError, AttributeError) as exc:
+        raise ImportError(f"alignment kernel unavailable: {exc}") from exc
+
+
+_dp_align = _load()
+_dp_align.argtypes = [
+    ctypes.c_char_p, ctypes.c_int64, ctypes.c_char_p, ctypes.c_int64,
+    ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64,
+    ctypes.c_int, ctypes.c_int, ctypes.c_int,
+    ctypes.POINTER(ctypes.c_double), ctypes.c_char_p,
+]
+_dp_align.restype = ctypes.c_int64
+
+
+def _check(array, dtype, ndim: int, name: str) -> None:
+    if not (isinstance(array, np.ndarray) and array.dtype == dtype and array.ndim == ndim):
+        raise ValueError(f"{name} must be a {ndim}-d {dtype} array")
+
+
+def dp_align(expected, observed, cost_rows, eps, pref0, pref1, pref2):
+    """Same contract as _dppy.dp_align, on int64 sequences and a float64 grid.
+
+    Returns (total_cost, moves) with moves the forward-order list of move
+    codes (0 diagonal, 1 delete, 2 insert).
+    """
+    _check(expected, _INT64, 1, "expected")
+    _check(observed, _INT64, 1, "observed")
+    _check(cost_rows, _FLOAT64, 2, "cost grid")
+    size = cost_rows.shape[0]
+    if cost_rows.shape[1] != size:
+        raise ValueError("cost grid must be square")
+    n, m = len(expected), len(observed)
+    total = ctypes.c_double()
+    moves = ctypes.create_string_buffer(n + m)
+    # tobytes() hands C a C-ordered copy that lives for the whole call
+    count = _dp_align(expected.tobytes(), n, observed.tobytes(), m,
+                      cost_rows.tobytes(), size, eps, pref0, pref1, pref2,
+                      ctypes.byref(total), moves)
+    if count == -1:
+        raise IndexError("phoneme index outside the cost grid")
+    if count == -2:
+        raise MemoryError()
+    if count == -3:
+        raise RuntimeError("backtrace failed to reproduce DP cell")
+    return total.value, list(moves.raw[:count])

@@ -1,6 +1,6 @@
 """Pure-Python weighted edit-distance kernel (fallback backend).
 
-Mirrors _dpcore.pyx operation for operation: both fill the DP table with
+Mirrors _dpkernel.c operation for operation: both fill the DP table with
 the same additions in the same order and backtrace with the same exact
 float comparisons, so the two backends return bitwise-identical costs
 and identical move sequences.

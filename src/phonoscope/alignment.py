@@ -10,8 +10,8 @@ with backtrace ties broken by a configurable op-preference order.
 Comparisons are exact float comparisons: a tie means bitwise-equal path
 sums, which keeps alignments reproducible across runs and backends.
 
-The table fill and backtrace run in a compiled kernel when the
-_dpcore extension was built, otherwise in a pure-Python twin. Set
+The table fill and backtrace run in the compiled C kernel (_dpcore)
+when it builds and loads, otherwise in a pure-Python twin (_dppy). Set
 PHONOSCOPE_PURE=1 to force the fallback. Both produce identical output.
 """
 
@@ -123,6 +123,16 @@ def _check_sequence(seq, inventory, side: str) -> list[int]:
     return out
 
 
+def _kernel_sequence(seq: list[int]):
+    """A validated index sequence in the form the active kernel takes."""
+    return np.asarray(seq, dtype=np.int64) if _BACKEND == "compiled" else seq
+
+
+def _kernel_grid(costs: CostMatrix):
+    """The cost grid in the form the active kernel takes."""
+    return costs.costs if _BACKEND == "compiled" else costs.rows()
+
+
 def align(expected, observed, costs: CostMatrix,
           tie_break=DEFAULT_TIE_BREAK) -> Alignment:
     """Optimal alignment of two epsilon-free phoneme index sequences.
@@ -136,14 +146,8 @@ def align(expected, observed, costs: CostMatrix,
     prefs = _tie_codes(tie_break)
     eps = inv.epsilon_index
 
-    if _BACKEND == "compiled":
-        total, moves = _kernel.dp_align(
-            np.asarray(e, dtype=np.int64),
-            np.asarray(o, dtype=np.int64),
-            costs.costs, eps, *prefs,
-        )
-    else:
-        total, moves = _kernel.dp_align(e, o, costs.rows(), eps, *prefs)
+    total, moves = _kernel.dp_align(_kernel_sequence(e), _kernel_sequence(o),
+                                    _kernel_grid(costs), eps, *prefs)
 
     grid = costs.costs
     ops = []
@@ -203,17 +207,8 @@ def align_bruteforce(expected, observed, costs: CostMatrix) -> float:
     return best
 
 
-def align_min_variant(expected_lattice, observed, costs: CostMatrix,
-                      tie_break=DEFAULT_TIE_BREAK,
-                      max_combinations: int = 256) -> VariantAlignment:
-    """Minimize alignment cost over the cross-product of per-word variants.
-
-    Each lattice entry is the variant list for one word (every variant a
-    phoneme index sequence, or a PronunciationVariant). The full
-    concatenation is aligned for every combination; ties keep the lowest
-    variant indices. Per-word independent evaluation would not be valid,
-    so combination count is capped.
-    """
+def _variant_lattice(expected_lattice, max_combinations: int) -> list[list]:
+    """Per-word variant lists as tuples, with the combination cap enforced."""
     lattice = []
     for word_variants in expected_lattice:
         variants = [
@@ -232,17 +227,65 @@ def align_min_variant(expected_lattice, observed, costs: CostMatrix,
             f"{count} variant combinations exceed the cap of {max_combinations}; "
             'use variant_rule="first"'
         )
+    return lattice
 
+
+def _concatenate(lattice, choice) -> list[int]:
+    return [p for word, v in zip(lattice, choice) for p in word[v]]
+
+
+def align_min_variant_bruteforce(expected_lattice, observed, costs: CostMatrix,
+                                 tie_break=DEFAULT_TIE_BREAK,
+                                 max_combinations: int = 256) -> VariantAlignment:
+    """Full align() of every variant combination (test oracle).
+
+    The reference for align_min_variant: same cap, same first-strict-
+    minimum rule, but a complete Alignment per combination.
+    """
+    lattice = _variant_lattice(expected_lattice, max_combinations)
     best: Alignment | None = None
     best_choice: tuple[int, ...] = ()
     for choice in itertools.product(*[range(len(v)) for v in lattice]):
-        expected = [p for w, v in zip(lattice, choice) for p in w[v]]
-        candidate = align(expected, observed, costs, tie_break)
+        candidate = align(_concatenate(lattice, choice), observed, costs, tie_break)
         if best is None or candidate.total_cost < best.total_cost:
             best = candidate
             best_choice = choice
     assert best is not None  # lattice may be empty, product yields one ()
     return VariantAlignment(best, best_choice)
+
+
+def align_min_variant(expected_lattice, observed, costs: CostMatrix,
+                      tie_break=DEFAULT_TIE_BREAK,
+                      max_combinations: int = 256) -> VariantAlignment:
+    """Minimize alignment cost over the cross-product of per-word variants.
+
+    Each lattice entry is the variant list for one word (every variant a
+    phoneme index sequence, or a PronunciationVariant). The full
+    concatenation is scored by the DP kernel for every combination; ties
+    keep the lowest variant indices. Per-word independent evaluation would
+    not be valid, so combination count is capped. Only the winning
+    combination is turned into an Alignment.
+    """
+    lattice = _variant_lattice(expected_lattice, max_combinations)
+    inv = costs.inventory
+    lattice = [[_check_sequence(v, inv, "expected") for v in variants]
+               for variants in lattice]
+    o = _check_sequence(observed, inv, "observed")
+    prefs = _tie_codes(tie_break)
+    eps = inv.epsilon_index
+    kernel_observed = _kernel_sequence(o)
+    grid = _kernel_grid(costs)
+
+    best = None  # (total cost, choice) of the first strict minimum
+    for choice in itertools.product(*[range(len(v)) for v in lattice]):
+        total, _ = _kernel.dp_align(_kernel_sequence(_concatenate(lattice, choice)),
+                                    kernel_observed, grid, eps, *prefs)
+        if best is None or total < best[0]:
+            best = (total, choice)
+    assert best is not None  # lattice may be empty, product yields one ()
+    choice = best[1]
+    return VariantAlignment(align(_concatenate(lattice, choice), o, costs, tie_break),
+                            choice)
 
 
 def dump_alignment(alignment: Alignment, inventory) -> str:

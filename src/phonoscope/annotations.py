@@ -20,7 +20,7 @@ from .confusion import (
     most_common_substitute,
     phoneme_stats,
 )
-from .errors import ParseError, UndefinedRateError, ValidationError
+from .errors import ParseError, UndefinedRateError, ValidationError, read_input
 from .inventory import EPSILON, PhonemeInventory
 from .textgrid import parse_textgrid_file
 
@@ -137,8 +137,7 @@ def serialize_annotation_csv(aset: AnnotationSet,
 
 def load_annotation_csv(path, inventory: PhonemeInventory | None = None,
                         speaker_id: str = "") -> AnnotationSet:
-    with open(path, encoding="utf-8") as fh:
-        return parse_annotation_csv(fh.read(), inventory, speaker_id, source=path)
+    return parse_annotation_csv(read_input(path), inventory, speaker_id, source=path)
 
 
 @dataclass

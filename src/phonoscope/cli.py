@@ -5,7 +5,8 @@ outputs land under --out-dir with fixed names; reruns with identical
 inputs and seed produce byte-identical trees (files are written in
 manifest order, floats via repr, JSON with sorted keys).
 
-Exit codes: 0 success, 1 internal error, 2 input/validation error,
+Exit codes: 0 success, 1 internal error, 2 input/validation error
+(including a file that cannot be read or written, named in the message),
 3 out-of-vocabulary failure.
 """
 
@@ -26,11 +27,17 @@ from .annotations import (
     parse_textgrid,
 )
 from .confusion import ConfusionMatrix, SpeakerProfile, accumulate, merge
-from .errors import OovError, ParseError, ValidationError
+from .errors import OovError, ParseError, ValidationError, read_input
 from .heatmap import svg_heatmap
 from .inventory import PhonemeInventory, load_inventory
 from .lexicon import phonemize, tokenize
-from .manifest import CorpusManifest, LoadedConfig, RunConfig, load_config
+from .manifest import (
+    CorpusManifest,
+    LoadedConfig,
+    RunConfig,
+    comparison_stem,
+    load_config,
+)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -365,8 +372,7 @@ def cmd_cluster(args) -> int:
     inv = _load_inventory_arg(args)
     profiles = []
     for path in args.profiles:
-        text = Path(path).read_text(encoding="utf-8")
-        profiles.append(SpeakerProfile.from_json(text, inv, source=path))
+        profiles.append(SpeakerProfile.from_json(read_input(path), inv, source=path))
     cfg = RunConfig(out_dir=Path(args.out_dir))
     for name in ("k", "seed", "init", "normalization", "perplexity",
                  "learning_rate", "tsne_iterations", "early_exaggeration"):
@@ -377,7 +383,7 @@ def cmd_cluster(args) -> int:
 
 def _load_annotation_file(path: Path, inventory, tier_name: str):
     if path.suffix.lower() == ".textgrid":
-        result = parse_textgrid(path.read_text(encoding="utf-8"), tier_name,
+        result = parse_textgrid(read_input(path), tier_name,
                                 inventory=inventory, source=path)
         return result.annotations
     return load_annotation_csv(path, inventory)
@@ -387,7 +393,7 @@ def _group_by_l1(profiles):
     """(l1 or 'unlabeled') -> (pooled ASR matrix, annotation paths)."""
     grouped: dict[str, tuple[ConfusionMatrix, list[Path]]] = {}
     for speaker, profile, annotation_paths in profiles:
-        l1 = speaker.l1_label or "unlabeled"
+        l1 = speaker.l1_group
         if l1 in grouped:
             pooled, paths = grouped[l1]
             grouped[l1] = (merge(pooled, profile.matrix),
@@ -407,9 +413,9 @@ def _comparison_outputs(grouped, inventory, cfg: RunConfig, out: Path,
             ha_matrix = merge(ha_matrix, annotations_to_confusion(aset, inventory))
         table = compare(asr_matrix, ha_matrix, targets,
                         top_k=cfg.top_k, min_occurrences=cfg.min_occurrences)
-        safe = l1.replace("/", "_").replace(" ", "_")
-        _write(out / f"comparison_{safe}.csv", table.to_csv())
-        _write(out / f"comparison_{safe}.txt", table.to_text())
+        stem = comparison_stem(l1)
+        _write(out / f"{stem}.csv", table.to_csv())
+        _write(out / f"{stem}.txt", table.to_text())
 
 
 def cmd_compare(args) -> int:
@@ -428,9 +434,7 @@ def cmd_compare(args) -> int:
         path = profiles_dir / f"{speaker.speaker_id}.json"
         if not path.exists():
             raise ValidationError(f"no profile for {speaker.speaker_id!r} at {path}")
-        profile = SpeakerProfile.from_json(
-            path.read_text(encoding="utf-8"), inv, source=path
-        )
+        profile = SpeakerProfile.from_json(read_input(path), inv, source=path)
         annotation_paths = [u.annotation_path for u in speaker.utterances
                             if u.annotation_path is not None]
         profiles.append((speaker, profile, annotation_paths))
@@ -442,8 +446,7 @@ def cmd_compare(args) -> int:
 
 def cmd_heatmap(args) -> int:
     inv = _load_inventory_arg(args)
-    text = Path(args.matrix).read_text(encoding="utf-8")
-    grid = gridcsv.parse_grid(text, inv, source=args.matrix)
+    grid = gridcsv.parse_grid(read_input(args.matrix), inv, source=args.matrix)
     svg = svg_heatmap(grid, inv.symbols, per_row=(args.kind == "confusion"))
     _write(Path(args.out), svg)
     return EXIT_OK
@@ -483,8 +486,11 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        if exc.filename is None:
+            print(f"internal error: {exc!r}", file=sys.stderr)
+            return EXIT_INTERNAL
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # noqa: BLE001 -- CLI boundary
         print(f"internal error: {exc!r}", file=sys.stderr)

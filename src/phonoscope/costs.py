@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import gridcsv
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, read_input
 from .inventory import PhonemeInventory
 
 
@@ -89,5 +89,4 @@ def parse_cost_matrix(text: str, inventory: PhonemeInventory | None = None,
 
 
 def load_cost_matrix(path, inventory: PhonemeInventory | None = None) -> CostMatrix:
-    with open(path, encoding="utf-8") as fh:
-        return parse_cost_matrix(fh.read(), inventory, source=path)
+    return parse_cost_matrix(read_input(path), inventory, source=path)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the input-file reader.
 
 The CLI maps these onto exit codes: parse/validation problems exit 2,
 out-of-vocabulary failures exit 3, anything else exits 1.
@@ -46,3 +46,13 @@ class OovError(PhonoscopeError):
 
 class UndefinedRateError(PhonoscopeError):
     """A rate was requested for a phoneme that never occurred (row sum 0)."""
+
+
+def read_input(path) -> str:
+    """Text of a UTF-8 input file; undecodable bytes raise a located ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", offset=exc.start,
+                         source=path) from None

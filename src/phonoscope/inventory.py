@@ -8,7 +8,7 @@ shared inventory, so symbol order is fixed at construction.
 
 from __future__ import annotations
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, read_input
 
 EPSILON = "<eps>"
 
@@ -106,7 +106,6 @@ def strip_stress(label: str, inventory: PhonemeInventory | None = None) -> str:
 def load_inventory(path) -> PhonemeInventory:
     """Read an inventory definition file, wrapping errors with the filename."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return PhonemeInventory.from_text(fh.read())
+        return PhonemeInventory.from_text(read_input(path))
     except ValidationError as exc:
         raise ParseError(str(exc), source=path) from exc

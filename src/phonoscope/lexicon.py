@@ -12,7 +12,7 @@ import re
 import string
 from dataclasses import dataclass, field
 
-from .errors import OovError, ParseError, ValidationError
+from .errors import OovError, ParseError, ValidationError, read_input
 from .inventory import PhonemeInventory, strip_stress
 
 _COMMENT_PREFIX = ";;;"
@@ -142,8 +142,7 @@ def serialize_lexicon(lex: Lexicon) -> str:
 
 
 def load_lexicon(path, inventory: PhonemeInventory | None = None) -> Lexicon:
-    with open(path, encoding="utf-8") as fh:
-        return parse_lexicon(fh.read(), inventory, source=path)
+    return parse_lexicon(read_input(path), inventory, source=path)
 
 
 _OOV_MODES = ("fail", "skip_utterance", "supplementary_lexicon")

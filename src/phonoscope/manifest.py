@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .alignment import DEFAULT_TIE_BREAK
 from .costs import CostMatrix, load_cost_matrix
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, read_input
 from .inventory import PhonemeInventory, load_inventory
 from .lexicon import Lexicon, OovPolicy, load_lexicon
 
@@ -32,12 +32,12 @@ class Utterance:
     def prompt(self) -> str:
         if self.prompt_text is not None:
             return self.prompt_text
-        return self.prompt_path.read_text(encoding="utf-8")
+        return read_input(self.prompt_path)
 
     def asr(self) -> str:
         if self.asr_transcript is not None:
             return self.asr_transcript
-        return self.asr_path.read_text(encoding="utf-8")
+        return read_input(self.asr_path)
 
 
 @dataclass
@@ -45,6 +45,28 @@ class Speaker:
     speaker_id: str
     l1_label: str | None = None
     utterances: list[Utterance] = field(default_factory=list)
+
+    @property
+    def l1_group(self) -> str:
+        """The comparison group: the L1 label, or "unlabeled"."""
+        return self.l1_label or "unlabeled"
+
+
+def comparison_stem(l1_group: str) -> str:
+    """File name, without suffix, of an L1 group's comparison tables."""
+    return "comparison_" + l1_group.replace("/", "_").replace(" ", "_")
+
+
+_UNSAFE_ID_CHARS = frozenset("/\\\0")
+
+
+def _check_path_component(value: str, what: str, source) -> None:
+    """Ids name output files and directories, so each must be one plain name."""
+    if value in (".", "..") or not _UNSAFE_ID_CHARS.isdisjoint(value):
+        raise ParseError(
+            f"{what} {value!r} is not a single path component "
+            "(no '/', '\\', NUL, '.' or '..')", source=source,
+        )
 
 
 @dataclass
@@ -68,10 +90,15 @@ class CorpusManifest:
             sid = sdoc.get("speaker_id")
             if not sid or not isinstance(sid, str):
                 raise ParseError("speaker entry missing speaker_id", source=source)
+            _check_path_component(sid, "speaker_id", source)
             if sid in seen_speakers:
                 raise ParseError(f"duplicate speaker_id {sid!r}", source=source)
             seen_speakers.add(sid)
-            speaker = Speaker(sid, sdoc.get("l1_label"))
+            l1 = sdoc.get("l1_label")
+            if l1 is not None and (not isinstance(l1, str) or "\0" in l1):
+                raise ParseError(f"l1_label of {sid!r} must be a string without NUL",
+                                 source=source)
+            speaker = Speaker(sid, l1)
             seen_utts = set()
             for udoc in sdoc.get("utterances", []):
                 uid = udoc.get("utterance_id")
@@ -79,6 +106,7 @@ class CorpusManifest:
                     raise ParseError(
                         f"utterance of {sid!r} missing utterance_id", source=source
                     )
+                _check_path_component(uid, f"utterance_id of {sid!r}", source)
                 if uid in seen_utts:
                     raise ParseError(
                         f"duplicate utterance_id {uid!r} for speaker {sid!r}",
@@ -106,14 +134,22 @@ class CorpusManifest:
                     )
                 speaker.utterances.append(utt)
             manifest.speakers.append(speaker)
+
+        groups_by_stem: dict[str, str] = {}
+        for speaker in manifest.speakers:
+            group = speaker.l1_group
+            other = groups_by_stem.setdefault(comparison_stem(group), group)
+            if other != group:
+                raise ParseError(
+                    f"l1_label {other!r} and {group!r} would both write "
+                    f"{comparison_stem(group)}.csv", source=source,
+                )
         return manifest
 
     @classmethod
     def load(cls, path) -> "CorpusManifest":
         path = Path(path)
-        return cls.from_json(
-            path.read_text(encoding="utf-8"), path.parent, source=path
-        )
+        return cls.from_json(read_input(path), path.parent, source=path)
 
     def validate_paths(self) -> None:
         for speaker in self.speakers:

@@ -1,11 +1,18 @@
+import itertools
 import os
 import random
+import shutil
+import subprocess
+import sys
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phonoscope
 from phonoscope import (
     CostMatrix,
     PhonemeInventory,
@@ -13,14 +20,39 @@ from phonoscope import (
     align,
     align_bruteforce,
     align_min_variant,
+    alignment,
+    backend,
     dump_alignment,
 )
-from phonoscope.alignment import DELETE, INSERT, MATCH, SUBSTITUTE
+from phonoscope.alignment import (
+    DELETE,
+    INSERT,
+    MATCH,
+    SUBSTITUTE,
+    align_min_variant_bruteforce,
+)
 
 from .conftest import idx, random_cost_matrix
 
 INV = PhonemeInventory.default()
 UNIFORM = CostMatrix.uniform(INV)
+TIE_BREAKS = list(itertools.permutations((SUBSTITUTE, DELETE, INSERT)))
+PACKAGE = Path(phonoscope.__file__).resolve().parent
+
+
+@contextmanager
+def kernel_backend(name):
+    """Run align/align_min_variant on the named kernel, then restore."""
+    if name == "compiled":
+        kernel = pytest.importorskip("phonoscope._dpcore")
+    else:
+        from phonoscope import _dppy as kernel
+    saved = alignment._kernel, alignment._BACKEND
+    alignment._kernel, alignment._BACKEND = kernel, name
+    try:
+        yield
+    finally:
+        alignment._kernel, alignment._BACKEND = saved
 
 
 def plain_levenshtein(a, b):
@@ -247,6 +279,26 @@ def test_min_variant_requires_nonempty_variant_lists():
         align_min_variant([[]], [], UNIFORM)
 
 
+short_seqs = st.lists(st.sampled_from([INV.index(s) for s in ("T", "D", "AH", "IY")]),
+                     max_size=3)
+lattices = st.lists(st.lists(short_seqs, min_size=1, max_size=3), max_size=4)
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "pure"])
+@settings(max_examples=150, deadline=None)
+@given(lattices, seqs, st.sampled_from(TIE_BREAKS), st.none() | st.integers(0, 2**31))
+def test_min_variant_matches_enumeration_oracle(kernel, lattice, observed,
+                                                tie_break, seed):
+    # seed None: tie-heavy uniform costs; otherwise random weighted costs
+    costs = UNIFORM if seed is None else random_cost_matrix(INV, np.random.default_rng(seed))
+    with kernel_backend(kernel):
+        result = align_min_variant(lattice, observed, costs, tie_break)
+        oracle = align_min_variant_bruteforce(lattice, observed, costs, tie_break)
+    assert result.chosen == oracle.chosen
+    assert result.alignment.total_cost.hex() == oracle.alignment.total_cost.hex()
+    assert result.alignment.ops == oracle.alignment.ops
+
+
 def test_dump_format(weighted):
     a = align(idx(INV, "HH IH Z"), idx(INV, "IY Z"), weighted)
     lines = dump_alignment(a, INV).splitlines()
@@ -262,22 +314,100 @@ def test_backend_parity_on_random_instances():
     rng = np.random.default_rng(21)
     eps = INV.epsilon_index
     non_eps = INV.non_epsilon_indices()
+    tie_heavy = [INV.index(s) for s in ("T", "D", "AH")]
+
+    def check(e, o, costs, prefs):
+        pure = _dppy.dp_align(e, o, costs.rows(), eps, *prefs)
+        compiled = _dpcore.dp_align(
+            np.asarray(e, dtype=np.int64), np.asarray(o, dtype=np.int64),
+            costs.costs, eps, *prefs,
+        )
+        assert pure[0].hex() == compiled[0].hex()
+        assert pure == compiled
+
     for _ in range(200):
         costs = random_cost_matrix(INV, rng)
         e = [pyrng.choice(non_eps) for _ in range(pyrng.randint(0, 10))]
         o = [pyrng.choice(non_eps) for _ in range(pyrng.randint(0, 10))]
-        pure = _dppy.dp_align(e, o, costs.rows(), eps, 0, 1, 2)
-        compiled = _dpcore.dp_align(
-            np.asarray(e, dtype=np.int64), np.asarray(o, dtype=np.int64),
-            costs.costs, eps, 0, 1, 2,
-        )
-        assert pure == compiled
+        check(e, o, costs, (0, 1, 2))
+    # uniform costs over three symbols: many equal-cost scripts per pair
+    for prefs in itertools.permutations((0, 1, 2)):
+        for _ in range(100):
+            e = [pyrng.choice(tie_heavy) for _ in range(pyrng.randint(0, 10))]
+            o = [pyrng.choice(tie_heavy) for _ in range(pyrng.randint(0, 10))]
+            check(e, o, UNIFORM, prefs)
+
+
+def test_compiled_kernel_rejects_bad_arguments():
+    _dpcore = pytest.importorskip("phonoscope._dpcore")
+    e = np.asarray([INV.index("T")], dtype=np.int64)
+    eps = INV.epsilon_index
+    with pytest.raises(ValueError):
+        _dpcore.dp_align([INV.index("T")], e, UNIFORM.costs, eps, 0, 1, 2)
+    with pytest.raises(ValueError):
+        _dpcore.dp_align(e, e.astype(np.int32), UNIFORM.costs, eps, 0, 1, 2)
+    with pytest.raises(ValueError):
+        _dpcore.dp_align(e, e, UNIFORM.costs[:, :5], eps, 0, 1, 2)
+    with pytest.raises(IndexError):
+        _dpcore.dp_align(e, np.asarray([len(INV)], dtype=np.int64),
+                         UNIFORM.costs, eps, 0, 1, 2)
+    with pytest.raises(IndexError):
+        _dpcore.dp_align(e, e, UNIFORM.costs, -1, 0, 1, 2)
+
+
+def test_compiled_backend_active_when_cc_available():
+    """A kernel that stops building must fail here, not skip the parity test."""
+    if os.environ.get("PHONOSCOPE_PURE"):
+        assert backend() == "pure"
+    elif shutil.which("cc") is not None:
+        assert backend() == "compiled"
+    elif backend() != "compiled":
+        pytest.skip("no C compiler on PATH and no prebuilt kernel")
+
+
+def _package_copy(tmp_path):
+    """phonoscope's sources without any built or cached kernel."""
+    shutil.copytree(PACKAGE, tmp_path / "phonoscope",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+    return tmp_path / "phonoscope"
+
+
+def _start_import(tmp_path, **env):
+    base = {k: v for k, v in os.environ.items() if k != "PHONOSCOPE_PURE"}
+    return subprocess.Popen(
+        [sys.executable, "-c", "import phonoscope; print(phonoscope.backend())"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**base, "PYTHONPATH": str(tmp_path), **env},
+    )
+
+
+@pytest.mark.parametrize("breakage", ["no_compiler", "compile_error", "unwritable_cache"])
+def test_kernel_build_failure_falls_back_to_pure(tmp_path, breakage):
+    package = _package_copy(tmp_path)
+    env = {}
+    if breakage == "no_compiler":
+        env["PATH"] = str(tmp_path / "empty")
+    elif breakage == "compile_error":
+        (package / "_dpkernel.c").write_text("this is not C\n")
+    else:
+        (package / "__pycache__").write_text("a file where the cache directory goes\n")
+    out, err = _start_import(tmp_path, **env).communicate(timeout=60)
+    assert out.strip() == "pure", err
+
+
+def test_concurrent_first_imports_share_one_cached_kernel(tmp_path):
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    package = _package_copy(tmp_path)
+    procs = [_start_import(tmp_path) for _ in range(2)]
+    outputs = [p.communicate(timeout=60) for p in procs]
+    assert [out.strip() for out, _ in outputs] == ["compiled", "compiled"], outputs
+    cached = sorted(p.name for p in (package / "__pycache__").iterdir()
+                    if p.name.startswith("_dpkernel"))
+    assert len(cached) == 1 and cached[0].endswith(".so"), cached
 
 
 def test_pure_env_flag_selects_fallback():
-    import subprocess
-    import sys
-
     out = subprocess.run(
         [sys.executable, "-c", "import phonoscope; print(phonoscope.backend())"],
         capture_output=True, text=True,

@@ -403,3 +403,79 @@ def test_manifest_requires_exactly_one_text_source():
     }
     with pytest.raises(ParseError):
         CorpusManifest.from_json(json.dumps(doc))
+
+
+def write_manifest(tmp_path, speakers):
+    (tmp_path / "lex.dict").write_text(TINY_LEXICON)
+    (tmp_path / "manifest.json").write_text(json.dumps({"speakers": speakers}))
+    return tmp_path / "manifest.json"
+
+
+def tiny_speaker(speaker_id="s1", utterance_id="u1", l1_label="L1A"):
+    return {"speaker_id": speaker_id, "l1_label": l1_label, "utterances": [
+        {"utterance_id": utterance_id, "prompt_text": "his", "asr_transcript": "ease"}
+    ]}
+
+
+UNSAFE_IDS = ["../../escaped", "a/b", "a\\b", ".", "..", "a\0b", ""]
+
+
+@pytest.mark.parametrize("bad", UNSAFE_IDS)
+def test_unsafe_speaker_id_rejected(tmp_path, bad):
+    manifest = write_manifest(tmp_path, [tiny_speaker(speaker_id=bad)])
+    with pytest.raises(ParseError) as err:
+        CorpusManifest.load(manifest)
+    assert err.value.source == manifest
+    out = tmp_path / "a" / "b" / "out"
+    code = main(["run", str(manifest), "--lexicon", str(tmp_path / "lex.dict"),
+                 "--k", "1", "--out-dir", str(out)])
+    assert code == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["lex.dict", "manifest.json"]
+
+
+@pytest.mark.parametrize("bad", UNSAFE_IDS)
+def test_unsafe_utterance_id_rejected(tmp_path, bad):
+    manifest = write_manifest(tmp_path, [tiny_speaker(utterance_id=bad)])
+    with pytest.raises(ParseError):
+        CorpusManifest.load(manifest)
+    code = main(["align", str(manifest), "--lexicon", str(tmp_path / "lex.dict"),
+                 "--out-dir", str(tmp_path / "a" / "out")])
+    assert code == 2
+    assert not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize("labels", [("a b", "a_b"), ("a/b", "a_b"), ("a b", "a/b")])
+def test_comparison_name_collision_rejected(tmp_path, labels):
+    manifest = write_manifest(tmp_path, [
+        tiny_speaker(speaker_id=f"s{i}", l1_label=label)
+        for i, label in enumerate(labels)
+    ])
+    with pytest.raises(ParseError, match="comparison_a_b"):
+        CorpusManifest.load(manifest)
+    code = main(["run", str(manifest), "--lexicon", str(tmp_path / "lex.dict"),
+                 "--k", "1", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+
+
+def test_speakers_sharing_an_l1_label_share_one_comparison(tmp_path):
+    manifest = write_manifest(tmp_path, [tiny_speaker("s1"), tiny_speaker("s2")])
+    assert len(CorpusManifest.load(manifest).speakers) == 2
+
+
+def test_directory_as_input_exits_2_naming_it(capsys):
+    code = main(["run", str(SAMPLE / "manifest.json"), "--lexicon", str(SAMPLE),
+                 "--out-dir", "unused"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(SAMPLE) in err and "internal error" not in err
+
+
+def test_non_utf8_manifest_exits_2_naming_it(tmp_path, capsys):
+    (tmp_path / "lex.dict").write_text(TINY_LEXICON)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_bytes(b'{"speakers": []}\xff\n')
+    code = main(["align", str(manifest), "--lexicon", str(tmp_path / "lex.dict"),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{manifest}, byte 16" in err and "internal error" not in err
