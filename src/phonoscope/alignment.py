@@ -44,6 +44,7 @@ MATCH = "match"
 SUBSTITUTE = "substitute"
 DELETE = "delete"
 INSERT = "insert"
+KINDS = (MATCH, SUBSTITUTE, DELETE, INSERT)  # Alignment.kinds indexes this
 
 _DIAG_CODE, _DELETE_CODE, _INSERT_CODE = 0, 1, 2
 _MOVE_CODES = {
@@ -74,16 +75,37 @@ class EditOp:
     cost: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Alignment:
-    ops: tuple[EditOp, ...]
+    """An alignment as per-op arrays, ops in forward order.
+
+    ``expected`` and ``observed`` (int64) hold inventory indices, epsilon
+    on the side an insertion or a deletion leaves empty; ``kinds`` (int8)
+    indexes KINDS; ``costs`` (float64) holds each op's cost.
+    """
+
+    expected: np.ndarray
+    observed: np.ndarray
+    kinds: np.ndarray
+    costs: np.ndarray
     total_cost: float
 
+    @property
+    def ops(self) -> tuple[EditOp, ...]:
+        """The ops as EditOp records, built on each access."""
+        return tuple(map(EditOp, [KINDS[k] for k in self.kinds.tolist()],
+                         self.expected.tolist(), self.observed.tolist(),
+                         self.costs.tolist()))
+
     def expected_sequence(self, eps: int) -> list[int]:
-        return [op.expected for op in self.ops if op.expected != eps]
+        return self.expected[self.expected != eps].tolist()
 
     def observed_sequence(self, eps: int) -> list[int]:
-        return [op.observed for op in self.ops if op.observed != eps]
+        return self.observed[self.observed != eps].tolist()
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Alignment) and self.ops == other.ops
+                and self.total_cost == other.total_cost)
 
 
 @dataclass(frozen=True)
@@ -109,28 +131,33 @@ def _tie_codes(tie_break) -> tuple[int, int, int]:
     return tuple(codes)
 
 
-def _check_sequence(seq, inventory, side: str) -> list[int]:
-    n = len(inventory)
+def _check_sequence(seq, inventory, side: str) -> np.ndarray:
+    """The sequence as an int64 array; rejects the first index outside the
+    inventory or equal to epsilon."""
+    try:
+        arr = np.asarray(seq, dtype=np.int64)
+    except OverflowError:
+        raise ValidationError(f"{side} index outside inventory") from None
     eps = inventory.epsilon_index
-    out = []
-    for p in seq:
-        p = int(p)
-        if not 0 <= p < n:
-            raise ValidationError(f"{side} index {p} outside inventory")
+    bad = (arr < 0) | (arr >= len(inventory)) | (arr == eps)
+    if bad.any():
+        p = int(arr[bad.argmax()])
         if p == eps:
             raise ValidationError(f"epsilon not allowed in {side} sequence")
-        out.append(p)
-    return out
+        raise ValidationError(f"{side} index {p} outside inventory")
+    return arr
 
 
-def _kernel_sequence(seq: list[int]):
-    """A validated index sequence in the form the active kernel takes."""
-    return np.asarray(seq, dtype=np.int64) if _BACKEND == "compiled" else seq
+def _kernel_args(costs: CostMatrix, *sequences) -> list:
+    """The cost grid and index sequences in the form the active kernel takes.
 
-
-def _kernel_grid(costs: CostMatrix):
-    """The cost grid in the form the active kernel takes."""
-    return costs.costs if _BACKEND == "compiled" else costs.rows()
+    The compiled kernel takes the float64 grid and int64 arrays, the pure
+    one the grid as nested lists and lists of ints.
+    """
+    arrays = [np.asarray(s, dtype=np.int64) for s in sequences]
+    if _BACKEND == "compiled":
+        return [costs.costs, *arrays]
+    return [costs.rows(), *[a.tolist() for a in arrays]]
 
 
 def align(expected, observed, costs: CostMatrix,
@@ -145,29 +172,18 @@ def align(expected, observed, costs: CostMatrix,
     o = _check_sequence(observed, inv, "observed")
     prefs = _tie_codes(tie_break)
     eps = inv.epsilon_index
+    grid, kernel_e, kernel_o = _kernel_args(costs, e, o)
+    total, moves = _kernel.dp_align(kernel_e, kernel_o, grid, eps, *prefs)
 
-    total, moves = _kernel.dp_align(_kernel_sequence(e), _kernel_sequence(o),
-                                    _kernel_grid(costs), eps, *prefs)
-
-    grid = costs.costs
-    ops = []
-    i = j = 0
-    for mv in moves:
-        if mv == _DIAG_CODE:
-            a, b = e[i], o[j]
-            kind = MATCH if a == b else SUBSTITUTE
-            ops.append(EditOp(kind, a, b, float(grid[a, b])))
-            i += 1
-            j += 1
-        elif mv == _DELETE_CODE:
-            a = e[i]
-            ops.append(EditOp(DELETE, a, eps, float(grid[a, eps])))
-            i += 1
-        else:
-            b = o[j]
-            ops.append(EditOp(INSERT, eps, b, float(grid[eps, b])))
-            j += 1
-    return Alignment(tuple(ops), float(total))
+    moves = np.array(moves, dtype=np.int8)
+    expected_ops = np.full(len(moves), eps, dtype=np.int64)
+    expected_ops[moves != _INSERT_CODE] = e
+    observed_ops = np.full(len(moves), eps, dtype=np.int64)
+    observed_ops[moves != _DELETE_CODE] = o
+    # diagonal -> 0 match / 1 substitute, delete -> 2, insert -> 3
+    kinds = np.where(moves == _DIAG_CODE, expected_ops != observed_ops, moves + 1)
+    return Alignment(expected_ops, observed_ops, kinds,
+                     costs.costs[expected_ops, observed_ops], float(total))
 
 
 def align_bruteforce(expected, observed, costs: CostMatrix) -> float:
@@ -268,18 +284,19 @@ def align_min_variant(expected_lattice, observed, costs: CostMatrix,
     """
     lattice = _variant_lattice(expected_lattice, max_combinations)
     inv = costs.inventory
-    lattice = [[_check_sequence(v, inv, "expected") for v in variants]
-               for variants in lattice]
+    # one check over every variant: numpy's per-call cost dwarfs short words
+    _check_sequence([p for variants in lattice for v in variants for p in v],
+                    inv, "expected")
     o = _check_sequence(observed, inv, "observed")
     prefs = _tie_codes(tie_break)
     eps = inv.epsilon_index
-    kernel_observed = _kernel_sequence(o)
-    grid = _kernel_grid(costs)
+    choices = list(itertools.product(*[range(len(v)) for v in lattice]))
+    grid, kernel_o, *candidates = _kernel_args(
+        costs, o, *[_concatenate(lattice, choice) for choice in choices])
 
     best = None  # (total cost, choice) of the first strict minimum
-    for choice in itertools.product(*[range(len(v)) for v in lattice]):
-        total, _ = _kernel.dp_align(_kernel_sequence(_concatenate(lattice, choice)),
-                                    kernel_observed, grid, eps, *prefs)
+    for choice, candidate in zip(choices, candidates):
+        total, _ = _kernel.dp_align(candidate, kernel_o, grid, eps, *prefs)
         if best is None or total < best[0]:
             best = (total, choice)
     assert best is not None  # lattice may be empty, product yields one ()
@@ -290,10 +307,11 @@ def align_min_variant(expected_lattice, observed, costs: CostMatrix,
 
 def dump_alignment(alignment: Alignment, inventory) -> str:
     """One op per line: expected<TAB>observed<TAB>kind<TAB>cost."""
-    lines = []
-    for op in alignment.ops:
-        lines.append(
-            f"{inventory.label(op.expected)}\t{inventory.label(op.observed)}"
-            f"\t{op.kind}\t{op.cost!r}"
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
+    symbols = inventory.symbols
+    return "".join([
+        f"{symbols[a]}\t{symbols[b]}\t{KINDS[k]}\t{cost!r}\n"
+        for a, b, k, cost in zip(alignment.expected.tolist(),
+                                 alignment.observed.tolist(),
+                                 alignment.kinds.tolist(),
+                                 alignment.costs.tolist())
+    ])

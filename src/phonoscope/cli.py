@@ -377,6 +377,7 @@ def cmd_cluster(args) -> int:
     for name in ("k", "seed", "init", "normalization", "perplexity",
                  "learning_rate", "tsne_iterations", "early_exaggeration"):
         setattr(cfg, name, getattr(args, name))
+    clustering.check_parameters(len(profiles), cfg.k, cfg.perplexity)
     _cluster_outputs(profiles, cfg, cfg.out_dir)
     return EXIT_OK
 
@@ -457,6 +458,7 @@ def cmd_run(args) -> int:
     loaded = load_config(cfg)
     manifest = CorpusManifest.load(args.manifest)
     manifest.validate_paths()
+    clustering.check_parameters(len(manifest.speakers), cfg.k, cfg.perplexity)
     out = cfg.out_dir
 
     profiles = _align_corpus(manifest, loaded, out)

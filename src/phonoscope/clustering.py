@@ -60,6 +60,21 @@ class ClusterResult:
     inertia_history: list[float] = field(default_factory=list)
 
 
+def check_parameters(vectors: int, k: int | None = None,
+                     perplexity: float | None = None) -> None:
+    """Raise ValidationError unless k-means (1 <= k <= vectors) and t-SNE of
+    the vectors plus k centroids (at least 3 points, perplexity < points - 1)
+    can run. A k or perplexity of None skips that method's rule."""
+    if k is not None and not 1 <= k <= vectors:
+        raise ValidationError(f"k={k} out of range for {vectors} vectors")
+    points = vectors + (k or 0)
+    if perplexity is not None and points < 3:
+        raise ValidationError("t-SNE needs at least 3 points")
+    if perplexity is not None and not perplexity < points - 1:
+        raise ValidationError(f"perplexity {perplexity} infeasible for {points} "
+                              f"points (need < {points - 1})")
+
+
 def _stack(vectors) -> tuple[list[str], np.ndarray]:
     ids = [v.speaker_id for v in vectors]
     data = np.stack([np.asarray(v.values, dtype=np.float64) for v in vectors])
@@ -67,8 +82,13 @@ def _stack(vectors) -> tuple[list[str], np.ndarray]:
 
 
 def _sq_dists(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = data[:, None, :] - centers[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """Squared distance of every data row to every center, one column per
+    center, so no len(data) x len(centers) x dim temporary is built."""
+    out = np.empty((data.shape[0], centers.shape[0]))
+    for j, center in enumerate(centers):
+        diff = data - center
+        out[:, j] = np.einsum("ij,ij->i", diff, diff)
+    return out
 
 
 def _init_kmeanspp(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -99,8 +119,7 @@ def kmeans(vectors, k: int, seed: int = 0, init: str = "kmeanspp",
     """
     ids, data = _stack(vectors)
     n = data.shape[0]
-    if not 1 <= k <= n:
-        raise ValidationError(f"k={k} out of range for {n} vectors")
+    check_parameters(n, k=k)
     rng = np.random.default_rng(seed)
     if init == "kmeanspp":
         centers = _init_kmeanspp(data, k, rng)
@@ -251,14 +270,9 @@ def tsne(vectors, perplexity: float = 5.0, learning_rate: float = 200.0,
     """
     ids, data = _stack(vectors)
     n = data.shape[0]
-    if n < 3:
-        raise ValidationError("t-SNE needs at least 3 points")
-    if not perplexity < n - 1:
-        raise ValidationError(
-            f"perplexity {perplexity} infeasible for {n} points (need < {n - 1})"
-        )
+    check_parameters(n, perplexity=perplexity)
 
-    cond, _ = conditional_affinities(pairwise_sq_dists(data), perplexity,
+    cond, _ = conditional_affinities(_sq_dists(data, data), perplexity,
                                      entropy_tol)
     P = symmetrized_affinities(cond)
 

@@ -105,9 +105,7 @@ def accumulate(profile: SpeakerProfile, alignment: Alignment) -> SpeakerProfile:
 
     A profile must not be updated from two workers simultaneously.
     """
-    counts = profile.matrix.counts
-    for op in alignment.ops:
-        counts[op.expected, op.observed] += 1
+    np.add.at(profile.matrix.counts, (alignment.expected, alignment.observed), 1)
     profile.utterance_count += 1
     return profile
 

@@ -95,9 +95,9 @@ class CorpusManifest:
                 raise ParseError(f"duplicate speaker_id {sid!r}", source=source)
             seen_speakers.add(sid)
             l1 = sdoc.get("l1_label")
-            if l1 is not None and (not isinstance(l1, str) or "\0" in l1):
-                raise ParseError(f"l1_label of {sid!r} must be a string without NUL",
-                                 source=source)
+            if l1 is not None and (not isinstance(l1, str) or not l1 or "\0" in l1):
+                raise ParseError(f"l1_label of {sid!r} must be a non-empty string "
+                                 "without NUL", source=source)
             speaker = Speaker(sid, l1)
             seen_utts = set()
             for udoc in sdoc.get("utterances", []):
@@ -135,14 +135,15 @@ class CorpusManifest:
                 speaker.utterances.append(utt)
             manifest.speakers.append(speaker)
 
-        groups_by_stem: dict[str, str] = {}
+        # a missing label and the label "unlabeled" are two different groups
+        labels_by_stem: dict[str, str | None] = {}
         for speaker in manifest.speakers:
-            group = speaker.l1_group
-            other = groups_by_stem.setdefault(comparison_stem(group), group)
-            if other != group:
+            stem = comparison_stem(speaker.l1_group)
+            other = labels_by_stem.setdefault(stem, speaker.l1_label)
+            if other != speaker.l1_label:
                 raise ParseError(
-                    f"l1_label {other!r} and {group!r} would both write "
-                    f"{comparison_stem(group)}.csv", source=source,
+                    f"l1_label {other!r} and {speaker.l1_label!r} would both write "
+                    f"{stem}.csv", source=source,
                 )
         return manifest
 

@@ -83,25 +83,6 @@ _NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 _QUOTED_RE = re.compile(r'"((?:[^"]|"")*)"')
 
 
-def _unquote(raw: str) -> str:
-    return raw.replace('""', '"')
-
-
-def parse_textgrid_file(text: str, source=None) -> TextGrid:
-    cur = _Lines(text, source)
-    header = cur.take("file type header")
-    if "ooTextFile" not in header:
-        cur.pos -= 1
-        cur.fail("not a TextGrid: missing ooTextFile header")
-    object_class = cur.take("object class header")
-    if "TextGrid" not in object_class:
-        cur.pos -= 1
-        cur.fail("not a TextGrid: object class is not TextGrid")
-
-    long_form = any("xmin" in line for _, line in cur.lines[cur.pos:cur.pos + 4])
-    return _parse_long(cur) if long_form else _parse_short(cur)
-
-
 def _field_number(cur: _Lines, what: str) -> float:
     line = cur.take(what)
     m = _NUMBER_RE.search(line)
@@ -117,26 +98,40 @@ def _field_string(cur: _Lines, what: str) -> str:
     if m is None:
         cur.pos -= 1
         cur.fail(f"expected a quoted string for {what}, got {line.strip()!r}")
-    return _unquote(m.group(1))
+    return m.group(1).replace('""', '"')
 
 
-def _parse_long(cur: _Lines) -> TextGrid:
+def _skip_header(cur: _Lines, name: str) -> None:
+    """Consume a long-form header line such as ``item [1]:`` if one is next."""
+    line = cur.peek()
+    if line is not None and line.strip().startswith(name + " ["):
+        cur.pos += 1
+
+
+def parse_textgrid_file(text: str, source=None) -> TextGrid:
+    """Parse either text form: the long form only adds labels to the short
+    form's values, plus header lines that _skip_header consumes."""
+    cur = _Lines(text, source)
+    header = cur.take("file type header")
+    if "ooTextFile" not in header:
+        cur.pos -= 1
+        cur.fail("not a TextGrid: missing ooTextFile header")
+    object_class = cur.take("object class header")
+    if "TextGrid" not in object_class:
+        cur.pos -= 1
+        cur.fail("not a TextGrid: object class is not TextGrid")
+
     xmin = _field_number(cur, "xmin")
     xmax = _field_number(cur, "xmax")
     line = cur.peek()
-    if line is not None and "tiers?" in line:
+    if line is not None and ("tiers?" in line or "exists" in line):
         cur.pos += 1
     size = int(_field_number(cur, "tier count"))
-    line = cur.peek()
-    if line is not None and line.strip().startswith("item") and "[]" in line:
-        cur.pos += 1  # the "item []:" container line
+    _skip_header(cur, "item")  # the "item []:" container line
 
     grid = TextGrid(xmin, xmax)
     for _ in range(size):
-        item = cur.take("item header")
-        if "item" not in item:
-            cur.pos -= 1
-            cur.fail(f"expected an item header, got {item.strip()!r}")
+        _skip_header(cur, "item")
         tier_class = _field_string(cur, "tier class")
         name = _field_string(cur, "tier name")
         t_xmin = _field_number(cur, "tier xmin")
@@ -145,50 +140,14 @@ def _parse_long(cur: _Lines) -> TextGrid:
         tier = Tier(name, tier_class, t_xmin, t_xmax)
         if tier_class == "IntervalTier":
             for _ in range(count):
-                hdr = cur.take("interval header")
-                if "intervals" not in hdr:
-                    cur.pos -= 1
-                    cur.fail(f"expected an interval header, got {hdr.strip()!r}")
+                _skip_header(cur, "intervals")
                 i_xmin = _field_number(cur, "interval xmin")
                 i_xmax = _field_number(cur, "interval xmax")
                 text = _field_string(cur, "interval text")
                 tier.intervals.append(Interval(i_xmin, i_xmax, text))
         else:
             for _ in range(count):
-                hdr = cur.take("point header")
-                if "points" not in hdr:
-                    cur.pos -= 1
-                    cur.fail(f"expected a point header, got {hdr.strip()!r}")
-                _field_number(cur, "point time")
-                _field_string(cur, "point mark")
-        grid.tiers.append(tier)
-    return grid
-
-
-def _parse_short(cur: _Lines) -> TextGrid:
-    xmin = _field_number(cur, "xmin")
-    xmax = _field_number(cur, "xmax")
-    line = cur.peek()
-    if line is not None and "exists" in line:
-        cur.pos += 1
-    size = int(_field_number(cur, "tier count"))
-
-    grid = TextGrid(xmin, xmax)
-    for _ in range(size):
-        tier_class = _field_string(cur, "tier class")
-        name = _field_string(cur, "tier name")
-        t_xmin = _field_number(cur, "tier xmin")
-        t_xmax = _field_number(cur, "tier xmax")
-        count = int(_field_number(cur, "interval count"))
-        tier = Tier(name, tier_class, t_xmin, t_xmax)
-        if tier_class == "IntervalTier":
-            for _ in range(count):
-                i_xmin = _field_number(cur, "interval xmin")
-                i_xmax = _field_number(cur, "interval xmax")
-                text = _field_string(cur, "interval text")
-                tier.intervals.append(Interval(i_xmin, i_xmax, text))
-        else:
-            for _ in range(count):
+                _skip_header(cur, "points")
                 _field_number(cur, "point time")
                 _field_string(cur, "point mark")
         grid.tiers.append(tier)

@@ -1,4 +1,8 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -457,6 +461,50 @@ def test_comparison_name_collision_rejected(tmp_path, labels):
     assert code == 2
 
 
+def test_missing_and_unlabeled_l1_labels_are_two_groups(tmp_path):
+    missing = tiny_speaker("s1")
+    del missing["l1_label"]
+    manifest = write_manifest(tmp_path, [missing, tiny_speaker("s2", l1_label="unlabeled")])
+    with pytest.raises(ParseError, match="comparison_unlabeled.csv"):
+        CorpusManifest.load(manifest)
+    code = main(["run", str(manifest), "--lexicon", str(tmp_path / "lex.dict"),
+                 "--k", "1", "--perplexity", "1", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_l1_label_rejected(tmp_path):
+    manifest = write_manifest(tmp_path, [tiny_speaker("s1", l1_label=""),
+                                         tiny_speaker("s2", l1_label=None)])
+    with pytest.raises(ParseError, match="non-empty"):
+        CorpusManifest.load(manifest)
+    code = main(["run", str(manifest), "--lexicon", str(tmp_path / "lex.dict"),
+                 "--k", "1", "--perplexity", "1", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("k", ["1", "5"])
+def test_infeasible_clustering_exits_2_before_writing(tmp_path, k, capsys):
+    # 3 speakers: k=5 exceeds them; k=1 leaves t-SNE 4 points, too few
+    # for the default perplexity of 5
+    manifest = write_manifest(tmp_path, [tiny_speaker(f"s{i}") for i in range(3)])
+    out = tmp_path / "out"
+    code = main(["run", str(manifest), "--lexicon", str(tmp_path / "lex.dict"),
+                 "--k", k, "--out-dir", str(out)])
+    assert code == 2
+    assert "internal error" not in capsys.readouterr().err
+    assert not out.exists() or not any(out.rglob("*"))
+
+    code = main(["align", str(manifest), "--lexicon", str(tmp_path / "lex.dict"),
+                 "--out-dir", str(tmp_path / "aligned")])
+    assert code == 0
+    profiles = sorted(str(p) for p in (tmp_path / "aligned" / "profiles").glob("*.json"))
+    code = main(["cluster", *profiles, "--k", k, "--out-dir", str(out)])
+    assert code == 2
+    assert not out.exists() or not any(out.rglob("*"))
+
+
 def test_speakers_sharing_an_l1_label_share_one_comparison(tmp_path):
     manifest = write_manifest(tmp_path, [tiny_speaker("s1"), tiny_speaker("s2")])
     assert len(CorpusManifest.load(manifest).speakers) == 2
@@ -479,3 +527,36 @@ def test_non_utf8_manifest_exits_2_naming_it(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert f"{manifest}, byte 16" in err and "internal error" not in err
+
+
+# sha256 of the sample corpus's `run` output tree (see tree_sha256) as
+# written before alignments became arrays. Under --variant-rule all the
+# sample prompts' cheapest variants are their first ones, so both rules
+# write this same tree.
+SAMPLE_TREE_SHA256 = "d9f0d498013fe90280facf9c63398ca8cf2aab6a46c55e93cee74385e53b20dd"
+
+
+def tree_sha256(root: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+            digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("backend", ["default", "pure"])
+@pytest.mark.parametrize("variant_rule", ["first", "all"])
+def test_sample_output_tree_is_pinned(tmp_path, variant_rule, backend):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                      env.get("PYTHONPATH")]))
+    env.pop("PHONOSCOPE_PURE", None)
+    if backend == "pure":
+        env["PHONOSCOPE_PURE"] = "1"
+    out = tmp_path / "out"
+    args = sample_args(out, ["--k", "3", "--seed", "42", "--min-occurrences", "2",
+                             "--variant-rule", variant_rule])
+    subprocess.run([sys.executable, "-m", "phonoscope.cli", "run", *args],
+                   env=env, check=True, timeout=120)
+    assert tree_sha256(out) == SAMPLE_TREE_SHA256

@@ -22,7 +22,7 @@ from phonoscope import (
     recognition_rate,
     tokenize,
 )
-from phonoscope.alignment import Alignment, EditOp
+from phonoscope.alignment import KINDS, Alignment, EditOp
 
 INV = PhonemeInventory.default()
 EPS = INV.epsilon_index
@@ -36,7 +36,13 @@ def ops_alignment(ops):
     total = 0.0
     for op in ops:
         total = total + op.cost
-    return Alignment(tuple(ops), total)
+    return Alignment(
+        np.array([op.expected for op in ops], dtype=np.int64),
+        np.array([op.observed for op in ops], dtype=np.int64),
+        np.array([KINDS.index(op.kind) for op in ops], dtype=np.int8),
+        np.array([op.cost for op in ops], dtype=np.float64),
+        total,
+    )
 
 
 def table2_alignment():
