@@ -1,15 +1,15 @@
 """Compiled weighted edit-distance kernel: _dpkernel.c through ctypes.
 
-The library is the one setup.py built next to this file, else a compile
-of _dpkernel.c cached as __pycache__/_dpkernel-<sha256 of the source>.so,
-made with ``cc`` on the first import that misses it. Any failure to build
-or load raises ImportError, so phonoscope.alignment falls back to _dppy.
+The library is the compile of _dpkernel.c cached as
+__pycache__/_dpkernel-<sha256 of the source>.so, made with ``cc`` on the
+first import that misses it, so an edited source is always rebuilt. Any
+failure to build or load raises ImportError, so phonoscope.alignment
+falls back to _dppy.
 """
 
 import ctypes
 import hashlib
 import os
-from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import numpy as np
@@ -49,10 +49,8 @@ def _cached_build() -> Path:
 
 
 def _load():
-    built = [_HERE / f"_dpkernel{suffix}" for suffix in EXTENSION_SUFFIXES]
     try:
-        path = next((p for p in built if p.is_file()), None) or _cached_build()
-        return ctypes.CDLL(str(path)).dp_align
+        return ctypes.CDLL(str(_cached_build())).dp_align
     except (OSError, AttributeError) as exc:
         raise ImportError(f"alignment kernel unavailable: {exc}") from exc
 

@@ -5,6 +5,9 @@ outputs land under --out-dir with fixed names; reruns with identical
 inputs and seed produce byte-identical trees (files are written in
 manifest order, floats via repr, JSON with sorted keys).
 
+main builds every subcommand's RunConfig with run_config and loads it
+with load_config before the subcommand runs.
+
 Exit codes: 0 success, 1 internal error, 2 input/validation error
 (including a file that cannot be read or written, named in the message),
 3 out-of-vocabulary failure.
@@ -15,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import alignment as al
@@ -29,8 +32,7 @@ from .annotations import (
 from .confusion import ConfusionMatrix, SpeakerProfile, accumulate, merge
 from .errors import OovError, ParseError, ValidationError, read_input
 from .heatmap import svg_heatmap
-from .inventory import PhonemeInventory, load_inventory
-from .lexicon import phonemize, tokenize
+from .lexicon import PhonemizeResult, phonemize, tokenize
 from .manifest import (
     CorpusManifest,
     LoadedConfig,
@@ -45,38 +47,50 @@ EXIT_INPUT = 2
 EXIT_OOV = 3
 
 
-def _add_config_flags(p: argparse.ArgumentParser, *, need_lexicon: bool) -> None:
-    p.add_argument("--lexicon", required=need_lexicon,
+def _comma_list(text: str) -> tuple[str, ...]:
+    return tuple(t.strip() for t in text.split(",") if t.strip())
+
+
+# Pipeline flags default to absent, so RunConfig supplies every default;
+# each flag's dest is the RunConfig field it sets.
+def _out_dir_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out-dir", type=Path)
+
+
+def _lexicon_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--lexicon", dest="lexicon_path", type=Path, required=True,
                    help="pronouncing dictionary file")
-    p.add_argument("--costs", help="cost matrix CSV (default: uniform costs)")
-    p.add_argument("--inventory", help="inventory file overriding the ARPAbet set")
-    p.add_argument("--supplementary-lexicon",
+    p.add_argument("--costs", dest="cost_matrix_path", type=Path,
+                   help="cost matrix CSV (default: uniform costs)")
+    p.add_argument("--supplementary-lexicon", dest="supplementary_lexicon_path",
+                   type=Path,
                    help="second lexicon for the supplementary_lexicon OOV policy")
-    p.add_argument("--oov-policy", default="fail",
+    p.add_argument("--oov-policy",
                    choices=["fail", "skip_utterance", "supplementary_lexicon"])
-    p.add_argument("--variant-rule", default="first", choices=["first", "all"])
-    p.add_argument("--tie-break", default="substitute,delete,insert",
+    p.add_argument("--variant-rule", choices=["first", "all"])
+    p.add_argument("--tie-break", type=_comma_list,
                    help="comma-separated op preference for alignment ties")
-    p.add_argument("--max-variant-combinations", type=int, default=256)
+    p.add_argument("--max-variant-combinations", type=int)
 
 
-def _add_cluster_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, default=6, help="number of clusters")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--init", default="kmeanspp", choices=["kmeanspp", "forgy"])
-    p.add_argument("--normalization", default="raw_counts",
-                   choices=["raw_counts", "row_frequency"])
-    p.add_argument("--perplexity", type=float, default=5.0)
-    p.add_argument("--learning-rate", type=float, default=200.0)
-    p.add_argument("--tsne-iterations", type=int, default=1000)
-    p.add_argument("--early-exaggeration", type=float, default=12.0)
+def _cluster_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--k", type=int, help="number of clusters")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--init", choices=["kmeanspp", "forgy"])
+    p.add_argument("--normalization", choices=["raw_counts", "row_frequency"])
+    p.add_argument("--perplexity", type=float)
+    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--tsne-iterations", type=int)
+    p.add_argument("--early-exaggeration", type=float)
 
 
-def _add_compare_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--top-k", type=int, default=3,
+def _compare_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--top-k", type=int,
                    help="targets per group when none are given explicitly")
-    p.add_argument("--min-occurrences", type=int, default=20)
-    p.add_argument("--targets", help="comma-separated target phonemes")
+    p.add_argument("--min-occurrences", type=int)
+    p.add_argument("--targets", default=None, help="comma-separated target phonemes")
+    p.add_argument("--annotation-tier", default="annotations",
+                   help="tier name for TextGrid annotation files")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,85 +100,65 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("phonemize", help="convert manifest texts to phoneme files")
-    p.add_argument("manifest")
-    p.add_argument("--out-dir", default="out")
-    _add_config_flags(p, need_lexicon=True)
-    p.set_defaults(func=cmd_phonemize)
+    def command(name, func, help_text, *flag_groups):
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        p.set_defaults(func=func)
+        p.add_argument("--inventory", dest="inventory_path", type=Path,
+                       help="inventory file overriding the ARPAbet set")
+        for add_flags in flag_groups:
+            add_flags(p)
+        return p
 
-    p = sub.add_parser("align", help="align utterances and build speaker profiles")
+    p = command("phonemize", cmd_phonemize, "convert manifest texts to phoneme files",
+                _out_dir_flag, _lexicon_flags)
     p.add_argument("manifest")
-    p.add_argument("--out-dir", default="out")
-    _add_config_flags(p, need_lexicon=True)
-    p.set_defaults(func=cmd_align)
 
-    p = sub.add_parser("cluster", help="cluster speaker profiles and embed them")
+    p = command("align", cmd_align, "align utterances and build speaker profiles",
+                _out_dir_flag, _lexicon_flags)
+    p.add_argument("manifest")
+
+    p = command("cluster", cmd_cluster, "cluster speaker profiles and embed them",
+                _out_dir_flag, _cluster_flags)
     p.add_argument("profiles", nargs="+", help="speaker profile JSON files")
-    p.add_argument("--out-dir", default="out")
-    p.add_argument("--inventory")
-    _add_cluster_flags(p)
-    p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("compare", help="ASR vs. human-annotator comparison tables")
+    p = command("compare", cmd_compare, "ASR vs. human-annotator comparison tables",
+                _out_dir_flag, _compare_flags)
     p.add_argument("manifest")
-    p.add_argument("--profiles-dir", required=True,
+    p.add_argument("--profiles-dir", type=Path, required=True,
                    help="directory of speaker profile JSONs from `align`")
-    p.add_argument("--out-dir", default="out")
-    p.add_argument("--inventory")
-    p.add_argument("--annotation-tier", default="annotations",
-                   help="tier name for TextGrid annotation files")
-    _add_compare_flags(p)
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("heatmap", help="render a matrix CSV as an SVG heatmap")
+    p = command("heatmap", cmd_heatmap, "render a matrix CSV as an SVG heatmap")
     p.add_argument("matrix", help="confusion or cost matrix CSV")
-    p.add_argument("out", help="output SVG path")
+    p.add_argument("out", type=Path, help="output SVG path")
     p.add_argument("--kind", default="confusion", choices=["confusion", "costs"],
                    help="confusion scales each row to its max, costs globally")
-    p.add_argument("--inventory")
-    p.set_defaults(func=cmd_heatmap)
 
-    p = sub.add_parser("run", help="full pipeline: align, cluster, compare, heatmaps")
+    p = command("run", cmd_run, "full pipeline: align, cluster, compare, heatmaps",
+                _out_dir_flag, _lexicon_flags, _cluster_flags, _compare_flags)
     p.add_argument("manifest")
-    p.add_argument("--out-dir", default="out")
-    _add_config_flags(p, need_lexicon=True)
-    _add_cluster_flags(p)
-    _add_compare_flags(p)
-    p.add_argument("--annotation-tier", default="annotations")
-    p.set_defaults(func=cmd_run)
-
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(out_dir=Path(args.out_dir))
-    cfg.lexicon_path = Path(args.lexicon) if args.lexicon else None
-    if getattr(args, "costs", None):
-        cfg.cost_matrix_path = Path(args.costs)
-    if getattr(args, "inventory", None):
-        cfg.inventory_path = Path(args.inventory)
-    if getattr(args, "supplementary_lexicon", None):
-        cfg.supplementary_lexicon_path = Path(args.supplementary_lexicon)
-    cfg.oov_policy = args.oov_policy
-    cfg.variant_rule = args.variant_rule
-    cfg.tie_break = tuple(t.strip() for t in args.tie_break.split(",") if t.strip())
-    cfg.max_variant_combinations = args.max_variant_combinations
-    for name in ("k", "seed", "init", "normalization", "perplexity",
-                 "learning_rate", "tsne_iterations", "early_exaggeration",
-                 "top_k", "min_occurrences"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    return cfg
+_CONFIG_FIELDS = frozenset(f.name for f in fields(RunConfig))
 
 
-def _load_inventory_arg(args) -> PhonemeInventory:
-    if getattr(args, "inventory", None):
-        return load_inventory(args.inventory)
-    return PhonemeInventory.default()
+def run_config(args: argparse.Namespace) -> RunConfig:
+    """The flags given on the command line, RunConfig's defaults for the rest."""
+    return RunConfig(**{k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS})
+
+
+def _load_manifest(args) -> CorpusManifest:
+    manifest = CorpusManifest.load(args.manifest)
+    manifest.validate_paths()
+    return manifest
+
+
+def _mkdir(path: Path) -> Path:
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
 
 
@@ -172,65 +166,59 @@ def _labels(indices, inventory) -> str:
     return " ".join(inventory.label(i) for i in indices)
 
 
-@dataclass
-class _UtterancePhonemes:
-    """Phonemized sides of one utterance, or the reason it was excluded."""
+def _phonemize_utterance(utt, loaded: LoadedConfig) -> list[PhonemizeResult]:
+    """The prompt side, then the ASR side unless the prompt side is skipped.
 
-    expected: list[int] | None = None
-    lattice: list | None = None
-    observed: list[int] | None = None
-    skipped: bool = False
-    oov: list[str] = field(default_factory=list)
-
-
-def _phonemize_utterance(utt, loaded: LoadedConfig) -> _UtterancePhonemes:
-    cfg = loaded.config
-    oov: list[str] = []
-    try:
-        prompt = phonemize(tokenize(utt.prompt()), loaded.lexicon, loaded.policy,
-                           cfg.variant_rule)
-    except OovError as exc:
-        return _UtterancePhonemes(skipped=True, oov=list(exc.words))
-    oov.extend(prompt.oov)
-    if prompt.skipped:
-        return _UtterancePhonemes(skipped=True, oov=oov)
-    try:
-        observed = phonemize(tokenize(utt.asr()), loaded.lexicon, loaded.policy,
-                             "first")
-    except OovError as exc:
-        return _UtterancePhonemes(skipped=True, oov=oov + list(exc.words))
-    oov.extend(observed.oov)
-    if observed.skipped:
-        return _UtterancePhonemes(skipped=True, oov=oov)
-    return _UtterancePhonemes(
-        expected=prompt.indices, lattice=prompt.lattice,
-        observed=observed.indices, oov=oov,
-    )
+    An OOV failure counts as a skipped side. The ASR text is read only
+    when it is phonemized.
+    """
+    sides = []
+    for text, variant_rule in ((utt.prompt, loaded.config.variant_rule),
+                               (utt.asr, "first")):
+        try:
+            side = phonemize(tokenize(text()), loaded.lexicon, loaded.policy,
+                             variant_rule)
+        except OovError as exc:
+            side = PhonemizeResult(oov=exc.words, skipped=True)
+        sides.append(side)
+        if side.skipped:
+            break
+    return sides
 
 
 @dataclass
 class _CorpusPhonemes:
-    """Every successfully phonemized utterance plus OOV bookkeeping."""
+    """Each speaker's phonemized utterances plus OOV bookkeeping."""
 
-    produced: list = field(default_factory=list)  # (speaker, utt, phonemes)
+    # (speaker, [(utterance, prompt side, ASR side)]) in manifest order
+    by_speaker: list = field(default_factory=list)
     oov_words: dict[str, int] = field(default_factory=dict)
     skipped: list[list[str]] = field(default_factory=list)
-    failed: bool = False
 
 
 def _phonemize_corpus(manifest, loaded: LoadedConfig) -> _CorpusPhonemes:
+    """Phonemizes every utterance and creates --out-dir.
+
+    When an utterance is skipped under any OOV policy but skip_utterance,
+    writes oov_report.json and raises OovError.
+    """
     result = _CorpusPhonemes()
     for speaker in manifest.speakers:
+        produced = []
         for utt in speaker.utterances:
-            ph = _phonemize_utterance(utt, loaded)
-            for w in ph.oov:
-                result.oov_words[w] = result.oov_words.get(w, 0) + 1
-            if ph.skipped:
+            sides = _phonemize_utterance(utt, loaded)
+            for side in sides:
+                for w in side.oov:
+                    result.oov_words[w] = result.oov_words.get(w, 0) + 1
+            if sides[-1].skipped:
                 result.skipped.append([speaker.speaker_id, utt.utterance_id])
-                if loaded.policy.mode != "skip_utterance":
-                    result.failed = True
-                continue
-            result.produced.append((speaker, utt, ph))
+            else:
+                produced.append((utt, *sides))
+        result.by_speaker.append((speaker, produced))
+    _mkdir(loaded.config.out_dir)
+    if result.skipped and loaded.policy.mode != "skip_utterance":
+        _oov_report(loaded.config.out_dir, result)
+        raise OovError(result.oov_words)
     return result
 
 
@@ -243,98 +231,77 @@ def _oov_report(out_dir: Path, corpus: _CorpusPhonemes) -> None:
            json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_phonemize(args) -> int:
-    cfg = _config_from_args(args)
-    loaded = load_config(cfg)
-    manifest = CorpusManifest.load(args.manifest)
-    manifest.validate_paths()
-    inv = loaded.inventory
-    out = cfg.out_dir
-
-    corpus = _phonemize_corpus(manifest, loaded)
-    if corpus.failed:
-        _oov_report(out, corpus)
-        raise OovError(corpus.oov_words)
-    for speaker, utt, ph in corpus.produced:
-        base = out / "phonemes" / speaker.speaker_id
-        if ph.lattice is not None:
-            lines = [
-                " | ".join(_labels(v.phonemes, inv) for v in variants)
-                for variants in ph.lattice
-            ]
-            _write(base / f"{utt.utterance_id}.expected.txt",
-                   "\n".join(lines) + ("\n" if lines else ""))
-        else:
-            _write(base / f"{utt.utterance_id}.expected.txt",
-                   _labels(ph.expected, inv) + "\n")
-        _write(base / f"{utt.utterance_id}.observed.txt",
-               _labels(ph.observed, inv) + "\n")
-
+def cmd_phonemize(args, loaded: LoadedConfig) -> int:
+    inv, out = loaded.inventory, loaded.config.out_dir
+    corpus = _phonemize_corpus(_load_manifest(args), loaded)
+    phonemes_dir = _mkdir(out / "phonemes")
+    for speaker, produced in corpus.by_speaker:
+        if not produced:
+            continue
+        base = _mkdir(phonemes_dir / speaker.speaker_id)
+        for utt, prompt, observed in produced:
+            if prompt.lattice is not None:
+                lines = [
+                    " | ".join(_labels(v.phonemes, inv) for v in variants)
+                    for variants in prompt.lattice
+                ]
+                expected = "\n".join(lines) + ("\n" if lines else "")
+            else:
+                expected = _labels(prompt.indices, inv) + "\n"
+            _write(base / f"{utt.utterance_id}.expected.txt", expected)
+            _write(base / f"{utt.utterance_id}.observed.txt",
+                   _labels(observed.indices, inv) + "\n")
     _oov_report(out, corpus)
     return EXIT_OK
 
 
-def _align_corpus(manifest, loaded: LoadedConfig, out: Path | None):
-    """Align every utterance; returns (speaker, profile, annotation paths)."""
-    cfg = loaded.config
-    inv = loaded.inventory
+def _align_corpus(manifest, loaded: LoadedConfig):
+    """Align every utterance and write alignments/, profiles/, confusions/
+    and oov_report.json; returns (speaker, profile, annotation paths)."""
+    cfg, inv, out = loaded.config, loaded.inventory, loaded.config.out_dir
     corpus = _phonemize_corpus(manifest, loaded)
-    if corpus.failed:
-        if out is not None:
-            _oov_report(out, corpus)
-        raise OovError(corpus.oov_words)
-
-    by_speaker: dict[str, list] = {s.speaker_id: [] for s in manifest.speakers}
-    for speaker, utt, ph in corpus.produced:
-        by_speaker[speaker.speaker_id].append((utt, ph))
-
+    alignments_dir = _mkdir(out / "alignments")
+    profiles_dir = _mkdir(out / "profiles")
+    confusions_dir = _mkdir(out / "confusions")
     profiles = []
-    for speaker in manifest.speakers:
+    for speaker, produced in corpus.by_speaker:
         profile = SpeakerProfile(
             speaker.speaker_id, ConfusionMatrix(inv), speaker.l1_label
         )
+        if produced:
+            speaker_dir = _mkdir(alignments_dir / speaker.speaker_id)
         annotation_paths = []
-        for utt, ph in by_speaker[speaker.speaker_id]:
-            if ph.lattice is not None:
+        for utt, prompt, observed in produced:
+            if prompt.lattice is not None:
                 result = al.align_min_variant(
-                    ph.lattice, ph.observed, loaded.costs, cfg.tie_break,
+                    prompt.lattice, observed.indices, loaded.costs, cfg.tie_break,
                     cfg.max_variant_combinations,
                 )
                 ali = result.alignment
             else:
-                ali = al.align(ph.expected, ph.observed, loaded.costs,
+                ali = al.align(prompt.indices, observed.indices, loaded.costs,
                                cfg.tie_break)
             accumulate(profile, ali)
             if utt.annotation_path is not None:
                 annotation_paths.append(utt.annotation_path)
-            if out is not None:
-                _write(
-                    out / "alignments" / speaker.speaker_id
-                    / f"{utt.utterance_id}.tsv",
-                    al.dump_alignment(ali, inv),
-                )
-        if out is not None:
-            _write(out / "profiles" / f"{speaker.speaker_id}.json",
-                   profile.to_json())
-            _write(out / "confusions" / f"{speaker.speaker_id}.csv",
-                   profile.matrix.to_csv())
+            _write(speaker_dir / f"{utt.utterance_id}.tsv",
+                   al.dump_alignment(ali, inv))
+        _write(profiles_dir / f"{speaker.speaker_id}.json", profile.to_json())
+        _write(confusions_dir / f"{speaker.speaker_id}.csv",
+               profile.matrix.to_csv())
         profiles.append((speaker, profile, annotation_paths))
-    if out is not None:
-        _oov_report(out, corpus)
+    _oov_report(out, corpus)
     return profiles
 
 
-def cmd_align(args) -> int:
-    cfg = _config_from_args(args)
-    loaded = load_config(cfg)
-    manifest = CorpusManifest.load(args.manifest)
-    manifest.validate_paths()
-    _align_corpus(manifest, loaded, cfg.out_dir)
+def cmd_align(args, loaded: LoadedConfig) -> int:
+    _align_corpus(_load_manifest(args), loaded)
     return EXIT_OK
 
 
-def _cluster_outputs(profiles, cfg: RunConfig, out: Path) -> None:
+def _cluster_outputs(profiles, cfg: RunConfig) -> None:
     """clusters.csv, embedding.csv, and purity.txt when labels are complete."""
+    out = cfg.out_dir
     vectors = [clustering.vectorize(p, cfg.normalization) for p in profiles]
     result = clustering.kmeans(vectors, cfg.k, seed=cfg.seed, init=cfg.init)
     lines = ["speaker_id,cluster"]
@@ -368,17 +335,14 @@ def _cluster_outputs(profiles, cfg: RunConfig, out: Path) -> None:
         _write(out / "purity.txt", f"{score!r}\n")
 
 
-def cmd_cluster(args) -> int:
-    inv = _load_inventory_arg(args)
-    profiles = []
-    for path in args.profiles:
-        profiles.append(SpeakerProfile.from_json(read_input(path), inv, source=path))
-    cfg = RunConfig(out_dir=Path(args.out_dir))
-    for name in ("k", "seed", "init", "normalization", "perplexity",
-                 "learning_rate", "tsne_iterations", "early_exaggeration"):
-        setattr(cfg, name, getattr(args, name))
+def cmd_cluster(args, loaded: LoadedConfig) -> int:
+    cfg = loaded.config
+    profiles = [SpeakerProfile.from_json(read_input(path), loaded.inventory,
+                                         source=path)
+                for path in args.profiles]
     clustering.check_parameters(len(profiles), cfg.k, cfg.perplexity)
-    _cluster_outputs(profiles, cfg, cfg.out_dir)
+    _mkdir(cfg.out_dir)
+    _cluster_outputs(profiles, cfg)
     return EXIT_OK
 
 
@@ -404,84 +368,67 @@ def _group_by_l1(profiles):
     return grouped
 
 
-def _comparison_outputs(grouped, inventory, cfg: RunConfig, out: Path,
-                        tier_name: str, targets=None) -> None:
+def _comparison_outputs(profiles, args, loaded: LoadedConfig) -> None:
+    cfg, inventory = loaded.config, loaded.inventory
+    targets = _comma_list(args.targets) if args.targets else None
+    grouped = _group_by_l1(profiles)
     for l1 in sorted(grouped):
         asr_matrix, annotation_paths = grouped[l1]
         ha_matrix = ConfusionMatrix(inventory)
         for path in annotation_paths:
-            aset = _load_annotation_file(path, inventory, tier_name)
+            aset = _load_annotation_file(path, inventory, args.annotation_tier)
             ha_matrix = merge(ha_matrix, annotations_to_confusion(aset, inventory))
         table = compare(asr_matrix, ha_matrix, targets,
                         top_k=cfg.top_k, min_occurrences=cfg.min_occurrences)
         stem = comparison_stem(l1)
-        _write(out / f"{stem}.csv", table.to_csv())
-        _write(out / f"{stem}.txt", table.to_text())
+        _write(cfg.out_dir / f"{stem}.csv", table.to_csv())
+        _write(cfg.out_dir / f"{stem}.txt", table.to_text())
 
 
-def cmd_compare(args) -> int:
-    inv = _load_inventory_arg(args)
-    manifest = CorpusManifest.load(args.manifest)
-    manifest.validate_paths()
-    cfg = RunConfig(out_dir=Path(args.out_dir))
-    cfg.top_k = args.top_k
-    cfg.min_occurrences = args.min_occurrences
-    targets = ([t.strip() for t in args.targets.split(",") if t.strip()]
-               if args.targets else None)
-
+def cmd_compare(args, loaded: LoadedConfig) -> int:
     profiles = []
-    profiles_dir = Path(args.profiles_dir)
-    for speaker in manifest.speakers:
-        path = profiles_dir / f"{speaker.speaker_id}.json"
+    for speaker in _load_manifest(args).speakers:
+        path = args.profiles_dir / f"{speaker.speaker_id}.json"
         if not path.exists():
             raise ValidationError(f"no profile for {speaker.speaker_id!r} at {path}")
-        profile = SpeakerProfile.from_json(read_input(path), inv, source=path)
+        profile = SpeakerProfile.from_json(read_input(path), loaded.inventory,
+                                           source=path)
         annotation_paths = [u.annotation_path for u in speaker.utterances
                             if u.annotation_path is not None]
         profiles.append((speaker, profile, annotation_paths))
-
-    _comparison_outputs(_group_by_l1(profiles), inv, cfg, cfg.out_dir,
-                        args.annotation_tier, targets)
+    _mkdir(loaded.config.out_dir)
+    _comparison_outputs(profiles, args, loaded)
     return EXIT_OK
 
 
-def cmd_heatmap(args) -> int:
-    inv = _load_inventory_arg(args)
+def cmd_heatmap(args, loaded: LoadedConfig) -> int:
+    inv = loaded.inventory
     grid = gridcsv.parse_grid(read_input(args.matrix), inv, source=args.matrix)
     svg = svg_heatmap(grid, inv.symbols, per_row=(args.kind == "confusion"))
-    _write(Path(args.out), svg)
+    _mkdir(args.out.parent)
+    _write(args.out, svg)
     return EXIT_OK
 
 
-def cmd_run(args) -> int:
-    cfg = _config_from_args(args)
-    loaded = load_config(cfg)
-    manifest = CorpusManifest.load(args.manifest)
-    manifest.validate_paths()
+def cmd_run(args, loaded: LoadedConfig) -> int:
+    cfg = loaded.config
+    manifest = _load_manifest(args)
     clustering.check_parameters(len(manifest.speakers), cfg.k, cfg.perplexity)
-    out = cfg.out_dir
-
-    profiles = _align_corpus(manifest, loaded, out)
-
-    _cluster_outputs([p for _, p, _ in profiles], cfg, out)
-
-    targets = ([t.strip() for t in args.targets.split(",") if t.strip()]
-               if args.targets else None)
-    _comparison_outputs(_group_by_l1(profiles), loaded.inventory, cfg, out,
-                        args.annotation_tier, targets)
-
+    profiles = _align_corpus(manifest, loaded)
+    _cluster_outputs([p for _, p, _ in profiles], cfg)
+    _comparison_outputs(profiles, args, loaded)
+    heatmaps_dir = _mkdir(cfg.out_dir / "heatmaps")
     for _, profile, _ in profiles:
         svg = svg_heatmap(profile.matrix.counts, loaded.inventory.symbols,
                           per_row=True)
-        _write(out / "heatmaps" / f"{profile.speaker_id}.svg", svg)
+        _write(heatmaps_dir / f"{profile.speaker_id}.svg", svg)
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, load_config(run_config(args)))
     except OovError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OOV

@@ -246,17 +246,20 @@ def symmetrized_affinities(conditional: np.ndarray) -> np.ndarray:
     return (conditional + conditional.T) / (2.0 * n)
 
 
-def _kl(P: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """KL(P || Q) in nats plus the Student-t kernel pieces for the gradient."""
-    n = Y.shape[0]
+def _student_t(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The embedding's Student-t kernel (zero diagonal) and Q, its normalization."""
     num = 1.0 / (1.0 + pairwise_sq_dists(Y))
     np.fill_diagonal(num, 0.0)
-    Q = num / num.sum()
+    return num, num / num.sum()
+
+
+def _kl(P: np.ndarray, Y: np.ndarray) -> float:
+    """KL(P || Q) in nats."""
+    _, Q = _student_t(Y)
     tiny = 1e-12
     mask = P > 0
-    kl = float((P[mask] * np.log(np.maximum(P[mask], tiny)
-                                 / np.maximum(Q[mask], tiny))).sum())
-    return kl, num, Q
+    return float((P[mask] * np.log(np.maximum(P[mask], tiny)
+                                   / np.maximum(Q[mask], tiny))).sum())
 
 
 def tsne(vectors, perplexity: float = 5.0, learning_rate: float = 200.0,
@@ -281,13 +284,13 @@ def tsne(vectors, perplexity: float = 5.0, learning_rate: float = 200.0,
     update = np.zeros_like(Y)
     gains = np.ones_like(Y)
 
-    initial_kl, _, _ = _kl(P, Y)
+    initial_kl = _kl(P, Y)
 
     for it in range(iterations):
         exaggerating = it < exaggeration_iters
         P_eff = P * early_exaggeration if exaggerating else P
         momentum = 0.5 if exaggerating else 0.8
-        _, num, Q = _kl(P, Y)
+        num, Q = _student_t(Y)
         PQ = (P_eff - Q) * num
         grad = 4.0 * (np.diag(PQ.sum(axis=1)) - PQ) @ Y
         # delta-bar-delta gains keep the step sizes stable under momentum
@@ -299,7 +302,7 @@ def tsne(vectors, perplexity: float = 5.0, learning_rate: float = 200.0,
         Y = Y + update
         Y = Y - Y.mean(axis=0)
 
-    final_kl, _, _ = _kl(P, Y)
+    final_kl = _kl(P, Y)
     if not np.isfinite(Y).all() or not np.isfinite(final_kl):
         raise ArithmeticError("t-SNE diverged; lower the learning rate")
 

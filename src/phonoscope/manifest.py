@@ -58,6 +58,16 @@ def comparison_stem(l1_group: str) -> str:
 
 
 _UNSAFE_ID_CHARS = frozenset("/\\\0")
+_JSON_NAMES = {dict: "an object", list: "an array", str: "a string", int: "a number",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _expect(value, kind: type, what: str, source):
+    """value when it is a `kind`; raises a ParseError naming `what` otherwise."""
+    if not isinstance(value, kind):
+        raise ParseError(f"{what} must be {_JSON_NAMES[kind]}, not "
+                         f"{_JSON_NAMES[type(value)]}", source=source)
+    return value
 
 
 def _check_path_component(value: str, what: str, source) -> None:
@@ -86,8 +96,8 @@ class CorpusManifest:
 
         manifest = cls()
         seen_speakers = set()
-        for sdoc in doc["speakers"]:
-            sid = sdoc.get("speaker_id")
+        for n, sdoc in enumerate(doc["speakers"]):
+            sid = _expect(sdoc, dict, f"speakers[{n}]", source).get("speaker_id")
             if not sid or not isinstance(sid, str):
                 raise ParseError("speaker entry missing speaker_id", source=source)
             _check_path_component(sid, "speaker_id", source)
@@ -100,8 +110,11 @@ class CorpusManifest:
                                  "without NUL", source=source)
             speaker = Speaker(sid, l1)
             seen_utts = set()
-            for udoc in sdoc.get("utterances", []):
-                uid = udoc.get("utterance_id")
+            udocs = _expect(sdoc.get("utterances", []), list,
+                            f"utterances of {sid!r}", source)
+            for n, udoc in enumerate(udocs):
+                uid = _expect(udoc, dict, f"utterances[{n}] of {sid!r}",
+                              source).get("utterance_id")
                 if not uid or not isinstance(uid, str):
                     raise ParseError(
                         f"utterance of {sid!r} missing utterance_id", source=source
@@ -114,14 +127,14 @@ class CorpusManifest:
                     )
                 seen_utts.add(uid)
                 utt = Utterance(uid)
-                utt.prompt_text = udoc.get("prompt_text")
-                if "prompt_path" in udoc:
-                    utt.prompt_path = base / udoc["prompt_path"]
-                utt.asr_transcript = udoc.get("asr_transcript")
-                if "asr_path" in udoc:
-                    utt.asr_path = base / udoc["asr_path"]
-                if "annotation_path" in udoc:
-                    utt.annotation_path = base / udoc["annotation_path"]
+                for key in ("prompt_text", "asr_transcript"):  # null: absent
+                    if udoc.get(key) is not None:
+                        setattr(utt, key, _expect(udoc[key], str,
+                                                  f"{key} of {uid!r}", source))
+                for key in ("prompt_path", "asr_path", "annotation_path"):
+                    if key in udoc:
+                        setattr(utt, key, base / _expect(udoc[key], str,
+                                                         f"{key} of {uid!r}", source))
                 if (utt.prompt_text is None) == (utt.prompt_path is None):
                     raise ParseError(
                         f"utterance {uid!r} needs exactly one of "
@@ -165,7 +178,10 @@ class CorpusManifest:
 
 @dataclass
 class RunConfig:
-    """Everything a pipeline run needs; mirrors the CLI flags."""
+    """Everything a pipeline run needs, and the only home of its defaults.
+
+    Each CLI flag sets the field of the same name (see cli.run_config).
+    """
 
     lexicon_path: Path | None = None
     cost_matrix_path: Path | None = None

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 from contextlib import contextmanager
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import numpy as np
@@ -393,6 +394,17 @@ def test_kernel_build_failure_falls_back_to_pure(tmp_path, breakage):
         (package / "__pycache__").write_text("a file where the cache directory goes\n")
     out, err = _start_import(tmp_path, **env).communicate(timeout=60)
     assert out.strip() == "pure", err
+
+
+def test_library_beside_the_source_is_not_loaded(tmp_path):
+    # only the cached compile of the current source is loaded, so a stale
+    # library built in place cannot shadow an edited _dpkernel.c
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    package = _package_copy(tmp_path)
+    (package / f"_dpkernel{EXTENSION_SUFFIXES[0]}").write_text("not a library\n")
+    out, err = _start_import(tmp_path).communicate(timeout=60)
+    assert out.strip() == "compiled", err
 
 
 def test_concurrent_first_imports_share_one_cached_kernel(tmp_path):

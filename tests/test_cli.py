@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from phonoscope import ConfusionMatrix, ParseError, PhonemeInventory
-from phonoscope.cli import main
+from phonoscope.cli import build_parser, main, run_config
 from phonoscope.manifest import CorpusManifest, RunConfig, load_config
 
 INV = PhonemeInventory.default()
@@ -97,6 +97,22 @@ def test_empty_manifest_ok(tmp_path):
     code = main(["phonemize", str(tmp_path / "manifest.json"), "--lexicon",
                  str(tmp_path / "lex.dict"), "--out-dir", str(tmp_path / "o")])
     assert code == 0
+
+
+def test_asr_side_unread_when_prompt_side_skips(tmp_path):
+    # a prompt OOV skips the utterance before its unreadable ASR file is read
+    (tmp_path / "lex.dict").write_text(TINY_LEXICON)
+    (tmp_path / "asr.txt").write_bytes(b"\xff\n")
+    manifest = write_manifest(tmp_path, [{"speaker_id": "s1", "utterances": [
+        {"utterance_id": "u1", "prompt_text": "unknownword", "asr_path": "asr.txt"},
+    ]}])
+    out = tmp_path / "out"
+    for policy, code in (("skip_utterance", 0), ("fail", 3)):
+        assert main(["align", str(manifest), "--lexicon", str(tmp_path / "lex.dict"),
+                     "--oov-policy", policy, "--out-dir", str(out)]) == code
+        report = json.loads((out / "oov_report.json").read_text())
+        assert report == {"oov_words": {"UNKNOWNWORD": 1},
+                          "skipped_utterances": [["s1", "u1"]]}
 
 
 def test_align_single_utterance_profile(tmp_path):
@@ -505,6 +521,33 @@ def test_infeasible_clustering_exits_2_before_writing(tmp_path, k, capsys):
     assert not out.exists() or not any(out.rglob("*"))
 
 
+def utterance(**fields):
+    return {"utterance_id": "u1", "prompt_text": "his", "asr_transcript": "ease",
+            **fields}
+
+
+@pytest.mark.parametrize("speakers, message", [
+    (["s1"], "speakers[0] must be an object, not a string"),
+    ([{"speaker_id": "s1", "utterances": "abc"}],
+     "utterances of 's1' must be an array, not a string"),
+    ([{"speaker_id": "s1", "utterances": [utterance(prompt_text=5)]}],
+     "prompt_text of 'u1' must be a string, not a number"),
+    ([{"speaker_id": "s1", "utterances": [
+        {"utterance_id": "u1", "prompt_path": 5, "asr_transcript": "ease"}]}],
+     "prompt_path of 'u1' must be a string, not a number"),
+    ([{"speaker_id": "s1", "utterances": [utterance(annotation_path=None)]}],
+     "annotation_path of 'u1' must be a string, not null"),
+], ids=["speaker-string", "utterances-string", "prompt-text-number",
+        "prompt-path-number", "annotation-path-null"])
+def test_mistyped_manifest_field_exits_2(tmp_path, capsys, speakers, message):
+    manifest = write_manifest(tmp_path, speakers)
+    code = main(["align", str(manifest), "--lexicon", str(tmp_path / "lex.dict"),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {manifest}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_speakers_sharing_an_l1_label_share_one_comparison(tmp_path):
     manifest = write_manifest(tmp_path, [tiny_speaker("s1"), tiny_speaker("s2")])
     assert len(CorpusManifest.load(manifest).speakers) == 2
@@ -527,6 +570,53 @@ def test_non_utf8_manifest_exits_2_naming_it(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert f"{manifest}, byte 16" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("argv, given", [
+    (["phonemize", "m.json", "--lexicon", "lex"], {"lexicon_path": Path("lex")}),
+    (["align", "m.json", "--lexicon", "lex"], {"lexicon_path": Path("lex")}),
+    (["cluster", "p.json"], {}),
+    (["compare", "m.json", "--profiles-dir", "p"], {}),
+    (["heatmap", "grid.csv", "grid.svg"], {}),
+    (["run", "m.json", "--lexicon", "lex"], {"lexicon_path": Path("lex")}),
+])
+def test_minimal_argv_leaves_run_config_defaults(argv, given):
+    assert run_config(build_parser().parse_args(argv)) == RunConfig(**given)
+
+
+def test_every_pipeline_flag_sets_its_run_config_field():
+    argv = ["run", "m.json", "--lexicon", "lex", "--costs", "c.csv",
+            "--inventory", "inv.txt", "--supplementary-lexicon", "sup",
+            "--oov-policy", "skip_utterance", "--variant-rule", "all",
+            "--tie-break", "insert, delete,,substitute",
+            "--max-variant-combinations", "7", "--k", "2", "--seed", "9",
+            "--init", "forgy", "--normalization", "row_frequency",
+            "--perplexity", "2.5", "--learning-rate", "50", "--tsne-iterations", "10",
+            "--early-exaggeration", "4", "--top-k", "1", "--min-occurrences", "5",
+            "--out-dir", "o"]
+    assert run_config(build_parser().parse_args(argv)) == RunConfig(
+        lexicon_path=Path("lex"), cost_matrix_path=Path("c.csv"),
+        inventory_path=Path("inv.txt"), supplementary_lexicon_path=Path("sup"),
+        oov_policy="skip_utterance", variant_rule="all",
+        tie_break=("insert", "delete", "substitute"), max_variant_combinations=7,
+        k=2, seed=9, init="forgy", normalization="row_frequency", perplexity=2.5,
+        learning_rate=50.0, tsne_iterations=10, early_exaggeration=4.0, top_k=1,
+        min_occurrences=5, out_dir=Path("o"),
+    )
+
+
+def test_each_output_directory_created_once(tmp_path, monkeypatch):
+    made = []
+    mkdir = Path.mkdir
+
+    def counting_mkdir(self, *args, **kwargs):
+        made.append(self)
+        return mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", counting_mkdir)
+    out = tmp_path / "out"
+    assert main(["run", *sample_args(out, ["--k", "3", "--min-occurrences", "2"])]) == 0
+    assert sorted(made) == sorted([out, *(p for p in out.rglob("*") if p.is_dir())])
 
 
 # sha256 of the sample corpus's `run` output tree (see tree_sha256) as
