@@ -56,6 +56,7 @@ _MOVE_CODES = {
 }
 
 DEFAULT_TIE_BREAK = (SUBSTITUTE, DELETE, INSERT)
+DEFAULT_MAX_VARIANT_COMBINATIONS = 256
 
 _BRUTEFORCE_MAX = 12
 
@@ -250,9 +251,10 @@ def _concatenate(lattice, choice) -> list[int]:
     return [p for word, v in zip(lattice, choice) for p in word[v]]
 
 
-def align_min_variant_bruteforce(expected_lattice, observed, costs: CostMatrix,
-                                 tie_break=DEFAULT_TIE_BREAK,
-                                 max_combinations: int = 256) -> VariantAlignment:
+def align_min_variant_bruteforce(
+    expected_lattice, observed, costs: CostMatrix, tie_break=DEFAULT_TIE_BREAK,
+    max_combinations: int = DEFAULT_MAX_VARIANT_COMBINATIONS,
+) -> VariantAlignment:
     """Full align() of every variant combination (test oracle).
 
     The reference for align_min_variant: same cap, same first-strict-
@@ -270,9 +272,10 @@ def align_min_variant_bruteforce(expected_lattice, observed, costs: CostMatrix,
     return VariantAlignment(best, best_choice)
 
 
-def align_min_variant(expected_lattice, observed, costs: CostMatrix,
-                      tie_break=DEFAULT_TIE_BREAK,
-                      max_combinations: int = 256) -> VariantAlignment:
+def align_min_variant(
+    expected_lattice, observed, costs: CostMatrix, tie_break=DEFAULT_TIE_BREAK,
+    max_combinations: int = DEFAULT_MAX_VARIANT_COMBINATIONS,
+) -> VariantAlignment:
     """Minimize alignment cost over the cross-product of per-word variants.
 
     Each lattice entry is the variant list for one word (every variant a

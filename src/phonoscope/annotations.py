@@ -30,6 +30,10 @@ DELETION = "deletion"
 INSERTION = "insertion"
 KINDS = (CORRECT, SUBSTITUTION, DELETION, INSERTION)
 
+# compare()'s defaults; RunConfig refers to these.
+DEFAULT_TOP_K = 3
+DEFAULT_MIN_OCCURRENCES = 20
+
 
 @dataclass(frozen=True)
 class AnnotationRecord:
@@ -327,7 +331,8 @@ def _side_metrics(matrix: ConfusionMatrix, target: int) -> SideMetrics:
 
 
 def compare(asr: ConfusionMatrix, ha: ConfusionMatrix, targets=None,
-            top_k: int = 3, min_occurrences: int = 20) -> ComparisonTable:
+            top_k: int = DEFAULT_TOP_K,
+            min_occurrences: int = DEFAULT_MIN_OCCURRENCES) -> ComparisonTable:
     """Paired per-target metrics for an ASR matrix vs. an annotator matrix.
 
     Without an explicit target list, picks the top_k non-epsilon phonemes

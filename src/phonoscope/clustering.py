@@ -18,6 +18,14 @@ from .errors import ValidationError
 RAW_COUNTS = "raw_counts"
 ROW_FREQUENCY = "row_frequency"
 
+# Pipeline defaults; RunConfig refers to these.
+DEFAULT_SEED = 0
+DEFAULT_INIT = "kmeanspp"
+DEFAULT_PERPLEXITY = 5.0
+DEFAULT_LEARNING_RATE = 200.0
+DEFAULT_TSNE_ITERATIONS = 1000
+DEFAULT_EARLY_EXAGGERATION = 12.0
+
 
 @dataclass
 class SpeakerVector:
@@ -109,7 +117,7 @@ def _init_kmeanspp(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     return centers
 
 
-def kmeans(vectors, k: int, seed: int = 0, init: str = "kmeanspp",
+def kmeans(vectors, k: int, seed: int = DEFAULT_SEED, init: str = DEFAULT_INIT,
            max_iter: int = 300, rel_tol: float = 1e-9) -> ClusterResult:
     """Lloyd iterations until assignment fixpoint, inertia plateau, or max_iter.
 
@@ -193,8 +201,27 @@ class TsneResult:
 
 
 def pairwise_sq_dists(data: np.ndarray) -> np.ndarray:
-    diff = data[:, None, :] - data[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """Squared distance between every two rows, summed one coordinate at a
+    time, so no n x n x dim temporary is built (t-SNE's 2-D embedding
+    needs it once per iteration)."""
+    out = np.zeros((data.shape[0], data.shape[0]))
+    for column in data.T:
+        diff = column[:, None] - column[None, :]
+        diff *= diff
+        out += diff
+    return out
+
+
+def _self_sq_dists(data: np.ndarray) -> np.ndarray:
+    """_sq_dists(data, data) with each pair computed once: (a - b)**2 equals
+    (b - a)**2 exactly, so the lower triangle is mirrored."""
+    n = data.shape[0]
+    out = np.empty((n, n))
+    for j in range(n):
+        diff = data[j:] - data[j]
+        out[j:, j] = np.einsum("ij,ij->i", diff, diff)
+        out[j, j:] = out[j:, j]
+    return out
 
 
 def conditional_affinities(sq_dists: np.ndarray, perplexity: float,
@@ -207,6 +234,10 @@ def conditional_affinities(sq_dists: np.ndarray, perplexity: float,
     the achieved entropies in bits. When the target entropy is
     unreachable (e.g. all neighbors equidistant) the closest achievable
     distribution is kept.
+
+    When every weight exp(-d * beta) of a row underflows to zero, beta is
+    far too large: the search lowers it, as it does when the entropy is
+    below the target. Only a row that underflows at every step is uniform.
     """
     n = sq_dists.shape[0]
     target = math.log2(perplexity)
@@ -216,18 +247,18 @@ def conditional_affinities(sq_dists: np.ndarray, perplexity: float,
         d = np.delete(sq_dists[i], i)
         beta = 1.0
         beta_min, beta_max = -np.inf, np.inf
-        row = None
-        entropy = 0.0
+        row = np.full_like(d, 1.0 / len(d))
+        entropy = math.log2(len(d))
         for _ in range(max_steps):
             w = np.exp(-d * beta)
             total = w.sum()
             if total <= 0.0:
-                row = np.full_like(d, 1.0 / len(d))
+                diff = -np.inf
             else:
                 row = w / total
-            nz = row > 0
-            entropy = float(-(row[nz] * np.log2(row[nz])).sum())
-            diff = entropy - target
+                nz = row > 0
+                entropy = float(-(row[nz] * np.log2(row[nz])).sum())
+                diff = entropy - target
             if abs(diff) <= entropy_tol:
                 break
             if diff > 0:
@@ -248,7 +279,9 @@ def symmetrized_affinities(conditional: np.ndarray) -> np.ndarray:
 
 def _student_t(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The embedding's Student-t kernel (zero diagonal) and Q, its normalization."""
-    num = 1.0 / (1.0 + pairwise_sq_dists(Y))
+    num = pairwise_sq_dists(Y)
+    num += 1.0
+    np.divide(1.0, num, out=num)
     np.fill_diagonal(num, 0.0)
     return num, num / num.sum()
 
@@ -262,9 +295,11 @@ def _kl(P: np.ndarray, Y: np.ndarray) -> float:
                                    / np.maximum(Q[mask], tiny))).sum())
 
 
-def tsne(vectors, perplexity: float = 5.0, learning_rate: float = 200.0,
-         iterations: int = 1000, seed: int = 0,
-         early_exaggeration: float = 12.0, exaggeration_iters: int = 250,
+def tsne(vectors, perplexity: float = DEFAULT_PERPLEXITY,
+         learning_rate: float = DEFAULT_LEARNING_RATE,
+         iterations: int = DEFAULT_TSNE_ITERATIONS, seed: int = DEFAULT_SEED,
+         early_exaggeration: float = DEFAULT_EARLY_EXAGGERATION,
+         exaggeration_iters: int = 250,
          entropy_tol: float = 1e-5) -> TsneResult:
     """Exact (non-approximated) t-SNE to 2 dimensions.
 
@@ -275,7 +310,7 @@ def tsne(vectors, perplexity: float = 5.0, learning_rate: float = 200.0,
     n = data.shape[0]
     check_parameters(n, perplexity=perplexity)
 
-    cond, _ = conditional_affinities(_sq_dists(data, data), perplexity,
+    cond, _ = conditional_affinities(_self_sq_dists(data), perplexity,
                                      entropy_tol)
     P = symmetrized_affinities(cond)
 
@@ -285,22 +320,30 @@ def tsne(vectors, perplexity: float = 5.0, learning_rate: float = 200.0,
     gains = np.ones_like(Y)
 
     initial_kl = _kl(P, Y)
+    P_exaggerated = P * early_exaggeration
 
     for it in range(iterations):
         exaggerating = it < exaggeration_iters
-        P_eff = P * early_exaggeration if exaggerating else P
+        P_eff = P_exaggerated if exaggerating else P
         momentum = 0.5 if exaggerating else 0.8
         num, Q = _student_t(Y)
-        PQ = (P_eff - Q) * num
-        grad = 4.0 * (np.diag(PQ.sum(axis=1)) - PQ) @ Y
+        # grad = 4 (diag(rowsum(PQ)) - PQ) @ Y, built in Q's buffer with the
+        # same float operations in the same order; PQ's diagonal is zero
+        PQ = np.subtract(P_eff, Q, out=Q)
+        PQ *= num
+        row_sums = PQ.sum(axis=1)
+        np.subtract(0.0, PQ, out=PQ)
+        np.fill_diagonal(PQ, row_sums)
+        PQ *= 4.0
+        grad = PQ @ Y
         # delta-bar-delta gains keep the step sizes stable under momentum
         agree = (grad > 0) == (update > 0)
         gains[agree] *= 0.8
         gains[~agree] += 0.2
         np.clip(gains, 0.01, None, out=gains)
         update = momentum * update - learning_rate * gains * grad
-        Y = Y + update
-        Y = Y - Y.mean(axis=0)
+        Y += update
+        Y -= Y.mean(axis=0)
 
     final_kl = _kl(P, Y)
     if not np.isfinite(Y).all() or not np.isfinite(final_kl):

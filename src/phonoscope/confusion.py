@@ -76,13 +76,19 @@ class SpeakerProfile:
     utterance_count: int = 0
 
     def to_json(self) -> str:
-        doc = {
-            "speaker_id": self.speaker_id,
-            "l1_label": self.l1_label,
-            "utterance_count": self.utterance_count,
-            "counts": self.matrix.counts.tolist(),
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        """The text of json.dumps(doc, indent=2, sort_keys=True) + "\\n", with
+        the count grid written by joins: the stdlib's indenting encoder is
+        pure Python and spends a millisecond on a 40 x 40 grid."""
+        rows = ",\n    ".join(
+            "[\n      " + ",\n      ".join(map(str, row)) + "\n    ]"
+            for row in self.matrix.counts.tolist()
+        )
+        return (
+            f'{{\n  "counts": [\n    {rows}\n  ],\n'
+            f'  "l1_label": {json.dumps(self.l1_label)},\n'
+            f'  "speaker_id": {json.dumps(self.speaker_id)},\n'
+            f'  "utterance_count": {json.dumps(self.utterance_count)}\n}}\n'
+        )
 
     @classmethod
     def from_json(cls, text: str, inventory: PhonemeInventory,

@@ -13,13 +13,16 @@ import io
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .inventory import PhonemeInventory
 
 
 def parse_grid(text: str, inventory: PhonemeInventory, *, integer=False,
                source=None) -> np.ndarray:
-    rows = list(csv.reader(io.StringIO(text)))
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:   # e.g. a field over csv's size limit
+        raise ParseError(f"bad CSV: {exc}", source=source) from None
     rows = [r for r in rows if any(cell.strip() for cell in r)]
     if not rows:
         raise ParseError("empty grid", source=source)
@@ -51,7 +54,7 @@ def parse_grid(text: str, inventory: PhonemeInventory, *, integer=False,
             cell = cell.strip()
             try:
                 grid[r, c] = int(cell) if integer else float(cell)
-            except ValueError:
+            except (ValueError, OverflowError):   # OverflowError: beyond int64
                 raise ParseError(
                     f"bad numeric value {cell!r} in row {label!r}",
                     line=lineno, source=source,
@@ -79,14 +82,20 @@ def _check_labels(labels, inventory, axis, source):
 
 def serialize_grid(grid: np.ndarray, inventory: PhonemeInventory, *,
                    integer=False) -> str:
-    """Write a grid in inventory order. Floats use repr so values round-trip."""
+    """Write a grid in inventory order. Floats use repr so values round-trip;
+    integer=True takes a grid of an integer dtype."""
+    if integer:
+        grid = np.asarray(grid)
+        if grid.dtype.kind not in "iu":
+            raise ValidationError(f"integer grid expected, not {grid.dtype}")
+        rows = grid.tolist()
+        fmt = str
+    else:
+        rows = np.asarray(grid, dtype=np.float64).tolist()
+        fmt = _fmt_float
     out = ["," + ",".join(inventory.symbols)]
-    for r, label in enumerate(inventory.symbols):
-        if integer:
-            cells = (str(int(v)) for v in grid[r])
-        else:
-            cells = (_fmt_float(float(v)) for v in grid[r])
-        out.append(label + "," + ",".join(cells))
+    for label, row in zip(inventory.symbols, rows, strict=True):
+        out.append(label + "," + ",".join(map(fmt, row)))
     return "\n".join(out) + "\n"
 
 

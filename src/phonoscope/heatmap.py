@@ -8,7 +8,11 @@ for byte given identical input, which keeps it diffable in tests.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+
+from .errors import ValidationError
 
 CELL = 14
 MARGIN_LEFT = 46
@@ -16,22 +20,47 @@ MARGIN_TOP = 46
 FONT = 9
 
 
-def _shade(value: float, denom: float) -> str:
-    if denom <= 0:
-        frac = 0.0
+# Each cell's line is its position prefix plus one of 256 fills, one per
+# shade level; level 255 is white, 0 black.
+_FILLS = tuple(
+    f'#{level:02x}{level:02x}{level:02x}" stroke="#dddddd" stroke-width="0.5"/>'
+    for level in range(256)
+)
+
+
+@lru_cache(maxsize=8)
+def _cell_prefixes(n: int) -> tuple[str, ...]:
+    """The text before the fill of each cell of an n x n grid, row-major."""
+    return tuple(
+        f'<rect x="{MARGIN_LEFT + c * CELL}" y="{MARGIN_TOP + r * CELL}" '
+        f'width="{CELL}" height="{CELL}" fill="'
+        for r in range(n) for c in range(n)
+    )
+
+
+def _levels(grid: np.ndarray, per_row: bool) -> np.ndarray:
+    """Shade level of every cell: 255 - round(255 * value / denom), the
+    fraction clamped to [0, 1] and 0 where denom <= 0. np.rint rounds half
+    to even, as round() does. A NaN or +inf in a cell's scale has no shade."""
+    if per_row:
+        denom = grid.max(axis=1, initial=-np.inf)[:, None]
     else:
-        frac = min(max(value / denom, 0.0), 1.0)
-    level = 255 - int(round(255 * frac))
-    return f"#{level:02x}{level:02x}{level:02x}"
+        denom = grid.max() if grid.size else 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.where(denom <= 0, 0.0, np.clip(grid / denom, 0.0, 1.0))
+    if np.isnan(frac).any():
+        raise ValidationError("cannot shade a grid with NaN or infinite values")
+    return 255 - np.rint(255 * frac).astype(np.int64)
 
 
 def svg_heatmap(grid, labels, per_row: bool = True) -> str:
     """Render a labelled square grid; per_row picks the scaling denominator."""
     grid = np.asarray(grid, dtype=np.float64)
     n = len(labels)
+    if grid.shape != (n, n):
+        raise ValidationError(f"grid shape {grid.shape} does not match {n} labels")
     width = MARGIN_LEFT + n * CELL + 1
     height = MARGIN_TOP + n * CELL + 1
-    global_max = float(grid.max()) if grid.size else 0.0
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -51,16 +80,8 @@ def svg_heatmap(grid, labels, per_row: bool = True) -> str:
             f'<text x="{MARGIN_LEFT - 4}" y="{y}" font-family="monospace" '
             f'font-size="{FONT}" text-anchor="end">{_esc(label)}</text>'
         )
-    for r in range(n):
-        denom = float(grid[r].max()) if per_row else global_max
-        for c in range(n):
-            x = MARGIN_LEFT + c * CELL
-            y = MARGIN_TOP + r * CELL
-            fill = _shade(float(grid[r, c]), denom)
-            out.append(
-                f'<rect x="{x}" y="{y}" width="{CELL}" height="{CELL}" '
-                f'fill="{fill}" stroke="#dddddd" stroke-width="0.5"/>'
-            )
+    out += [prefix + _FILLS[level] for prefix, level
+            in zip(_cell_prefixes(n), _levels(grid, per_row).ravel().tolist())]
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

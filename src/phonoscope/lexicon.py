@@ -146,6 +146,8 @@ def load_lexicon(path, inventory: PhonemeInventory | None = None) -> Lexicon:
 
 
 _OOV_MODES = ("fail", "skip_utterance", "supplementary_lexicon")
+DEFAULT_OOV_POLICY = "fail"
+DEFAULT_VARIANT_RULE = "first"
 
 
 @dataclass
@@ -158,7 +160,7 @@ class OovPolicy:
     when a word is in neither.
     """
 
-    mode: str = "fail"
+    mode: str = DEFAULT_OOV_POLICY
     supplement: Lexicon | None = None
 
     def __post_init__(self):
@@ -186,7 +188,7 @@ class PhonemizeResult:
 
 
 def phonemize(tokens, lexicon: Lexicon, policy: OovPolicy | None = None,
-              variant_rule: str = "first") -> PhonemizeResult:
+              variant_rule: str = DEFAULT_VARIANT_RULE) -> PhonemizeResult:
     """Convert normalized word tokens to inventory phoneme indices.
 
     Tokens must already be normalized like lexicon keys (see

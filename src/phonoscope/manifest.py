@@ -13,11 +13,19 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .alignment import DEFAULT_TIE_BREAK
+from . import clustering
+from .alignment import DEFAULT_MAX_VARIANT_COMBINATIONS, DEFAULT_TIE_BREAK
+from .annotations import DEFAULT_MIN_OCCURRENCES, DEFAULT_TOP_K
 from .costs import CostMatrix, load_cost_matrix
 from .errors import ParseError, ValidationError, read_input
 from .inventory import PhonemeInventory, load_inventory
-from .lexicon import Lexicon, OovPolicy, load_lexicon
+from .lexicon import (
+    DEFAULT_OOV_POLICY,
+    DEFAULT_VARIANT_RULE,
+    Lexicon,
+    OovPolicy,
+    load_lexicon,
+)
 
 
 @dataclass
@@ -178,29 +186,31 @@ class CorpusManifest:
 
 @dataclass
 class RunConfig:
-    """Everything a pipeline run needs, and the only home of its defaults.
+    """Everything a pipeline run needs, with every CLI default.
 
-    Each CLI flag sets the field of the same name (see cli.run_config).
+    Each CLI flag sets the field of the same name (see cli.run_config). A
+    default that a library function shares is a DEFAULT_* constant of that
+    function's module, so both read one value.
     """
 
     lexicon_path: Path | None = None
     cost_matrix_path: Path | None = None
     inventory_path: Path | None = None
     supplementary_lexicon_path: Path | None = None
-    oov_policy: str = "fail"
-    variant_rule: str = "first"
+    oov_policy: str = DEFAULT_OOV_POLICY
+    variant_rule: str = DEFAULT_VARIANT_RULE
     tie_break: tuple[str, ...] = DEFAULT_TIE_BREAK
     k: int = 6
-    seed: int = 0
-    init: str = "kmeanspp"
-    perplexity: float = 5.0
-    learning_rate: float = 200.0
-    tsne_iterations: int = 1000
-    early_exaggeration: float = 12.0
-    normalization: str = "raw_counts"
-    top_k: int = 3
-    min_occurrences: int = 20
-    max_variant_combinations: int = 256
+    seed: int = clustering.DEFAULT_SEED
+    init: str = clustering.DEFAULT_INIT
+    perplexity: float = clustering.DEFAULT_PERPLEXITY
+    learning_rate: float = clustering.DEFAULT_LEARNING_RATE
+    tsne_iterations: int = clustering.DEFAULT_TSNE_ITERATIONS
+    early_exaggeration: float = clustering.DEFAULT_EARLY_EXAGGERATION
+    normalization: str = clustering.RAW_COUNTS
+    top_k: int = DEFAULT_TOP_K
+    min_occurrences: int = DEFAULT_MIN_OCCURRENCES
+    max_variant_combinations: int = DEFAULT_MAX_VARIANT_COMBINATIONS
     out_dir: Path = Path("out")
 
 

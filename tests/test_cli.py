@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from phonoscope import ConfusionMatrix, ParseError, PhonemeInventory
+from phonoscope import alignment, annotations, clustering, lexicon
 from phonoscope.cli import build_parser, main, run_config
 from phonoscope.manifest import CorpusManifest, RunConfig, load_config
 
@@ -603,6 +605,36 @@ def test_every_pipeline_flag_sets_its_run_config_field():
         learning_rate=50.0, tsne_iterations=10, early_exaggeration=4.0, top_k=1,
         min_occurrences=5, out_dir=Path("o"),
     )
+
+
+def test_library_defaults_match_run_config():
+    """A library call without a keyword runs as the CLI does without its flag."""
+    def default(func, name):
+        return inspect.signature(func).parameters[name].default
+
+    cfg = RunConfig()
+    pairs = [
+        (default(clustering.tsne, "perplexity"), cfg.perplexity),
+        (default(clustering.tsne, "learning_rate"), cfg.learning_rate),
+        (default(clustering.tsne, "iterations"), cfg.tsne_iterations),
+        (default(clustering.tsne, "early_exaggeration"), cfg.early_exaggeration),
+        (default(clustering.tsne, "seed"), cfg.seed),
+        (default(clustering.kmeans, "seed"), cfg.seed),
+        (default(clustering.kmeans, "init"), cfg.init),
+        (default(clustering.vectorize, "normalization"), cfg.normalization),
+        (default(annotations.compare, "top_k"), cfg.top_k),
+        (default(annotations.compare, "min_occurrences"), cfg.min_occurrences),
+        (default(alignment.align, "tie_break"), cfg.tie_break),
+        (default(alignment.align_min_variant, "tie_break"), cfg.tie_break),
+        (default(alignment.align_min_variant, "max_combinations"),
+         cfg.max_variant_combinations),
+        (default(alignment.align_min_variant_bruteforce, "max_combinations"),
+         cfg.max_variant_combinations),
+        (default(lexicon.phonemize, "variant_rule"), cfg.variant_rule),
+        (lexicon.OovPolicy().mode, cfg.oov_policy),
+    ]
+    for library, pipeline in pairs:
+        assert library == pipeline and type(library) is type(pipeline)
 
 
 def test_each_output_directory_created_once(tmp_path, monkeypatch):

@@ -1,7 +1,10 @@
+import json
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phonoscope import (
     ConfusionMatrix,
@@ -301,3 +304,31 @@ def test_format_percent():
     assert format_percent(5, 2000) == "0.3%"  # 0.25% rounds half up
     assert format_percent(0, 10) == "0.0%"
     assert format_percent(10, 10) == "100.0%"
+
+
+@st.composite
+def profiles(draw):
+    size = draw(st.sampled_from([2, 3, 5, 40]))
+    inv = INV if size == 40 else PhonemeInventory(
+        [f"P{i}" for i in range(size - 1)] + ["<eps>"])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    high = draw(st.sampled_from([1, 30, 2**62]))
+    counts = rng.integers(0, high, size=(size, size), dtype=np.int64)
+    counts[inv.epsilon_index, inv.epsilon_index] = 0
+    return SpeakerProfile(draw(st.text(min_size=1)), ConfusionMatrix(inv, counts),
+                          draw(st.none() | st.text(min_size=1)),
+                          draw(st.integers(0, 10**6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(profiles())
+@example(SpeakerProfile("日本-spk", ConfusionMatrix(INV), None, 0))
+@example(SpeakerProfile("s", ConfusionMatrix(INV), "Mandarin/普通话 \"q\"", 3))
+def test_profile_json_matches_stdlib_encoder(profile):
+    doc = {
+        "speaker_id": profile.speaker_id,
+        "l1_label": profile.l1_label,
+        "utterance_count": profile.utterance_count,
+        "counts": profile.matrix.counts.tolist(),
+    }
+    assert profile.to_json() == json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -1,8 +1,11 @@
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from phonoscope import ConfusionMatrix, PhonemeInventory, accumulate
+from phonoscope import ConfusionMatrix, PhonemeInventory, ValidationError, accumulate
 from phonoscope.confusion import SpeakerProfile
-from phonoscope.heatmap import CELL, MARGIN_LEFT, MARGIN_TOP, svg_heatmap
+from phonoscope.heatmap import CELL, FONT, MARGIN_LEFT, MARGIN_TOP, _esc, svg_heatmap
 
 INV = PhonemeInventory.default()
 
@@ -90,3 +93,100 @@ def test_svg_dimensions_cover_grid():
     first = svg.splitlines()[0]
     width = int(first.split('width="')[1].split('"')[0])
     assert width >= MARGIN_LEFT + 40 * CELL
+
+
+def test_unshadeable_grid_rejected():
+    grid = np.zeros((2, 2))
+    grid[0, 1] = np.nan
+    for per_row in (True, False):
+        with pytest.raises(ValidationError):
+            svg_heatmap(grid, ["a", "b"], per_row=per_row)
+    grid[0, 1] = np.inf
+    with pytest.raises(ValidationError):
+        svg_heatmap(grid, ["a", "b"])
+    with pytest.raises(ValidationError):
+        svg_heatmap(np.zeros((3, 3)), ["a", "b"])
+
+
+def _shade(value: float, denom: float) -> str:
+    if denom <= 0:
+        frac = 0.0
+    else:
+        frac = min(max(value / denom, 0.0), 1.0)
+    level = 255 - int(round(255 * frac))
+    return f"#{level:02x}{level:02x}{level:02x}"
+
+
+def reference_svg_heatmap(grid, labels, per_row=True):
+    """svg_heatmap as first written: _shade and one f-string per cell."""
+    grid = np.asarray(grid, dtype=np.float64)
+    n = len(labels)
+    width = MARGIN_LEFT + n * CELL + 1
+    height = MARGIN_TOP + n * CELL + 1
+    global_max = float(grid.max()) if grid.size else 0.0
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+    ]
+    for c, label in enumerate(labels):
+        x = MARGIN_LEFT + c * CELL + CELL // 2 + 3
+        out.append(
+            f'<text x="{x}" y="{MARGIN_TOP - 4}" font-family="monospace" '
+            f'font-size="{FONT}" text-anchor="start" '
+            f'transform="rotate(-60 {x} {MARGIN_TOP - 4})">{_esc(label)}</text>'
+        )
+    for r, label in enumerate(labels):
+        y = MARGIN_TOP + r * CELL + CELL // 2 + 3
+        out.append(
+            f'<text x="{MARGIN_LEFT - 4}" y="{y}" font-family="monospace" '
+            f'font-size="{FONT}" text-anchor="end">{_esc(label)}</text>'
+        )
+    for r in range(n):
+        denom = float(grid[r].max()) if per_row else global_max
+        for c in range(n):
+            x = MARGIN_LEFT + c * CELL
+            y = MARGIN_TOP + r * CELL
+            fill = _shade(float(grid[r, c]), denom)
+            out.append(
+                f'<rect x="{x}" y="{y}" width="{CELL}" height="{CELL}" '
+                f'fill="{fill}" stroke="#dddddd" stroke-width="0.5"/>'
+            )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+@st.composite
+def labelled_grids(draw):
+    """Small grids drawn cell by cell, or a full inventory's grid from a seed."""
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.text(min_size=1, max_size=4), max_size=7,
+                               unique=True))
+        n = len(labels)
+        cells = st.integers(0, 60) | st.integers(-3, 3) | st.floats(
+            -1e6, 1e6, allow_nan=False)
+        grid = np.array(draw(st.lists(cells, min_size=n * n, max_size=n * n)),
+                        dtype=np.float64).reshape(n, n)
+    else:
+        labels, n = INV.symbols, len(INV)
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        grid = rng.poisson(draw(st.sampled_from([0.1, 1.0, 20.0])), size=(n, n))
+        grid = grid - draw(st.sampled_from([0, 2]))   # negatives clamp to 0
+    if n and draw(st.booleans()):
+        grid[draw(st.integers(0, n - 1))] = 0   # an empty row
+    return labels, grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_grids(), st.booleans())
+@example(([], np.zeros((0, 0))), True)
+@example(([], np.zeros((0, 0))), False)
+@example((["<eps>"], np.array([[5.0]])), True)
+@example((["a&b", "é"], np.array([[-1.0, -2.0], [0.0, 0.0]])), True)
+@example((["a&b", "é"], np.array([[-1.0, 3.0], [7.0, -0.5]])), False)
+@example((INV.symbols, np.zeros((40, 40))), True)
+@example((INV.symbols, np.zeros((40, 40))), False)
+def test_svg_heatmap_matches_per_cell_reference(case, per_row):
+    labels, grid = case
+    assert svg_heatmap(grid, labels, per_row) == reference_svg_heatmap(
+        grid, labels, per_row)

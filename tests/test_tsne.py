@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from phonoscope import ValidationError, tsne
 from phonoscope.clustering import (
     SpeakerVector,
+    _self_sq_dists,
+    _sq_dists,
     conditional_affinities,
     pairwise_sq_dists,
     symmetrized_affinities,
@@ -101,3 +106,129 @@ def test_point_ids_preserved_in_order():
     vectors, _ = make_group_vectors(seed=6)
     result = tsne(vectors, iterations=10, seed=0)
     assert [p.speaker_id for p in result.points] == [v.speaker_id for v in vectors]
+
+
+def test_affinity_search_recovers_from_underflow():
+    """Raw counts of a few hundred phonemes: at beta = 1 every weight
+    exp(-d * beta) of every row underflows to zero. The search must lower
+    beta until each row reaches the target entropy, not settle on a uniform
+    row at maximum entropy."""
+    rng = np.random.default_rng(0)
+    data = rng.poisson(0.5, size=(60, 1600)).astype(np.float64)
+    D = _self_sq_dists(data)
+    off_diagonal = D[~np.eye(60, dtype=bool)]
+    assert off_diagonal.min() > 745.2   # exp(-745.2) rounds to 0.0
+    P, entropies = conditional_affinities(D, perplexity=5.0, entropy_tol=1e-5)
+    assert np.abs(entropies - math.log2(5.0)).max() <= 1e-5
+    np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
+
+
+# Oracles: the formulations the library used before it was made faster.
+# Each rewrite does the same float operations in the same order, so the
+# results must match bit for bit.
+
+def einsum_pairwise_sq_dists(data):
+    diff = data[:, None, :] - data[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def reference_kl(P, Y):
+    num = 1.0 / (1.0 + einsum_pairwise_sq_dists(Y))
+    np.fill_diagonal(num, 0.0)
+    Q = num / num.sum()
+    mask = P > 0
+    return float((P[mask] * np.log(np.maximum(P[mask], 1e-12)
+                                   / np.maximum(Q[mask], 1e-12))).sum())
+
+
+def reference_tsne(data, perplexity, iterations, seed, learning_rate=200.0,
+                   early_exaggeration=12.0, exaggeration_iters=250):
+    """The t-SNE loop as first written: einsum distances, every pair's input
+    distance computed twice, P * early_exaggeration and an n x n np.diag
+    temporary in every iteration. Returns the embedding and the final KL."""
+    n = data.shape[0]
+    cond, _ = conditional_affinities(_sq_dists(data, data), perplexity)
+    P = symmetrized_affinities(cond)
+    rng = np.random.default_rng(seed)
+    Y = rng.normal(0.0, 1e-4, size=(n, 2))
+    update = np.zeros_like(Y)
+    gains = np.ones_like(Y)
+    for it in range(iterations):
+        exaggerating = it < exaggeration_iters
+        P_eff = P * early_exaggeration if exaggerating else P
+        momentum = 0.5 if exaggerating else 0.8
+        num = 1.0 / (1.0 + einsum_pairwise_sq_dists(Y))
+        np.fill_diagonal(num, 0.0)
+        Q = num / num.sum()
+        PQ = (P_eff - Q) * num
+        grad = 4.0 * (np.diag(PQ.sum(axis=1)) - PQ) @ Y
+        agree = (grad > 0) == (update > 0)
+        gains[agree] *= 0.8
+        gains[~agree] += 0.2
+        np.clip(gains, 0.01, None, out=gains)
+        update = momentum * update - learning_rate * gains * grad
+        Y = Y + update
+        Y = Y - Y.mean(axis=0)
+    return Y, reference_kl(P, Y)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.just(2)),
+                  elements=finite),
+       st.sampled_from([1e-5, 1.0, 1e3]))
+@example(np.zeros((3, 2)), 1.0)
+def test_pairwise_sq_dists_matches_einsum_in_two_dimensions(Y, scale):
+    Y = Y * scale
+    assert same_bits(pairwise_sq_dists(Y), einsum_pairwise_sq_dists(Y))
+
+
+@settings(max_examples=100, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(0, 60)),
+                  elements=finite))
+def test_pairwise_sq_dists_any_dimension(data):
+    """Beyond two coordinates the sum runs in another order than einsum's,
+    so it may differ by the rounding of one addition per coordinate."""
+    got, want = pairwise_sq_dists(data), einsum_pairwise_sq_dists(data)
+    if data.shape[1] <= 2:
+        assert same_bits(got, want)
+    np.testing.assert_allclose(got, want, rtol=data.shape[1] * 2.3e-16, atol=0)
+    assert same_bits(got, got.T) and not np.diagonal(got).any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 25), st.integers(1, 1700),
+       st.booleans())
+def test_input_distances_computed_once_per_pair(seed, n, dim, counts):
+    rng = np.random.default_rng(seed)
+    if counts:
+        data = rng.poisson(0.5, size=(n, dim)).astype(np.float64)
+    else:
+        data = rng.normal(0.0, 10.0 ** rng.uniform(-5, 3), size=(n, dim))
+    assert same_bits(_self_sq_dists(data), _sq_dists(data, data))
+
+
+@pytest.mark.parametrize("n, perplexity, iterations, examples", [
+    (3, 1.5, 1000, 5), (7, 3.0, 1000, 5), (43, 5.0, 1000, 2), (203, 5.0, 300, 1),
+])
+def test_tsne_matches_reference_loop(n, perplexity, iterations, examples):
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([40, 1681]),
+           st.sampled_from([0.05, 0.5, 3.0]))
+    def check(seed, dim, rate):
+        data = np.random.default_rng(seed).poisson(rate, size=(n, dim)).astype(float)
+        vectors = [SpeakerVector(f"s{i}", row) for i, row in enumerate(data)]
+        result = tsne(vectors, perplexity=perplexity, iterations=iterations,
+                      seed=seed % 1000)
+        Y, kl = reference_tsne(data, perplexity, iterations, seed % 1000)
+        assert same_bits([(p.x, p.y) for p in result.points], Y)
+        assert same_bits(result.kl_divergence, kl)
+
+    check()
