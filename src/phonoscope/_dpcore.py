@@ -50,12 +50,13 @@ def _cached_build() -> Path:
 
 def _load():
     try:
-        return ctypes.CDLL(str(_cached_build())).dp_align
+        library = ctypes.CDLL(str(_cached_build()))
+        return library.dp_align, library.dp_lattice
     except (OSError, AttributeError) as exc:
         raise ImportError(f"alignment kernel unavailable: {exc}") from exc
 
 
-_dp_align = _load()
+_dp_align, _dp_lattice = _load()
 _dp_align.argtypes = [
     ctypes.c_char_p, ctypes.c_int64, ctypes.c_char_p, ctypes.c_int64,
     ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64,
@@ -63,11 +64,34 @@ _dp_align.argtypes = [
     ctypes.POINTER(ctypes.c_double), ctypes.c_char_p,
 ]
 _dp_align.restype = ctypes.c_int64
+_dp_lattice.argtypes = [
+    ctypes.c_char_p, ctypes.c_char_p, ctypes.c_char_p, ctypes.c_int64,
+    ctypes.c_char_p, ctypes.c_int64, ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64,
+    ctypes.POINTER(ctypes.c_double),
+]
+_dp_lattice.restype = ctypes.c_int64
 
 
 def _check(array, dtype, ndim: int, name: str) -> None:
     if not (isinstance(array, np.ndarray) and array.dtype == dtype and array.ndim == ndim):
         raise ValueError(f"{name} must be a {ndim}-d {dtype} array")
+
+
+def _grid_size(cost_rows) -> int:
+    _check(cost_rows, _FLOAT64, 2, "cost grid")
+    size = cost_rows.shape[0]
+    if cost_rows.shape[1] != size:
+        raise ValueError("cost grid must be square")
+    return size
+
+
+def _raise_for(status: int) -> None:
+    if status == -1:
+        raise IndexError("phoneme index outside the cost grid")
+    if status == -2:
+        raise MemoryError()
+    if status == -3:
+        raise RuntimeError("backtrace failed to reproduce DP cell")
 
 
 def dp_align(expected, observed, cost_rows, eps, pref0, pref1, pref2):
@@ -78,10 +102,7 @@ def dp_align(expected, observed, cost_rows, eps, pref0, pref1, pref2):
     """
     _check(expected, _INT64, 1, "expected")
     _check(observed, _INT64, 1, "observed")
-    _check(cost_rows, _FLOAT64, 2, "cost grid")
-    size = cost_rows.shape[0]
-    if cost_rows.shape[1] != size:
-        raise ValueError("cost grid must be square")
+    size = _grid_size(cost_rows)
     n, m = len(expected), len(observed)
     total = ctypes.c_double()
     moves = ctypes.create_string_buffer(n + m)
@@ -89,10 +110,29 @@ def dp_align(expected, observed, cost_rows, eps, pref0, pref1, pref2):
     count = _dp_align(expected.tobytes(), n, observed.tobytes(), m,
                       cost_rows.tobytes(), size, eps, pref0, pref1, pref2,
                       ctypes.byref(total), moves)
-    if count == -1:
-        raise IndexError("phoneme index outside the cost grid")
-    if count == -2:
-        raise MemoryError()
-    if count == -3:
-        raise RuntimeError("backtrace failed to reproduce DP cell")
+    _raise_for(count)
     return total.value, list(moves.raw[:count])
+
+
+def dp_lattice(phonemes, variant_offsets, word_offsets, observed, cost_rows, eps):
+    """Same contract as _dppy.dp_lattice, on int64 arrays and a float64 grid.
+
+    Each offsets array must rise from 0 to the length of what it indexes:
+    variant_offsets to len(phonemes), word_offsets to the variant count.
+    """
+    for array, name in ((phonemes, "phonemes"), (variant_offsets, "variant offsets"),
+                        (word_offsets, "word offsets"), (observed, "observed")):
+        _check(array, _INT64, 1, name)
+    size = _grid_size(cost_rows)
+    for offsets, end, name in ((variant_offsets, len(phonemes), "variant offsets"),
+                               (word_offsets, len(variant_offsets) - 1, "word offsets")):
+        if not (len(offsets) and offsets[0] == 0 and offsets[-1] == end
+                and (offsets[1:] >= offsets[:-1]).all()):
+            raise ValueError(f"{name} must rise from 0 to {end}")
+    total = ctypes.c_double()
+    status = _dp_lattice(phonemes.tobytes(), variant_offsets.tobytes(),
+                         word_offsets.tobytes(), len(word_offsets) - 1,
+                         observed.tobytes(), len(observed), cost_rows.tobytes(),
+                         size, eps, ctypes.byref(total))
+    _raise_for(status)
+    return total.value

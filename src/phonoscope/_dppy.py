@@ -1,14 +1,48 @@
 """Pure-Python weighted edit-distance kernel (fallback backend).
 
 Mirrors _dpkernel.c operation for operation: both fill the DP table with
-the same additions in the same order and backtrace with the same exact
-float comparisons, so the two backends return bitwise-identical costs
-and identical move sequences.
+the same additions in the same order, backtrace with the same exact
+float comparisons and take the same element-wise minimum at lattice word
+boundaries, so the two backends return bitwise-identical costs and
+identical move sequences.
 """
 
 DIAG = 0
 DELETE = 1
 INSERT = 2
+
+
+def _insertion_row(observed, eps_row):
+    """Row 0 of a table: the cost of inserting observed[:j]."""
+    row = [0.0] * (len(observed) + 1)
+    for j in range(1, len(observed) + 1):
+        row[j] = row[j - 1] + eps_row[observed[j - 1]]
+    return row
+
+
+def _fill_rows(dp, expected, observed, cost_rows, eps):
+    """Fill rows 1..len(expected) of the flat table dp from its row 0.
+
+    The only table fill: dp_align and dp_lattice both call it.
+    """
+    width = len(observed) + 1
+    eps_row = cost_rows[eps]
+    for i in range(1, len(expected) + 1):
+        arow = cost_rows[expected[i - 1]]
+        adel = arow[eps]
+        base = i * width
+        prev = base - width
+        dp[base] = dp[prev] + adel
+        for j in range(1, width):
+            b = observed[j - 1]
+            best = dp[prev + j - 1] + arow[b]
+            dele = dp[prev + j] + adel
+            if dele < best:
+                best = dele
+            ins = dp[base + j - 1] + eps_row[b]
+            if ins < best:
+                best = ins
+            dp[base + j] = best
 
 
 def dp_align(expected, observed, cost_rows, eps, pref0, pref1, pref2):
@@ -23,27 +57,8 @@ def dp_align(expected, observed, cost_rows, eps, pref0, pref1, pref2):
     width = m + 1
     eps_row = cost_rows[eps]
 
-    dp = [0.0] * ((n + 1) * width)
-    for i in range(1, n + 1):
-        dp[i * width] = dp[(i - 1) * width] + cost_rows[expected[i - 1]][eps]
-    for j in range(1, m + 1):
-        dp[j] = dp[j - 1] + eps_row[observed[j - 1]]
-
-    for i in range(1, n + 1):
-        arow = cost_rows[expected[i - 1]]
-        adel = arow[eps]
-        base = i * width
-        prev = base - width
-        for j in range(1, m + 1):
-            b = observed[j - 1]
-            best = dp[prev + j - 1] + arow[b]
-            dele = dp[prev + j] + adel
-            if dele < best:
-                best = dele
-            ins = dp[base + j - 1] + eps_row[b]
-            if ins < best:
-                best = ins
-            dp[base + j] = best
+    dp = _insertion_row(observed, eps_row) + [0.0] * (n * width)
+    _fill_rows(dp, expected, observed, cost_rows, eps)
 
     prefs = (pref0, pref1, pref2)
     moves = []
@@ -83,3 +98,29 @@ def dp_align(expected, observed, cost_rows, eps, pref0, pref1, pref2):
 
     moves.reverse()
     return dp[n * width + m], moves
+
+
+def dp_lattice(phonemes, variant_offsets, word_offsets, observed, cost_rows, eps):
+    """Minimum total cost over every path through a pronunciation lattice.
+
+    Score only, no backtrace. Word w's variants are variants
+    word_offsets[w] up to word_offsets[w + 1]; variant v is
+    phonemes[variant_offsets[v]:variant_offsets[v + 1]]. Each variant of
+    a word is filled from the same boundary row, and the next boundary row
+    is the element-wise minimum of the variants' last rows (an empty
+    variant's last row is the boundary itself).
+    """
+    width = len(observed) + 1
+    longest = max([b - a for a, b in zip(variant_offsets, variant_offsets[1:])],
+                  default=0)
+    dp = _insertion_row(observed, cost_rows[eps]) + [0.0] * (longest * width)
+    for w in range(len(word_offsets) - 1):
+        boundary = [float("inf")] * width
+        for v in range(word_offsets[w], word_offsets[w + 1]):
+            expected = phonemes[variant_offsets[v]:variant_offsets[v + 1]]
+            _fill_rows(dp, expected, observed, cost_rows, eps)
+            last = len(expected) * width
+            boundary = [x if x < b else b
+                        for x, b in zip(dp[last:last + width], boundary)]
+        dp[:width] = boundary
+    return dp[width - 1]

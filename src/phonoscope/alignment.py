@@ -17,7 +17,6 @@ PHONOSCOPE_PURE=1 to force the fallback. Both produce identical output.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 
@@ -56,7 +55,6 @@ _MOVE_CODES = {
 }
 
 DEFAULT_TIE_BREAK = (SUBSTITUTE, DELETE, INSERT)
-DEFAULT_MAX_VARIANT_COMBINATIONS = 256
 
 _BRUTEFORCE_MAX = 12
 
@@ -224,8 +222,8 @@ def align_bruteforce(expected, observed, costs: CostMatrix) -> float:
     return best
 
 
-def _variant_lattice(expected_lattice, max_combinations: int) -> list[list]:
-    """Per-word variant lists as tuples, with the combination cap enforced."""
+def _variant_lattice(expected_lattice) -> list[list[tuple]]:
+    """Per-word variant lists as tuples of phoneme indices."""
     lattice = []
     for word_variants in expected_lattice:
         variants = [
@@ -235,77 +233,54 @@ def _variant_lattice(expected_lattice, max_combinations: int) -> list[list]:
         if not variants:
             raise ValidationError("every word needs at least one variant")
         lattice.append(variants)
-
-    count = 1
-    for variants in lattice:
-        count *= len(variants)
-    if count > max_combinations:
-        raise ValidationError(
-            f"{count} variant combinations exceed the cap of {max_combinations}; "
-            'use variant_rule="first"'
-        )
     return lattice
 
 
-def _concatenate(lattice, choice) -> list[int]:
-    return [p for word, v in zip(lattice, choice) for p in word[v]]
+def _offsets(parts) -> np.ndarray:
+    """CSR offsets: 0, then the running total of the parts' lengths."""
+    return np.array([0, *map(len, parts)], dtype=np.int64).cumsum()
 
 
-def align_min_variant_bruteforce(
-    expected_lattice, observed, costs: CostMatrix, tie_break=DEFAULT_TIE_BREAK,
-    max_combinations: int = DEFAULT_MAX_VARIANT_COMBINATIONS,
-) -> VariantAlignment:
-    """Full align() of every variant combination (test oracle).
-
-    The reference for align_min_variant: same cap, same first-strict-
-    minimum rule, but a complete Alignment per combination.
-    """
-    lattice = _variant_lattice(expected_lattice, max_combinations)
-    best: Alignment | None = None
-    best_choice: tuple[int, ...] = ()
-    for choice in itertools.product(*[range(len(v)) for v in lattice]):
-        candidate = align(_concatenate(lattice, choice), observed, costs, tie_break)
-        if best is None or candidate.total_cost < best.total_cost:
-            best = candidate
-            best_choice = choice
-    assert best is not None  # lattice may be empty, product yields one ()
-    return VariantAlignment(best, best_choice)
+def _lattice_total(lattice, observed, costs: CostMatrix) -> float:
+    """The kernel's minimum total over every path through the lattice."""
+    variants = [v for word in lattice for v in word]
+    grid, *args = _kernel_args(costs, [p for v in variants for p in v],
+                               _offsets(variants), _offsets(lattice), observed)
+    return _kernel.dp_lattice(*args, grid, costs.inventory.epsilon_index)
 
 
 def align_min_variant(
     expected_lattice, observed, costs: CostMatrix, tie_break=DEFAULT_TIE_BREAK,
-    max_combinations: int = DEFAULT_MAX_VARIANT_COMBINATIONS,
 ) -> VariantAlignment:
     """Minimize alignment cost over the cross-product of per-word variants.
 
     Each lattice entry is the variant list for one word (every variant a
-    phoneme index sequence, or a PronunciationVariant). The full
-    concatenation is scored by the DP kernel for every combination; ties
-    keep the lowest variant indices. Per-word independent evaluation would
-    not be valid, so combination count is capped. Only the winning
-    combination is turned into an Alignment.
+    phoneme index sequence, or a PronunciationVariant). One lattice DP
+    finds the minimum over every combination exactly: float addition is
+    monotone, so each lattice cell equals bitwise the minimum of that cell
+    over the combinations. Ties keep the lowest variant indices: word by
+    word, the first variant whose restricted lattice still reaches the
+    minimum is fixed. Only the winning combination is turned into an
+    Alignment.
     """
-    lattice = _variant_lattice(expected_lattice, max_combinations)
+    lattice = _variant_lattice(expected_lattice)
     inv = costs.inventory
     # one check over every variant: numpy's per-call cost dwarfs short words
     _check_sequence([p for variants in lattice for v in variants for p in v],
                     inv, "expected")
     o = _check_sequence(observed, inv, "observed")
-    prefs = _tie_codes(tie_break)
-    eps = inv.epsilon_index
-    choices = list(itertools.product(*[range(len(v)) for v in lattice]))
-    grid, kernel_o, *candidates = _kernel_args(
-        costs, o, *[_concatenate(lattice, choice) for choice in choices])
-
-    best = None  # (total cost, choice) of the first strict minimum
-    for choice, candidate in zip(choices, candidates):
-        total, _ = _kernel.dp_align(candidate, kernel_o, grid, eps, *prefs)
-        if best is None or total < best[0]:
-            best = (total, choice)
-    assert best is not None  # lattice may be empty, product yields one ()
-    choice = best[1]
-    return VariantAlignment(align(_concatenate(lattice, choice), o, costs, tie_break),
-                            choice)
+    best = _lattice_total(lattice, o, costs)
+    chosen: list[int] = []
+    for w, variants in enumerate(lattice):
+        fixed = [[word[v]] for word, v in zip(lattice, chosen)]
+        v = 0
+        while (v < len(variants) - 1
+               and _lattice_total(fixed + [[variants[v]]] + lattice[w + 1:], o,
+                                  costs) != best):
+            v += 1
+        chosen.append(v)
+    expected = [p for word, v in zip(lattice, chosen) for p in word[v]]
+    return VariantAlignment(align(expected, o, costs, tie_break), tuple(chosen))
 
 
 def dump_alignment(alignment: Alignment, inventory) -> str:

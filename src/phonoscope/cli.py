@@ -273,11 +273,8 @@ def _align_corpus(manifest, loaded: LoadedConfig):
         annotation_paths = []
         for utt, prompt, observed in produced:
             if prompt.lattice is not None:
-                result = al.align_min_variant(
-                    prompt.lattice, observed.indices, loaded.costs, cfg.tie_break,
-                    cfg.max_variant_combinations,
-                )
-                ali = result.alignment
+                ali = al.align_min_variant(prompt.lattice, observed.indices,
+                                           loaded.costs, cfg.tie_break).alignment
             else:
                 ali = al.align(prompt.indices, observed.indices, loaded.costs,
                                cfg.tie_break)

@@ -3,7 +3,8 @@
 Rows are the expected symbol, columns the observed symbol. The epsilon
 row holds insertion costs, the epsilon column deletion costs. Matrices
 need not be symmetric; the diagonal must be zero for real phonemes and
-the (eps, eps) entry is unused and stored as zero.
+the (eps, eps) entry is unused and stored as zero. Entries must be
+non-negative and not NaN; +inf is allowed.
 """
 
 from __future__ import annotations
@@ -30,13 +31,16 @@ class CostMatrix:
 
     def _validate(self):
         eps = self.inventory.epsilon_index
-        neg = np.argwhere(self.costs < 0)
-        if len(neg):
-            r, c = neg[0]
-            raise ValidationError(
-                f"negative cost at ({self.inventory.label(r)}, "
-                f"{self.inventory.label(c)})"
-            )
+        # the DP's ties are exact float equalities: +inf == +inf keeps them
+        # sound, but NaN equals nothing, not even itself
+        for bad, what in ((np.isnan(self.costs), "NaN"), (self.costs < 0, "negative")):
+            cells = np.argwhere(bad)
+            if len(cells):
+                r, c = cells[0]
+                raise ValidationError(
+                    f"{what} cost at ({self.inventory.label(r)}, "
+                    f"{self.inventory.label(c)})"
+                )
         diag = np.diagonal(self.costs)
         for i, v in enumerate(diag):
             if i != eps and v != 0.0:

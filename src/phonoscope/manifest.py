@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import clustering
-from .alignment import DEFAULT_MAX_VARIANT_COMBINATIONS, DEFAULT_TIE_BREAK
+from .alignment import DEFAULT_TIE_BREAK
 from .annotations import DEFAULT_MIN_OCCURRENCES, DEFAULT_TOP_K
 from .costs import CostMatrix, load_cost_matrix
 from .errors import ParseError, ValidationError, read_input
@@ -210,7 +210,6 @@ class RunConfig:
     normalization: str = clustering.RAW_COUNTS
     top_k: int = DEFAULT_TOP_K
     min_occurrences: int = DEFAULT_MIN_OCCURRENCES
-    max_variant_combinations: int = DEFAULT_MAX_VARIANT_COMBINATIONS
     out_dir: Path = Path("out")
 
 

@@ -1,8 +1,14 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from phonoscope import CostMatrix, PhonemeInventory
+from phonoscope import CostMatrix, PhonemeInventory, align
+from phonoscope.alignment import DEFAULT_TIE_BREAK, VariantAlignment
 from phonoscope.clustering import SpeakerVector
+
+ORACLE_MAX_COMBINATIONS = 4096
 
 
 @pytest.fixture(scope="session")
@@ -48,6 +54,26 @@ def random_cost_matrix(inv, rng, low=0.05, high=2.0):
     np.fill_diagonal(grid, 0.0)
     grid[inv.epsilon_index, inv.epsilon_index] = 0.0
     return CostMatrix(inv, grid)
+
+
+def align_min_variant_bruteforce(expected_lattice, observed, costs,
+                                 tie_break=DEFAULT_TIE_BREAK) -> VariantAlignment:
+    """Full align() of every variant combination (oracle for align_min_variant).
+
+    The first strict minimum in itertools.product order wins, so ties keep
+    the lowest variant indices.
+    """
+    lattice = [[tuple(getattr(v, "phonemes", v)) for v in word]
+               for word in expected_lattice]
+    count = math.prod(len(word) for word in lattice)
+    assert 0 < count <= ORACLE_MAX_COMBINATIONS, count
+    best = None
+    for choice in itertools.product(*[range(len(word)) for word in lattice]):
+        expected = [p for word, v in zip(lattice, choice) for p in word[v]]
+        candidate = align(expected, observed, costs, tie_break)
+        if best is None or candidate.total_cost < best.alignment.total_cost:
+            best = VariantAlignment(candidate, choice)
+    return best
 
 
 def make_group_vectors(seed=0, groups=6, per_group=4, dim=1600):

@@ -25,15 +25,9 @@ from phonoscope import (
     backend,
     dump_alignment,
 )
-from phonoscope.alignment import (
-    DELETE,
-    INSERT,
-    MATCH,
-    SUBSTITUTE,
-    align_min_variant_bruteforce,
-)
+from phonoscope.alignment import DELETE, INSERT, MATCH, SUBSTITUTE
 
-from .conftest import idx, random_cost_matrix
+from .conftest import align_min_variant_bruteforce, idx, random_cost_matrix
 
 INV = PhonemeInventory.default()
 UNIFORM = CostMatrix.uniform(INV)
@@ -268,13 +262,6 @@ def test_min_variant_two_by_two():
     assert result.alignment.total_cost == 0.0
 
 
-def test_min_variant_combination_cap():
-    variants = [idx(INV, "T"), idx(INV, "D")]
-    lattice = [variants] * 9  # 512 combinations
-    with pytest.raises(ValidationError, match="first"):
-        align_min_variant(lattice, idx(INV, "T"), UNIFORM, max_combinations=256)
-
-
 def test_min_variant_requires_nonempty_variant_lists():
     with pytest.raises(ValidationError):
         align_min_variant([[]], [], UNIFORM)
@@ -307,6 +294,14 @@ def test_dump_format(weighted):
     assert lines[2].split("\t") == ["Z", "Z", "match", "0.0"]
 
 
+def _lattice_csr(lattice):
+    """(phonemes, variant offsets, word offsets) of a list of variant lists."""
+    variants = [v for word in lattice for v in word]
+    return ([p for v in variants for p in v],
+            np.cumsum([0, *map(len, variants)]).tolist(),
+            np.cumsum([0, *map(len, lattice)]).tolist())
+
+
 def test_backend_parity_on_random_instances():
     pytest.importorskip("phonoscope._dpcore")
     from phonoscope import _dpcore, _dppy
@@ -326,17 +321,45 @@ def test_backend_parity_on_random_instances():
         assert pure[0].hex() == compiled[0].hex()
         assert pure == compiled
 
+    def check_lattice(lattice, o, costs):
+        csr = _lattice_csr(lattice)
+        pure = _dppy.dp_lattice(*csr, o, costs.rows(), eps)
+        compiled = _dpcore.dp_lattice(*[np.asarray(a, dtype=np.int64) for a in csr],
+                                      np.asarray(o, dtype=np.int64), costs.costs, eps)
+        assert pure.hex() == compiled.hex()
+
+    def random_lattice(symbols, words, max_len):
+        # a variant may be empty and a word may have a single variant
+        return [[[pyrng.choice(symbols) for _ in range(pyrng.randint(0, max_len))]
+                 for _ in range(pyrng.randint(1, 3))]
+                for _ in range(words)]
+
     for _ in range(200):
         costs = random_cost_matrix(INV, rng)
         e = [pyrng.choice(non_eps) for _ in range(pyrng.randint(0, 10))]
         o = [pyrng.choice(non_eps) for _ in range(pyrng.randint(0, 10))]
         check(e, o, costs, (0, 1, 2))
+        check_lattice(random_lattice(non_eps, pyrng.randint(0, 4), 4), o, costs)
     # uniform costs over three symbols: many equal-cost scripts per pair
     for prefs in itertools.permutations((0, 1, 2)):
         for _ in range(100):
             e = [pyrng.choice(tie_heavy) for _ in range(pyrng.randint(0, 10))]
             o = [pyrng.choice(tie_heavy) for _ in range(pyrng.randint(0, 10))]
             check(e, o, UNIFORM, prefs)
+            check_lattice(random_lattice(tie_heavy, pyrng.randint(0, 4), 4), o, UNIFORM)
+    # empty observed side, empty lattice, and +inf rows: T only matches T,
+    # and inserting D costs +inf, so some totals are +inf
+    t, d = INV.index("T"), INV.index("D")
+    grid = UNIFORM.costs.copy()
+    grid[t, :] = np.inf
+    grid[t, t] = 0.0
+    grid[eps, d] = np.inf
+    blocked = CostMatrix(INV, grid)
+    for costs in (UNIFORM, blocked):
+        for lattice, o in (([[[t], [d]], [[]]], []), ([], [t, d]), ([], []),
+                           ([[[t, t], [d]], [[t]]], [d, d]),
+                           ([[[t], [t, t]]], [d])):
+            check_lattice(lattice, o, costs)
 
 
 def test_compiled_kernel_rejects_bad_arguments():
@@ -354,6 +377,23 @@ def test_compiled_kernel_rejects_bad_arguments():
                          UNIFORM.costs, eps, 0, 1, 2)
     with pytest.raises(IndexError):
         _dpcore.dp_align(e, e, UNIFORM.costs, -1, 0, 1, 2)
+
+    def lattice(phonemes, variant_offsets, word_offsets):
+        return _dpcore.dp_lattice(*[np.asarray(a, dtype=np.int64) for a in
+                                    (phonemes, variant_offsets, word_offsets)],
+                                  e, UNIFORM.costs, eps)
+
+    t = INV.index("T")
+    for bad_offsets in (([0, 2], [0, 1]), ([1, 1], [0, 1]), ([0, 1], [0, 2]),
+                        ([], [0]), ([0, 1], [1, 1])):
+        with pytest.raises(ValueError):
+            lattice([t], *bad_offsets)
+    with pytest.raises(ValueError):
+        lattice([t, t], [0, 2, 1, 2], [0, 3])
+    with pytest.raises(IndexError):
+        lattice([len(INV)], [0, 1], [0, 1])
+    with pytest.raises(ValueError):
+        _dpcore.dp_lattice([t], e, e, e, UNIFORM.costs, eps)
 
 
 def test_compiled_backend_active_when_cc_available():

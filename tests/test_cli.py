@@ -8,10 +8,21 @@ from pathlib import Path
 
 import pytest
 
-from phonoscope import ConfusionMatrix, ParseError, PhonemeInventory
+from phonoscope import (
+    ConfusionMatrix,
+    CostMatrix,
+    ParseError,
+    PhonemeInventory,
+    dump_alignment,
+    parse_lexicon,
+    phonemize,
+    tokenize,
+)
 from phonoscope import alignment, annotations, clustering, lexicon
 from phonoscope.cli import build_parser, main, run_config
 from phonoscope.manifest import CorpusManifest, RunConfig, load_config
+
+from .conftest import align_min_variant_bruteforce
 
 INV = PhonemeInventory.default()
 REPO = Path(__file__).resolve().parent.parent
@@ -281,6 +292,59 @@ def test_variant_rule_all_pipeline(tmp_path):
     dump = (out / "alignments" / "s1" / "u1.tsv").read_text()
     # the matching variant is chosen: everything aligns at cost 0
     assert all(line.split("\t")[2] == "match" for line in dump.splitlines())
+
+
+# one-phoneme variants keep the enumeration oracle's 4096 aligns cheap
+VARIANT_PAIRS = (("T", "D"), ("S", "Z"), ("P", "B"), ("K", "G"), ("F", "V"),
+                 ("IH", "IY"), ("AH", "AA"), ("EH", "AE"), ("UH", "UW"),
+                 ("M", "N"), ("L", "R"), ("SH", "ZH"))
+
+
+def test_twelve_two_variant_words_run_without_a_cap(tmp_path):
+    # 2**12 = 4096 variant combinations in one prompt
+    letters = "ABCDEFGHIJKL"
+    text = "".join(f"W{c}  {first}\nW{c}(1)  {second}\nO{c}  {second}\n"
+                   for c, (first, second) in zip(letters, VARIANT_PAIRS)) + "X  HH\n"
+    (tmp_path / "lex.dict").write_text(text)
+    prompt = " ".join(f"W{c}" for c in letters)
+    asr = "OA X OC OD X OF X OH OJ OK X"  # substitutions and a dropped word
+    manifest = {"speakers": [
+        {"speaker_id": sid, "utterances": [
+            {"utterance_id": "u1", "prompt_text": prompt, "asr_transcript": asr}]}
+        for sid in ("s1", "s2")
+    ]}
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    code = main(["run", str(tmp_path / "manifest.json"), "--lexicon",
+                 str(tmp_path / "lex.dict"), "--variant-rule", "all", "--k", "1",
+                 "--perplexity", "1", "--out-dir", str(out)])
+    assert code == 0
+
+    lex = parse_lexicon(text, INV)
+    lattice = phonemize(tokenize(prompt), lex, variant_rule="all").lattice
+    observed = phonemize(tokenize(asr), lex).indices
+    oracle = align_min_variant_bruteforce(lattice, observed, CostMatrix.uniform(INV))
+    assert 0 in oracle.chosen and 1 in oracle.chosen
+    for sid in ("s1", "s2"):
+        assert ((out / "alignments" / sid / "u1.tsv").read_text()
+                == dump_alignment(oracle.alignment, INV))
+
+
+def test_nan_cost_exits_2_naming_the_cell(tmp_path, capsys):
+    lines = (SAMPLE / "costs.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    for i, line in enumerate(lines):
+        cells = line.split(",")
+        if cells[0] in ("AH", "IH", "T"):
+            lines[i] = ",".join(c if j == 0 or header[j] == cells[0] else "nan"
+                                for j, c in enumerate(cells))
+    (tmp_path / "costs.csv").write_text("\n".join(lines) + "\n")
+    args = sample_args(tmp_path / "out", ["--k", "3", "--min-occurrences", "2"])
+    args[args.index("--costs") + 1] = str(tmp_path / "costs.csv")
+    assert main(["run", *args]) == 2
+    err = capsys.readouterr().err
+    assert "NaN cost at (AH, AA)" in err and "internal error" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_load_config_validates_everything_up_front(tmp_path):
@@ -591,7 +655,7 @@ def test_every_pipeline_flag_sets_its_run_config_field():
             "--inventory", "inv.txt", "--supplementary-lexicon", "sup",
             "--oov-policy", "skip_utterance", "--variant-rule", "all",
             "--tie-break", "insert, delete,,substitute",
-            "--max-variant-combinations", "7", "--k", "2", "--seed", "9",
+            "--k", "2", "--seed", "9",
             "--init", "forgy", "--normalization", "row_frequency",
             "--perplexity", "2.5", "--learning-rate", "50", "--tsne-iterations", "10",
             "--early-exaggeration", "4", "--top-k", "1", "--min-occurrences", "5",
@@ -600,7 +664,7 @@ def test_every_pipeline_flag_sets_its_run_config_field():
         lexicon_path=Path("lex"), cost_matrix_path=Path("c.csv"),
         inventory_path=Path("inv.txt"), supplementary_lexicon_path=Path("sup"),
         oov_policy="skip_utterance", variant_rule="all",
-        tie_break=("insert", "delete", "substitute"), max_variant_combinations=7,
+        tie_break=("insert", "delete", "substitute"),
         k=2, seed=9, init="forgy", normalization="row_frequency", perplexity=2.5,
         learning_rate=50.0, tsne_iterations=10, early_exaggeration=4.0, top_k=1,
         min_occurrences=5, out_dir=Path("o"),
@@ -626,10 +690,6 @@ def test_library_defaults_match_run_config():
         (default(annotations.compare, "min_occurrences"), cfg.min_occurrences),
         (default(alignment.align, "tie_break"), cfg.tie_break),
         (default(alignment.align_min_variant, "tie_break"), cfg.tie_break),
-        (default(alignment.align_min_variant, "max_combinations"),
-         cfg.max_variant_combinations),
-        (default(alignment.align_min_variant_bruteforce, "max_combinations"),
-         cfg.max_variant_combinations),
         (default(lexicon.phonemize, "variant_rule"), cfg.variant_rule),
         (lexicon.OovPolicy().mode, cfg.oov_policy),
     ]

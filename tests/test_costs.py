@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phonoscope import CostMatrix, ParseError, ValidationError, parse_cost_matrix
+from phonoscope import CostMatrix, ParseError, ValidationError, align, parse_cost_matrix
 from phonoscope.inventory import EPSILON
 
 
@@ -48,6 +48,27 @@ def test_negative_entry_rejected(inv):
     grid[2, 3] = -0.1
     with pytest.raises(ValidationError, match="negative"):
         CostMatrix(inv, grid)
+
+
+@pytest.mark.parametrize("cell", [("AH", "IH"), ("T", "<eps>"), ("<eps>", "T"),
+                                  ("AA", "AA")])
+def test_nan_entry_rejected_naming_the_cell(inv, cell):
+    grid = np.ones((40, 40))
+    np.fill_diagonal(grid, 0.0)
+    grid[inv.index(cell[0]), inv.index(cell[1])] = np.nan
+    with pytest.raises(ValidationError, match=rf"NaN cost at \({cell[0]}, {cell[1]}\)"):
+        CostMatrix(inv, grid)
+
+
+def test_inf_entry_allowed(inv):
+    grid = np.ones((40, 40))
+    np.fill_diagonal(grid, 0.0)
+    ah, ih = inv.index("AH"), inv.index("IH")
+    grid[ah, ih] = np.inf
+    costs = CostMatrix(inv, grid)
+    assert costs.cost(ah, ih) == np.inf
+    # the infinite substitution is avoided by a deletion and an insertion
+    assert align([ah], [ih], costs).total_cost == 2.0
 
 
 def test_nonzero_diagonal_rejected(inv):
