@@ -70,7 +70,6 @@ def _lexicon_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--variant-rule", choices=["first", "all"])
     p.add_argument("--tie-break", type=_comma_list,
                    help="comma-separated op preference for alignment ties")
-    p.add_argument("--max-variant-combinations", type=int)
 
 
 def _cluster_flags(p: argparse.ArgumentParser) -> None:

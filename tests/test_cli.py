@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -669,6 +671,30 @@ def test_every_pipeline_flag_sets_its_run_config_field():
         learning_rate=50.0, tsne_iterations=10, early_exaggeration=4.0, top_k=1,
         min_occurrences=5, out_dir=Path("o"),
     )
+
+
+def test_removed_combination_cap_flag_is_rejected(capsys):
+    argv = ["run", "m.json", "--lexicon", "lex", "--max-variant-combinations", "7"]
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "--max-variant-combinations" in capsys.readouterr().err
+
+
+# Flags that are read by a subcommand itself rather than through RunConfig.
+_NON_CONFIG_DESTS = {"help", "targets", "annotation_tier", "profiles_dir", "kind"}
+
+
+def test_every_optional_flag_is_a_run_config_field():
+    """run_config drops unknown dests, so a flag without a field would be a no-op."""
+    parser = build_parser()
+    [subparsers] = [a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if action.option_strings and action.dest not in _NON_CONFIG_DESTS:
+                assert action.dest in fields, (name, action.option_strings)
 
 
 def test_library_defaults_match_run_config():
