@@ -115,7 +115,9 @@ class VariantAlignment:
     chosen: tuple[int, ...]
 
 
-def _tie_codes(tie_break) -> tuple[int, int, int]:
+def tie_codes(tie_break) -> tuple[int, int, int]:
+    """The kernel's move codes in preference order; raises ValidationError
+    unless tie_break names the three op kinds."""
     codes = []
     for name in tie_break:
         code = _MOVE_CODES.get(name)
@@ -169,7 +171,7 @@ def align(expected, observed, costs: CostMatrix,
     inv = costs.inventory
     e = _check_sequence(expected, inv, "expected")
     o = _check_sequence(observed, inv, "observed")
-    prefs = _tie_codes(tie_break)
+    prefs = tie_codes(tie_break)
     eps = inv.epsilon_index
     grid, kernel_e, kernel_o = _kernel_args(costs, e, o)
     total, moves = _kernel.dp_align(kernel_e, kernel_o, grid, eps, *prefs)

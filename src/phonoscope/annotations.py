@@ -13,14 +13,8 @@ import csv
 import io
 from dataclasses import dataclass, field
 
-from .confusion import (
-    ConfusionMatrix,
-    Substitute,
-    format_percent,
-    most_common_substitute,
-    phoneme_stats,
-)
-from .errors import ParseError, UndefinedRateError, ValidationError, read_input
+from .confusion import ConfusionMatrix, PhonemeStats, format_percent, phoneme_stats
+from .errors import ParseError, ValidationError, read_input
 from .inventory import EPSILON, PhonemeInventory
 from .textgrid import parse_textgrid_file
 
@@ -92,7 +86,10 @@ def parse_annotation_csv(text: str, inventory: PhonemeInventory | None = None,
                          speaker_id: str = "", source=None) -> AnnotationSet:
     if inventory is None:
         inventory = PhonemeInventory.default()
-    rows = list(csv.reader(io.StringIO(text)))
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:   # e.g. a field over csv's size limit
+        raise ParseError(f"bad CSV: {exc}", source=source) from None
     rows = [r for r in rows if any(cell.strip() for cell in r)]
     if not rows or [c.strip() for c in rows[0]] != _CSV_HEADER:
         raise ParseError(
@@ -248,23 +245,12 @@ def annotations_to_confusion(aset: AnnotationSet,
 
 
 @dataclass
-class SideMetrics:
-    """One matrix's view of a target: None when the target never occurred."""
-
-    occurrences: int | None = None
-    correct: int | None = None
-    mcs: Substitute | None = None
-
-    @property
-    def defined(self) -> bool:
-        return self.occurrences is not None
-
-
-@dataclass
 class ComparisonRow:
+    """One target's stats on each side; None where it never occurred."""
+
     target: int
-    asr: SideMetrics
-    ha: SideMetrics
+    asr: PhonemeStats | None
+    ha: PhonemeStats | None
 
 
 @dataclass
@@ -280,27 +266,26 @@ class ComparisonTable:
     )
 
     def _cells(self, row: ComparisonRow, undefined: str) -> list[str]:
+        """Target, then per side: recognition rate, MCS and MCS rate.
+
+        The most common substitute (MCS) is the first substitute that is
+        not a deletion; "none" when the target was never substituted.
+        """
         inv = self.inventory
-        cells = [inv.label(row.target)]
-        for side in (row.asr, row.ha):
-            cells.append(
-                format_percent(side.correct, side.occurrences)
-                if side.defined else undefined
-            )
-        for side in (row.asr, row.ha):
-            if not side.defined:
-                cells.append(undefined)
-            else:
-                cells.append(inv.label(side.mcs.symbol) if side.mcs else "none")
-        for side in (row.asr, row.ha):
-            if not side.defined:
-                cells.append(undefined)
-            else:
-                cells.append(
-                    format_percent(side.mcs.count, side.mcs.occurrences)
-                    if side.mcs else "none"
-                )
-        return cells
+        sides = []
+        for stats in (row.asr, row.ha):
+            if stats is None:
+                sides.append((undefined,) * 3)
+                continue
+            mcs = next((s for s in stats.substitutes
+                        if s.symbol != inv.epsilon_index), None)
+            sides.append((
+                format_percent(stats.correct, stats.occurrences),
+                inv.label(mcs.symbol) if mcs else "none",
+                format_percent(mcs.count, mcs.occurrences) if mcs else "none",
+            ))
+        return [inv.label(row.target), *(cell for pair in zip(*sides)
+                                         for cell in pair)]
 
     def to_csv(self) -> str:
         lines = [",".join(self._COLUMNS)]
@@ -321,13 +306,25 @@ class ComparisonTable:
         return "\n".join(out) + "\n"
 
 
-def _side_metrics(matrix: ConfusionMatrix, target: int) -> SideMetrics:
-    try:
-        stats = phoneme_stats(matrix, target)
-    except UndefinedRateError:
-        return SideMetrics()
-    mcs = most_common_substitute(matrix, target)
-    return SideMetrics(stats.occurrences, stats.correct, mcs)
+def resolve_targets(inventory: PhonemeInventory, targets) -> list[int]:
+    """Target labels or indices as indices; epsilon, unknown labels and
+    indices outside the inventory raise ValidationError."""
+    resolved = [inventory.index(t) if isinstance(t, str) else int(t)
+                for t in targets]
+    for t in resolved:
+        if inventory.is_epsilon(t):
+            raise ValidationError("epsilon cannot be a comparison target")
+        if not 0 <= t < len(inventory):
+            raise ValidationError(f"comparison target {t} is outside the inventory")
+    return resolved
+
+
+def check_parameters(top_k: int, min_occurrences: int) -> None:
+    """Raise ValidationError unless top_k >= 0 and min_occurrences >= 1."""
+    if top_k < 0:
+        raise ValidationError(f"top_k {top_k} must be at least 0")
+    if min_occurrences < 1:
+        raise ValidationError(f"min_occurrences {min_occurrences} must be at least 1")
 
 
 def compare(asr: ConfusionMatrix, ha: ConfusionMatrix, targets=None,
@@ -341,6 +338,7 @@ def compare(asr: ConfusionMatrix, ha: ConfusionMatrix, targets=None,
     """
     if asr.inventory != ha.inventory:
         raise ValidationError("matrices use different inventories")
+    check_parameters(top_k, min_occurrences)
     inv = asr.inventory
     if targets is None:
         candidates = []
@@ -352,14 +350,10 @@ def compare(asr: ConfusionMatrix, ha: ConfusionMatrix, targets=None,
         candidates.sort()
         targets = [t for _, t in candidates[:top_k]]
     else:
-        targets = [inv.index(t) if isinstance(t, str) else int(t) for t in targets]
-        for t in targets:
-            if inv.is_epsilon(t):
-                raise ValidationError("epsilon cannot be a comparison target")
+        targets = resolve_targets(inv, targets)
 
-    table = ComparisonTable(inv)
-    for t in targets:
-        table.rows.append(
-            ComparisonRow(t, _side_metrics(asr, t), _side_metrics(ha, t))
-        )
-    return table
+    def stats(matrix: ConfusionMatrix, t: int) -> PhonemeStats | None:
+        return phoneme_stats(matrix, t) if matrix.row_sum(t) else None
+
+    rows = [ComparisonRow(t, stats(asr, t), stats(ha, t)) for t in targets]
+    return ComparisonTable(inv, rows)

@@ -32,7 +32,7 @@ from .annotations import (
 from .confusion import ConfusionMatrix, SpeakerProfile, accumulate, merge
 from .errors import OovError, ParseError, ValidationError, read_input
 from .heatmap import svg_heatmap
-from .lexicon import PhonemizeResult, phonemize, tokenize
+from .lexicon import OovPolicy, PhonemizeResult, phonemize, tokenize
 from .manifest import (
     CorpusManifest,
     LoadedConfig,
@@ -87,9 +87,9 @@ def _compare_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--top-k", type=int,
                    help="targets per group when none are given explicitly")
     p.add_argument("--min-occurrences", type=int)
-    p.add_argument("--targets", default=None, help="comma-separated target phonemes")
-    p.add_argument("--annotation-tier", default="annotations",
-                   help="tier name for TextGrid annotation files")
+    p.add_argument("--targets", type=_comma_list,
+                   help="comma-separated target phonemes")
+    p.add_argument("--annotation-tier", help="tier name for TextGrid annotation files")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,22 +165,18 @@ def _labels(indices, inventory) -> str:
     return " ".join(inventory.label(i) for i in indices)
 
 
-def _phonemize_utterance(utt, loaded: LoadedConfig) -> list[PhonemizeResult]:
+def _phonemize_utterance(utt, loaded: LoadedConfig,
+                         policy: OovPolicy) -> list[PhonemizeResult]:
     """The prompt side, then the ASR side unless the prompt side is skipped.
 
-    An OOV failure counts as a skipped side. The ASR text is read only
-    when it is phonemized.
+    The ASR text is read only when it is phonemized.
     """
     sides = []
     for text, variant_rule in ((utt.prompt, loaded.config.variant_rule),
                                (utt.asr, "first")):
-        try:
-            side = phonemize(tokenize(text()), loaded.lexicon, loaded.policy,
-                             variant_rule)
-        except OovError as exc:
-            side = PhonemizeResult(oov=exc.words, skipped=True)
-        sides.append(side)
-        if side.skipped:
+        sides.append(phonemize(tokenize(text()), loaded.lexicon, policy,
+                               variant_rule))
+        if sides[-1].skipped:
             break
     return sides
 
@@ -198,14 +194,17 @@ class _CorpusPhonemes:
 def _phonemize_corpus(manifest, loaded: LoadedConfig) -> _CorpusPhonemes:
     """Phonemizes every utterance and creates --out-dir.
 
-    When an utterance is skipped under any OOV policy but skip_utterance,
+    phonemize only reports misses; the OOV verdict is given here: when an
+    utterance is skipped under any --oov-policy but skip_utterance, this
     writes oov_report.json and raises OovError.
     """
+    # phonemize's skip_utterance mode reports every miss instead of raising
+    policy = OovPolicy("skip_utterance", loaded.policy.supplement)
     result = _CorpusPhonemes()
     for speaker in manifest.speakers:
         produced = []
         for utt in speaker.utterances:
-            sides = _phonemize_utterance(utt, loaded)
+            sides = _phonemize_utterance(utt, loaded, policy)
             for side in sides:
                 for w in side.oov:
                     result.oov_words[w] = result.oov_words.get(w, 0) + 1
@@ -215,7 +214,7 @@ def _phonemize_corpus(manifest, loaded: LoadedConfig) -> _CorpusPhonemes:
                 produced.append((utt, *sides))
         result.by_speaker.append((speaker, produced))
     _mkdir(loaded.config.out_dir)
-    if result.skipped and loaded.policy.mode != "skip_utterance":
+    if result.skipped and loaded.config.oov_policy != "skip_utterance":
         _oov_report(loaded.config.out_dir, result)
         raise OovError(result.oov_words)
     return result
@@ -256,7 +255,7 @@ def cmd_phonemize(args, loaded: LoadedConfig) -> int:
 
 def _align_corpus(manifest, loaded: LoadedConfig):
     """Align every utterance and write alignments/, profiles/, confusions/
-    and oov_report.json; returns (speaker, profile, annotation paths)."""
+    and oov_report.json; returns (speaker, profile) pairs."""
     cfg, inv, out = loaded.config, loaded.inventory, loaded.config.out_dir
     corpus = _phonemize_corpus(manifest, loaded)
     alignments_dir = _mkdir(out / "alignments")
@@ -269,7 +268,6 @@ def _align_corpus(manifest, loaded: LoadedConfig):
         )
         if produced:
             speaker_dir = _mkdir(alignments_dir / speaker.speaker_id)
-        annotation_paths = []
         for utt, prompt, observed in produced:
             if prompt.lattice is not None:
                 ali = al.align_min_variant(prompt.lattice, observed.indices,
@@ -278,14 +276,12 @@ def _align_corpus(manifest, loaded: LoadedConfig):
                 ali = al.align(prompt.indices, observed.indices, loaded.costs,
                                cfg.tie_break)
             accumulate(profile, ali)
-            if utt.annotation_path is not None:
-                annotation_paths.append(utt.annotation_path)
             _write(speaker_dir / f"{utt.utterance_id}.tsv",
                    al.dump_alignment(ali, inv))
         _write(profiles_dir / f"{speaker.speaker_id}.json", profile.to_json())
         _write(confusions_dir / f"{speaker.speaker_id}.csv",
                profile.matrix.to_csv())
-        profiles.append((speaker, profile, annotation_paths))
+        profiles.append((speaker, profile))
     _oov_report(out, corpus)
     return profiles
 
@@ -293,6 +289,12 @@ def _align_corpus(manifest, loaded: LoadedConfig):
 def cmd_align(args, loaded: LoadedConfig) -> int:
     _align_corpus(_load_manifest(args), loaded)
     return EXIT_OK
+
+
+def _check_clustering(vectors: int, cfg: RunConfig) -> None:
+    clustering.check_parameters(vectors, cfg.k, cfg.perplexity, cfg.seed,
+                                cfg.learning_rate, cfg.tsne_iterations,
+                                cfg.early_exaggeration)
 
 
 def _cluster_outputs(profiles, cfg: RunConfig) -> None:
@@ -336,7 +338,7 @@ def cmd_cluster(args, loaded: LoadedConfig) -> int:
     profiles = [SpeakerProfile.from_json(read_input(path), loaded.inventory,
                                          source=path)
                 for path in args.profiles]
-    clustering.check_parameters(len(profiles), cfg.k, cfg.perplexity)
+    _check_clustering(len(profiles), cfg)
     _mkdir(cfg.out_dir)
     _cluster_outputs(profiles, cfg)
     return EXIT_OK
@@ -350,31 +352,24 @@ def _load_annotation_file(path: Path, inventory, tier_name: str):
     return load_annotation_csv(path, inventory)
 
 
-def _group_by_l1(profiles):
-    """(l1 or 'unlabeled') -> (pooled ASR matrix, annotation paths)."""
-    grouped: dict[str, tuple[ConfusionMatrix, list[Path]]] = {}
-    for speaker, profile, annotation_paths in profiles:
-        l1 = speaker.l1_group
-        if l1 in grouped:
-            pooled, paths = grouped[l1]
-            grouped[l1] = (merge(pooled, profile.matrix),
-                           paths + list(annotation_paths))
-        else:
-            grouped[l1] = (profile.matrix.copy(), list(annotation_paths))
-    return grouped
-
-
-def _comparison_outputs(profiles, args, loaded: LoadedConfig) -> None:
+def _comparison_outputs(profiles, loaded: LoadedConfig) -> None:
+    """comparison_<l1>.{csv,txt}: each L1 group's pooled ASR matrix against
+    every annotation file the manifest lists for the group's speakers."""
     cfg, inventory = loaded.config, loaded.inventory
-    targets = _comma_list(args.targets) if args.targets else None
-    grouped = _group_by_l1(profiles)
-    for l1 in sorted(grouped):
-        asr_matrix, annotation_paths = grouped[l1]
-        ha_matrix = ConfusionMatrix(inventory)
-        for path in annotation_paths:
-            aset = _load_annotation_file(path, inventory, args.annotation_tier)
-            ha_matrix = merge(ha_matrix, annotations_to_confusion(aset, inventory))
-        table = compare(asr_matrix, ha_matrix, targets,
+    groups: dict[str, list] = {}
+    for speaker, profile in profiles:
+        groups.setdefault(speaker.l1_group, []).append((speaker, profile))
+    for l1 in sorted(groups):
+        asr_matrix = ha_matrix = ConfusionMatrix(inventory)
+        for speaker, profile in groups[l1]:
+            asr_matrix = merge(asr_matrix, profile.matrix)
+            for utt in speaker.utterances:
+                if utt.annotation_path is not None:
+                    aset = _load_annotation_file(utt.annotation_path, inventory,
+                                                 cfg.annotation_tier)
+                    ha_matrix = merge(ha_matrix,
+                                      annotations_to_confusion(aset, inventory))
+        table = compare(asr_matrix, ha_matrix, loaded.targets,
                         top_k=cfg.top_k, min_occurrences=cfg.min_occurrences)
         stem = comparison_stem(l1)
         _write(cfg.out_dir / f"{stem}.csv", table.to_csv())
@@ -387,13 +382,10 @@ def cmd_compare(args, loaded: LoadedConfig) -> int:
         path = args.profiles_dir / f"{speaker.speaker_id}.json"
         if not path.exists():
             raise ValidationError(f"no profile for {speaker.speaker_id!r} at {path}")
-        profile = SpeakerProfile.from_json(read_input(path), loaded.inventory,
-                                           source=path)
-        annotation_paths = [u.annotation_path for u in speaker.utterances
-                            if u.annotation_path is not None]
-        profiles.append((speaker, profile, annotation_paths))
+        profiles.append((speaker, SpeakerProfile.from_json(
+            read_input(path), loaded.inventory, source=path)))
     _mkdir(loaded.config.out_dir)
-    _comparison_outputs(profiles, args, loaded)
+    _comparison_outputs(profiles, loaded)
     return EXIT_OK
 
 
@@ -409,12 +401,12 @@ def cmd_heatmap(args, loaded: LoadedConfig) -> int:
 def cmd_run(args, loaded: LoadedConfig) -> int:
     cfg = loaded.config
     manifest = _load_manifest(args)
-    clustering.check_parameters(len(manifest.speakers), cfg.k, cfg.perplexity)
+    _check_clustering(len(manifest.speakers), cfg)
     profiles = _align_corpus(manifest, loaded)
-    _cluster_outputs([p for _, p, _ in profiles], cfg)
-    _comparison_outputs(profiles, args, loaded)
+    _cluster_outputs([p for _, p in profiles], cfg)
+    _comparison_outputs(profiles, loaded)
     heatmaps_dir = _mkdir(cfg.out_dir / "heatmaps")
-    for _, profile, _ in profiles:
+    for _, profile in profiles:
         svg = svg_heatmap(profile.matrix.counts, loaded.inventory.symbols,
                           per_row=True)
         _write(heatmaps_dir / f"{profile.speaker_id}.svg", svg)

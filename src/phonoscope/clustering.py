@@ -69,18 +69,30 @@ class ClusterResult:
 
 
 def check_parameters(vectors: int, k: int | None = None,
-                     perplexity: float | None = None) -> None:
+                     perplexity: float | None = None, seed: int | None = None,
+                     learning_rate: float | None = None,
+                     iterations: int | None = None,
+                     early_exaggeration: float | None = None) -> None:
     """Raise ValidationError unless k-means (1 <= k <= vectors) and t-SNE of
-    the vectors plus k centroids (at least 3 points, perplexity < points - 1)
-    can run. A k or perplexity of None skips that method's rule."""
+    the vectors plus k centroids (at least 3 points, 1 <= perplexity <
+    points - 1) can run with these values: seed >= 0, iterations >= 0, and
+    a finite learning rate and early exaggeration above 0. A value of None
+    skips its rule; a perplexity of None skips t-SNE's point count."""
     if k is not None and not 1 <= k <= vectors:
         raise ValidationError(f"k={k} out of range for {vectors} vectors")
     points = vectors + (k or 0)
     if perplexity is not None and points < 3:
         raise ValidationError("t-SNE needs at least 3 points")
-    if perplexity is not None and not perplexity < points - 1:
+    if perplexity is not None and not 1 <= perplexity < points - 1:
         raise ValidationError(f"perplexity {perplexity} infeasible for {points} "
-                              f"points (need < {points - 1})")
+                              f"points (need 1 <= perplexity < {points - 1})")
+    for name, value in (("seed", seed), ("t-SNE iterations", iterations)):
+        if value is not None and value < 0:
+            raise ValidationError(f"{name} {value} must be at least 0")
+    for name, value in (("learning rate", learning_rate),
+                        ("early exaggeration", early_exaggeration)):
+        if value is not None and not (0 < value and math.isfinite(value)):
+            raise ValidationError(f"{name} {value} must be finite and above 0")
 
 
 def _stack(vectors) -> tuple[list[str], np.ndarray]:
@@ -127,7 +139,7 @@ def kmeans(vectors, k: int, seed: int = DEFAULT_SEED, init: str = DEFAULT_INIT,
     """
     ids, data = _stack(vectors)
     n = data.shape[0]
-    check_parameters(n, k=k)
+    check_parameters(n, k=k, seed=seed)
     rng = np.random.default_rng(seed)
     if init == "kmeanspp":
         centers = _init_kmeanspp(data, k, rng)
@@ -295,6 +307,7 @@ def _kl(P: np.ndarray, Y: np.ndarray) -> float:
                                    / np.maximum(Q[mask], tiny))).sum())
 
 
+@np.errstate(over="ignore", invalid="ignore")   # divergence is checked at the end
 def tsne(vectors, perplexity: float = DEFAULT_PERPLEXITY,
          learning_rate: float = DEFAULT_LEARNING_RATE,
          iterations: int = DEFAULT_TSNE_ITERATIONS, seed: int = DEFAULT_SEED,
@@ -308,7 +321,9 @@ def tsne(vectors, perplexity: float = DEFAULT_PERPLEXITY,
     """
     ids, data = _stack(vectors)
     n = data.shape[0]
-    check_parameters(n, perplexity=perplexity)
+    check_parameters(n, perplexity=perplexity, seed=seed,
+                     learning_rate=learning_rate, iterations=iterations,
+                     early_exaggeration=early_exaggeration)
 
     cond, _ = conditional_affinities(_self_sq_dists(data), perplexity,
                                      entropy_tol)
@@ -347,7 +362,7 @@ def tsne(vectors, perplexity: float = DEFAULT_PERPLEXITY,
 
     final_kl = _kl(P, Y)
     if not np.isfinite(Y).all() or not np.isfinite(final_kl):
-        raise ArithmeticError("t-SNE diverged; lower the learning rate")
+        raise ValidationError("t-SNE diverged; lower the learning rate")
 
     points = [EmbeddingPoint(sid, float(x), float(y)) for sid, (x, y) in zip(ids, Y)]
     return TsneResult(points, final_kl, initial_kl, iterations)

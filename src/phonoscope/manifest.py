@@ -13,9 +13,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import clustering
-from .alignment import DEFAULT_TIE_BREAK
-from .annotations import DEFAULT_MIN_OCCURRENCES, DEFAULT_TOP_K
+from . import annotations, clustering
+from .alignment import DEFAULT_TIE_BREAK, tie_codes
 from .costs import CostMatrix, load_cost_matrix
 from .errors import ParseError, ValidationError, read_input
 from .inventory import PhonemeInventory, load_inventory
@@ -70,6 +69,11 @@ _JSON_NAMES = {dict: "an object", list: "an array", str: "a string", int: "a num
                float: "a number", bool: "a boolean", type(None): "null"}
 
 
+def _has_surrogate(value: str) -> bool:
+    """A lone surrogate (JSON "\\ud800") cannot be encoded into a file name."""
+    return any("\ud800" <= c <= "\udfff" for c in value)
+
+
 def _expect(value, kind: type, what: str, source):
     """value when it is a `kind`; raises a ParseError naming `what` otherwise."""
     if not isinstance(value, kind):
@@ -80,10 +84,11 @@ def _expect(value, kind: type, what: str, source):
 
 def _check_path_component(value: str, what: str, source) -> None:
     """Ids name output files and directories, so each must be one plain name."""
-    if value in (".", "..") or not _UNSAFE_ID_CHARS.isdisjoint(value):
+    if (value in (".", "..") or not _UNSAFE_ID_CHARS.isdisjoint(value)
+            or _has_surrogate(value)):
         raise ParseError(
             f"{what} {value!r} is not a single path component "
-            "(no '/', '\\', NUL, '.' or '..')", source=source,
+            "(no '/', '\\', NUL, lone surrogate, '.' or '..')", source=source,
         )
 
 
@@ -97,7 +102,9 @@ class CorpusManifest:
         base = Path(base_dir) if base_dir is not None else Path(".")
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        # ValueError: an integer past int()'s digit limit; RecursionError:
+        # nesting too deep for the decoder
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"bad manifest JSON: {exc}", source=source) from None
         if not isinstance(doc, dict) or not isinstance(doc.get("speakers"), list):
             raise ParseError('manifest must be {"speakers": [...]}', source=source)
@@ -113,9 +120,10 @@ class CorpusManifest:
                 raise ParseError(f"duplicate speaker_id {sid!r}", source=source)
             seen_speakers.add(sid)
             l1 = sdoc.get("l1_label")
-            if l1 is not None and (not isinstance(l1, str) or not l1 or "\0" in l1):
+            if l1 is not None and (not isinstance(l1, str) or not l1 or "\0" in l1
+                                   or _has_surrogate(l1)):
                 raise ParseError(f"l1_label of {sid!r} must be a non-empty string "
-                                 "without NUL", source=source)
+                                 "without NUL or lone surrogates", source=source)
             speaker = Speaker(sid, l1)
             seen_utts = set()
             udocs = _expect(sdoc.get("utterances", []), list,
@@ -208,8 +216,10 @@ class RunConfig:
     tsne_iterations: int = clustering.DEFAULT_TSNE_ITERATIONS
     early_exaggeration: float = clustering.DEFAULT_EARLY_EXAGGERATION
     normalization: str = clustering.RAW_COUNTS
-    top_k: int = DEFAULT_TOP_K
-    min_occurrences: int = DEFAULT_MIN_OCCURRENCES
+    top_k: int = annotations.DEFAULT_TOP_K
+    min_occurrences: int = annotations.DEFAULT_MIN_OCCURRENCES
+    targets: tuple[str, ...] | None = None  # None or (): the top_k rule
+    annotation_tier: str = "annotations"
     out_dir: Path = Path("out")
 
 
@@ -220,14 +230,25 @@ class LoadedConfig:
     lexicon: Lexicon | None
     costs: CostMatrix
     policy: OovPolicy
+    targets: list[int] | None  # config.targets as inventory indices
 
 
 def load_config(config: RunConfig) -> LoadedConfig:
-    """Parse every referenced file; raises before any alignment work starts."""
+    """Parse every referenced file and check every value that needs no
+    corpus; raises before any output is written.
+
+    The clustering values are checked against the corpus size by
+    clustering.check_parameters.
+    """
+    tie_codes(config.tie_break)
+    annotations.check_parameters(config.top_k, config.min_occurrences)
     if config.inventory_path is not None:
         inventory = load_inventory(config.inventory_path)
     else:
         inventory = PhonemeInventory.default()
+    targets = None
+    if config.targets:
+        targets = annotations.resolve_targets(inventory, config.targets)
 
     lexicon = None
     if config.lexicon_path is not None:
@@ -248,4 +269,4 @@ def load_config(config: RunConfig) -> LoadedConfig:
     else:
         costs = CostMatrix.uniform(inventory)
 
-    return LoadedConfig(config, inventory, lexicon, costs, policy)
+    return LoadedConfig(config, inventory, lexicon, costs, policy, targets)

@@ -92,6 +92,14 @@ def _field_number(cur: _Lines, what: str) -> float:
     return float(m.group(0))
 
 
+def _field_count(cur: _Lines, what: str) -> int:
+    number = _field_number(cur, what)
+    if not (number >= 0 and number.is_integer()):
+        cur.pos -= 1
+        cur.fail(f"expected a whole number >= 0 for {what}, got {number!r}")
+    return int(number)
+
+
 def _field_string(cur: _Lines, what: str) -> str:
     line = cur.take(what)
     m = _QUOTED_RE.search(line)
@@ -126,7 +134,7 @@ def parse_textgrid_file(text: str, source=None) -> TextGrid:
     line = cur.peek()
     if line is not None and ("tiers?" in line or "exists" in line):
         cur.pos += 1
-    size = int(_field_number(cur, "tier count"))
+    size = _field_count(cur, "tier count")
     _skip_header(cur, "item")  # the "item []:" container line
 
     grid = TextGrid(xmin, xmax)
@@ -136,7 +144,7 @@ def parse_textgrid_file(text: str, source=None) -> TextGrid:
         name = _field_string(cur, "tier name")
         t_xmin = _field_number(cur, "tier xmin")
         t_xmax = _field_number(cur, "tier xmax")
-        count = int(_field_number(cur, "interval count"))
+        count = _field_count(cur, "interval count")
         tier = Tier(name, tier_class, t_xmin, t_xmax)
         if tier_class == "IntervalTier":
             for _ in range(count):

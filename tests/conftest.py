@@ -3,12 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from phonoscope import CostMatrix, PhonemeInventory, align
 from phonoscope.alignment import DEFAULT_TIE_BREAK, VariantAlignment
 from phonoscope.clustering import SpeakerVector
 
 ORACLE_MAX_COMBINATIONS = 4096
+
+# CI runs with --hypothesis-profile=ci: the same examples on every run, so
+# a failure there reproduces locally with the same flag.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 @pytest.fixture(scope="session")

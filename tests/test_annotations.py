@@ -222,6 +222,13 @@ def test_compare_rejects_epsilon_target():
         compare(asr_th_fixture(), ha_th_matrix(), targets=["<eps>"])
 
 
+@pytest.mark.parametrize("target", [-1, 40, 99])
+def test_compare_rejects_index_outside_the_inventory(target):
+    # -1 would otherwise read the epsilon (insertion) row
+    with pytest.raises(ValidationError, match="outside the inventory"):
+        compare(asr_th_fixture(), ha_th_matrix(), targets=[target])
+
+
 def test_compare_rejects_inventory_mismatch():
     other = PhonemeInventory(["T", "<eps>"])
     with pytest.raises(ValidationError):

@@ -505,7 +505,7 @@ def tiny_speaker(speaker_id="s1", utterance_id="u1", l1_label="L1A"):
     ]}
 
 
-UNSAFE_IDS = ["../../escaped", "a/b", "a\\b", ".", "..", "a\0b", ""]
+UNSAFE_IDS = ["../../escaped", "a/b", "a\\b", ".", "..", "a\0b", "", "a\ud800"]
 
 
 @pytest.mark.parametrize("bad", UNSAFE_IDS)
@@ -562,6 +562,16 @@ def test_empty_l1_label_rejected(tmp_path):
                                          tiny_speaker("s2", l1_label=None)])
     with pytest.raises(ParseError, match="non-empty"):
         CorpusManifest.load(manifest)
+    code = main(["run", str(manifest), "--lexicon", str(tmp_path / "lex.dict"),
+                 "--k", "1", "--perplexity", "1", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_lone_surrogate_l1_label_rejected(tmp_path):
+    # "\ud800" cannot be encoded into the comparison table's file name
+    manifest = write_manifest(tmp_path, [tiny_speaker("s1", l1_label="L1\ud800"),
+                                         tiny_speaker("s2")])
     code = main(["run", str(manifest), "--lexicon", str(tmp_path / "lex.dict"),
                  "--k", "1", "--perplexity", "1", "--out-dir", str(tmp_path / "out")])
     assert code == 2
@@ -661,7 +671,7 @@ def test_every_pipeline_flag_sets_its_run_config_field():
             "--init", "forgy", "--normalization", "row_frequency",
             "--perplexity", "2.5", "--learning-rate", "50", "--tsne-iterations", "10",
             "--early-exaggeration", "4", "--top-k", "1", "--min-occurrences", "5",
-            "--out-dir", "o"]
+            "--targets", "TH, S,", "--annotation-tier", "phones", "--out-dir", "o"]
     assert run_config(build_parser().parse_args(argv)) == RunConfig(
         lexicon_path=Path("lex"), cost_matrix_path=Path("c.csv"),
         inventory_path=Path("inv.txt"), supplementary_lexicon_path=Path("sup"),
@@ -669,7 +679,8 @@ def test_every_pipeline_flag_sets_its_run_config_field():
         tie_break=("insert", "delete", "substitute"),
         k=2, seed=9, init="forgy", normalization="row_frequency", perplexity=2.5,
         learning_rate=50.0, tsne_iterations=10, early_exaggeration=4.0, top_k=1,
-        min_occurrences=5, out_dir=Path("o"),
+        min_occurrences=5, targets=("TH", "S"), annotation_tier="phones",
+        out_dir=Path("o"),
     )
 
 
@@ -682,7 +693,7 @@ def test_removed_combination_cap_flag_is_rejected(capsys):
 
 
 # Flags that are read by a subcommand itself rather than through RunConfig.
-_NON_CONFIG_DESTS = {"help", "targets", "annotation_tier", "profiles_dir", "kind"}
+_NON_CONFIG_DESTS = {"help", "profiles_dir", "kind"}
 
 
 def test_every_optional_flag_is_a_run_config_field():
@@ -768,3 +779,76 @@ def test_sample_output_tree_is_pinned(tmp_path, variant_rule, backend):
     subprocess.run([sys.executable, "-m", "phonoscope.cli", "run", *args],
                    env=env, check=True, timeout=120)
     assert tree_sha256(out) == SAMPLE_TREE_SHA256
+
+
+def tree_files(root: Path) -> dict:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("policy", ["supplementary_lexicon", "skip_utterance"])
+def test_run_equals_its_stage_subcommands(tmp_path, policy):
+    manifest = str(SAMPLE / "manifest.json")
+    lexicon_flags = ["--lexicon", str(SAMPLE / "lexicon.dict"),
+                     "--costs", str(SAMPLE / "costs.csv"), "--oov-policy", policy]
+    if policy == "supplementary_lexicon":
+        lexicon_flags += ["--supplementary-lexicon", str(SAMPLE / "nonwords.dict")]
+    cluster_flags = ["--k", "3", "--seed", "42"]
+    compare_flags = ["--min-occurrences", "2"]
+    run_out, stages = tmp_path / "run", tmp_path / "stages"
+    assert main(["run", manifest, *lexicon_flags, *cluster_flags, *compare_flags,
+                 "--out-dir", str(run_out)]) == 0
+
+    assert main(["align", manifest, *lexicon_flags, "--out-dir", str(stages)]) == 0
+    speaker_ids = [s.speaker_id for s in CorpusManifest.load(manifest).speakers]
+    assert main(["cluster", *(str(stages / "profiles" / f"{sid}.json")
+                              for sid in speaker_ids),
+                 *cluster_flags, "--out-dir", str(stages)]) == 0
+    assert main(["compare", manifest, "--profiles-dir", str(stages / "profiles"),
+                 *compare_flags, "--out-dir", str(stages)]) == 0
+    for sid in speaker_ids:
+        assert main(["heatmap", str(stages / "confusions" / f"{sid}.csv"),
+                     str(stages / "heatmaps" / f"{sid}.svg")]) == 0
+
+    assert tree_files(run_out) == tree_files(stages)
+    skipped = json.loads((run_out / "oov_report.json").read_text())["skipped_utterances"]
+    # the annotated utterance m1_u2 is skipped, yet its annotations still count
+    assert (["spk_m1", "m1_u2"] in skipped) == (policy == "skip_utterance")
+    mandarin = (run_out / "comparison_Mandarin.csv").read_text()
+    assert "TH,0.0%,0.0%,S,S," in mandarin
+
+
+def test_repeated_oov_word_counted_per_occurrence_under_every_policy(tmp_path):
+    manifest = write_manifest(tmp_path, [{"speaker_id": "s1", "utterances": [
+        {"utterance_id": "u1", "prompt_text": "his zork zork",
+         "asr_transcript": "ease"},
+    ]}])
+    for policy, code in (("fail", 3), ("skip_utterance", 0)):
+        out = tmp_path / policy
+        assert main(["align", str(manifest), "--lexicon", str(tmp_path / "lex.dict"),
+                     "--oov-policy", policy, "--out-dir", str(out)]) == code
+        report = json.loads((out / "oov_report.json").read_text())
+        assert report == {"oov_words": {"ZORK": 2},
+                          "skipped_utterances": [["s1", "u1"]]}
+
+
+@pytest.mark.parametrize("flags", [
+    ["--perplexity", "0"], ["--perplexity", "-1"], ["--perplexity", "0.5"],
+    ["--perplexity", "nan"], ["--learning-rate", "nan"], ["--learning-rate", "0"],
+    ["--learning-rate", "inf"], ["--early-exaggeration", "inf"],
+    ["--early-exaggeration", "-2"], ["--seed", "-1"], ["--tsne-iterations", "-5"],
+    ["--k", "0"], ["--min-occurrences", "0"], ["--min-occurrences", "-3"],
+    ["--top-k", "-1"], ["--tie-break", "foo"], ["--tie-break", "insert,delete"],
+    ["--targets", "ZZ"], ["--targets", "<eps>"], ["--targets", "TH,<eps>"],
+], ids=" ".join)
+def test_bad_run_parameter_exits_2_before_writing(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    assert main(["run", *sample_args(out, ["--k", "3", *flags])]) == 2
+    assert "internal error" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tsne_divergence_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", *sample_args(out, ["--k", "3", "--learning-rate", "1e308"])]) == 2
+    assert "t-SNE diverged" in capsys.readouterr().err
