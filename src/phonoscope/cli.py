@@ -6,7 +6,10 @@ inputs and seed produce byte-identical trees (files are written in
 manifest order, floats via repr, JSON with sorted keys).
 
 main builds every subcommand's RunConfig with run_config and loads it
-with load_config before the subcommand runs.
+with load_config before the subcommand runs. Subcommands create their
+directories and files through the Writer that main passes them, which
+creates them in one helper process; the tree is complete when main
+returns.
 
 Exit codes: 0 success, 1 internal error, 2 input/validation error
 (including a file that cannot be read or written, named in the message),
@@ -40,6 +43,7 @@ from .manifest import (
     comparison_stem,
     load_config,
 )
+from .writer import Writer
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -152,15 +156,6 @@ def _load_manifest(args) -> CorpusManifest:
     return manifest
 
 
-def _mkdir(path: Path) -> Path:
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _write(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
-
-
 def _labels(indices, inventory) -> str:
     return " ".join(inventory.label(i) for i in indices)
 
@@ -191,7 +186,8 @@ class _CorpusPhonemes:
     skipped: list[list[str]] = field(default_factory=list)
 
 
-def _phonemize_corpus(manifest, loaded: LoadedConfig) -> _CorpusPhonemes:
+def _phonemize_corpus(manifest, loaded: LoadedConfig,
+                      files: Writer) -> _CorpusPhonemes:
     """Phonemizes every utterance and creates --out-dir.
 
     phonemize only reports misses; the OOV verdict is given here: when an
@@ -213,30 +209,30 @@ def _phonemize_corpus(manifest, loaded: LoadedConfig) -> _CorpusPhonemes:
             else:
                 produced.append((utt, *sides))
         result.by_speaker.append((speaker, produced))
-    _mkdir(loaded.config.out_dir)
+    files.mkdir(loaded.config.out_dir)
     if result.skipped and loaded.config.oov_policy != "skip_utterance":
-        _oov_report(loaded.config.out_dir, result)
+        _oov_report(files, loaded.config.out_dir, result)
         raise OovError(result.oov_words)
     return result
 
 
-def _oov_report(out_dir: Path, corpus: _CorpusPhonemes) -> None:
+def _oov_report(files: Writer, out_dir: Path, corpus: _CorpusPhonemes) -> None:
     doc = {
         "oov_words": {w: corpus.oov_words[w] for w in sorted(corpus.oov_words)},
         "skipped_utterances": corpus.skipped,
     }
-    _write(out_dir / "oov_report.json",
-           json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    files.write(out_dir / "oov_report.json",
+                json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_phonemize(args, loaded: LoadedConfig) -> int:
+def cmd_phonemize(args, loaded: LoadedConfig, files: Writer) -> int:
     inv, out = loaded.inventory, loaded.config.out_dir
-    corpus = _phonemize_corpus(_load_manifest(args), loaded)
-    phonemes_dir = _mkdir(out / "phonemes")
+    corpus = _phonemize_corpus(_load_manifest(args), loaded, files)
+    phonemes_dir = files.mkdir(out / "phonemes")
     for speaker, produced in corpus.by_speaker:
         if not produced:
             continue
-        base = _mkdir(phonemes_dir / speaker.speaker_id)
+        base = files.mkdir(phonemes_dir / speaker.speaker_id)
         for utt, prompt, observed in produced:
             if prompt.lattice is not None:
                 lines = [
@@ -246,28 +242,28 @@ def cmd_phonemize(args, loaded: LoadedConfig) -> int:
                 expected = "\n".join(lines) + ("\n" if lines else "")
             else:
                 expected = _labels(prompt.indices, inv) + "\n"
-            _write(base / f"{utt.utterance_id}.expected.txt", expected)
-            _write(base / f"{utt.utterance_id}.observed.txt",
-                   _labels(observed.indices, inv) + "\n")
-    _oov_report(out, corpus)
+            files.write(base / f"{utt.utterance_id}.expected.txt", expected)
+            files.write(base / f"{utt.utterance_id}.observed.txt",
+                        _labels(observed.indices, inv) + "\n")
+    _oov_report(files, out, corpus)
     return EXIT_OK
 
 
-def _align_corpus(manifest, loaded: LoadedConfig):
+def _align_corpus(manifest, loaded: LoadedConfig, files: Writer):
     """Align every utterance and write alignments/, profiles/, confusions/
     and oov_report.json; returns (speaker, profile) pairs."""
     cfg, inv, out = loaded.config, loaded.inventory, loaded.config.out_dir
-    corpus = _phonemize_corpus(manifest, loaded)
-    alignments_dir = _mkdir(out / "alignments")
-    profiles_dir = _mkdir(out / "profiles")
-    confusions_dir = _mkdir(out / "confusions")
+    corpus = _phonemize_corpus(manifest, loaded, files)
+    alignments_dir = files.mkdir(out / "alignments")
+    profiles_dir = files.mkdir(out / "profiles")
+    confusions_dir = files.mkdir(out / "confusions")
     profiles = []
     for speaker, produced in corpus.by_speaker:
         profile = SpeakerProfile(
             speaker.speaker_id, ConfusionMatrix(inv), speaker.l1_label
         )
         if produced:
-            speaker_dir = _mkdir(alignments_dir / speaker.speaker_id)
+            speaker_dir = files.mkdir(alignments_dir / speaker.speaker_id)
         for utt, prompt, observed in produced:
             if prompt.lattice is not None:
                 ali = al.align_min_variant(prompt.lattice, observed.indices,
@@ -276,18 +272,18 @@ def _align_corpus(manifest, loaded: LoadedConfig):
                 ali = al.align(prompt.indices, observed.indices, loaded.costs,
                                cfg.tie_break)
             accumulate(profile, ali)
-            _write(speaker_dir / f"{utt.utterance_id}.tsv",
-                   al.dump_alignment(ali, inv))
-        _write(profiles_dir / f"{speaker.speaker_id}.json", profile.to_json())
-        _write(confusions_dir / f"{speaker.speaker_id}.csv",
-               profile.matrix.to_csv())
+            files.write(speaker_dir / f"{utt.utterance_id}.tsv",
+                        al.dump_alignment(ali, inv))
+        files.write(profiles_dir / f"{speaker.speaker_id}.json", profile.to_json())
+        files.write(confusions_dir / f"{speaker.speaker_id}.csv",
+                    profile.matrix.to_csv())
         profiles.append((speaker, profile))
-    _oov_report(out, corpus)
+    _oov_report(files, out, corpus)
     return profiles
 
 
-def cmd_align(args, loaded: LoadedConfig) -> int:
-    _align_corpus(_load_manifest(args), loaded)
+def cmd_align(args, loaded: LoadedConfig, files: Writer) -> int:
+    _align_corpus(_load_manifest(args), loaded, files)
     return EXIT_OK
 
 
@@ -297,7 +293,7 @@ def _check_clustering(vectors: int, cfg: RunConfig) -> None:
                                 cfg.early_exaggeration)
 
 
-def _cluster_outputs(profiles, cfg: RunConfig) -> None:
+def _cluster_outputs(profiles, cfg: RunConfig, files: Writer) -> None:
     """clusters.csv, embedding.csv, and purity.txt when labels are complete."""
     out = cfg.out_dir
     vectors = [clustering.vectorize(p, cfg.normalization) for p in profiles]
@@ -305,7 +301,7 @@ def _cluster_outputs(profiles, cfg: RunConfig) -> None:
     lines = ["speaker_id,cluster"]
     for v in vectors:
         lines.append(f"{v.speaker_id},{result.assignments[v.speaker_id]}")
-    _write(out / "clusters.csv", "\n".join(lines) + "\n")
+    files.write(out / "clusters.csv", "\n".join(lines) + "\n")
 
     centroid_vectors = [
         clustering.SpeakerVector(f"centroid_{c}", result.centroids[c],
@@ -325,22 +321,28 @@ def _cluster_outputs(profiles, cfg: RunConfig) -> None:
     for i, point in enumerate(embedded.points):
         kind = "speaker" if i < speaker_count else "centroid"
         lines.append(f"{point.speaker_id},{point.x!r},{point.y!r},{kind}")
-    _write(out / "embedding.csv", "\n".join(lines) + "\n")
+    files.write(out / "embedding.csv", "\n".join(lines) + "\n")
 
     labels = {p.speaker_id: p.l1_label for p in profiles}
     if labels and all(lab is not None for lab in labels.values()):
         score = clustering.purity(result, labels)
-        _write(out / "purity.txt", f"{score!r}\n")
+        files.write(out / "purity.txt", f"{score!r}\n")
 
 
-def cmd_cluster(args, loaded: LoadedConfig) -> int:
+def cmd_cluster(args, loaded: LoadedConfig, files: Writer) -> int:
     cfg = loaded.config
-    profiles = [SpeakerProfile.from_json(read_input(path), loaded.inventory,
-                                         source=path)
-                for path in args.profiles]
+    profiles, sources = [], {}
+    for path in args.profiles:
+        profile = SpeakerProfile.from_json(read_input(path), loaded.inventory,
+                                           source=path)
+        if profile.speaker_id in sources:
+            raise ValidationError(f"speaker {profile.speaker_id!r} is in both "
+                                  f"{sources[profile.speaker_id]} and {path}")
+        sources[profile.speaker_id] = path
+        profiles.append(profile)
     _check_clustering(len(profiles), cfg)
-    _mkdir(cfg.out_dir)
-    _cluster_outputs(profiles, cfg)
+    files.mkdir(cfg.out_dir)
+    _cluster_outputs(profiles, cfg, files)
     return EXIT_OK
 
 
@@ -352,7 +354,7 @@ def _load_annotation_file(path: Path, inventory, tier_name: str):
     return load_annotation_csv(path, inventory)
 
 
-def _comparison_outputs(profiles, loaded: LoadedConfig) -> None:
+def _comparison_outputs(profiles, loaded: LoadedConfig, files: Writer) -> None:
     """comparison_<l1>.{csv,txt}: each L1 group's pooled ASR matrix against
     every annotation file the manifest lists for the group's speakers."""
     cfg, inventory = loaded.config, loaded.inventory
@@ -372,11 +374,11 @@ def _comparison_outputs(profiles, loaded: LoadedConfig) -> None:
         table = compare(asr_matrix, ha_matrix, loaded.targets,
                         top_k=cfg.top_k, min_occurrences=cfg.min_occurrences)
         stem = comparison_stem(l1)
-        _write(cfg.out_dir / f"{stem}.csv", table.to_csv())
-        _write(cfg.out_dir / f"{stem}.txt", table.to_text())
+        files.write(cfg.out_dir / f"{stem}.csv", table.to_csv())
+        files.write(cfg.out_dir / f"{stem}.txt", table.to_text())
 
 
-def cmd_compare(args, loaded: LoadedConfig) -> int:
+def cmd_compare(args, loaded: LoadedConfig, files: Writer) -> int:
     profiles = []
     for speaker in _load_manifest(args).speakers:
         path = args.profiles_dir / f"{speaker.speaker_id}.json"
@@ -384,39 +386,40 @@ def cmd_compare(args, loaded: LoadedConfig) -> int:
             raise ValidationError(f"no profile for {speaker.speaker_id!r} at {path}")
         profiles.append((speaker, SpeakerProfile.from_json(
             read_input(path), loaded.inventory, source=path)))
-    _mkdir(loaded.config.out_dir)
-    _comparison_outputs(profiles, loaded)
+    files.mkdir(loaded.config.out_dir)
+    _comparison_outputs(profiles, loaded, files)
     return EXIT_OK
 
 
-def cmd_heatmap(args, loaded: LoadedConfig) -> int:
+def cmd_heatmap(args, loaded: LoadedConfig, files: Writer) -> int:
     inv = loaded.inventory
     grid = gridcsv.parse_grid(read_input(args.matrix), inv, source=args.matrix)
     svg = svg_heatmap(grid, inv.symbols, per_row=(args.kind == "confusion"))
-    _mkdir(args.out.parent)
-    _write(args.out, svg)
+    files.mkdir(args.out.parent)
+    files.write(args.out, svg)
     return EXIT_OK
 
 
-def cmd_run(args, loaded: LoadedConfig) -> int:
+def cmd_run(args, loaded: LoadedConfig, files: Writer) -> int:
     cfg = loaded.config
     manifest = _load_manifest(args)
     _check_clustering(len(manifest.speakers), cfg)
-    profiles = _align_corpus(manifest, loaded)
-    _cluster_outputs([p for _, p in profiles], cfg)
-    _comparison_outputs(profiles, loaded)
-    heatmaps_dir = _mkdir(cfg.out_dir / "heatmaps")
+    profiles = _align_corpus(manifest, loaded, files)
+    _cluster_outputs([p for _, p in profiles], cfg, files)
+    _comparison_outputs(profiles, loaded, files)
+    heatmaps_dir = files.mkdir(cfg.out_dir / "heatmaps")
     for _, profile in profiles:
         svg = svg_heatmap(profile.matrix.counts, loaded.inventory.symbols,
                           per_row=True)
-        _write(heatmaps_dir / f"{profile.speaker_id}.svg", svg)
+        files.write(heatmaps_dir / f"{profile.speaker_id}.svg", svg)
     return EXIT_OK
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, load_config(run_config(args)))
+        with Writer() as files:
+            return args.func(args, load_config(run_config(args)), files)
     except OovError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OOV

@@ -1,11 +1,13 @@
 import argparse
 import dataclasses
+import gc
 import hashlib
 import inspect
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,7 @@ from phonoscope import (
 from phonoscope import alignment, annotations, clustering, lexicon
 from phonoscope.cli import build_parser, main, run_config
 from phonoscope.manifest import CorpusManifest, RunConfig, load_config
+from phonoscope.writer import Writer
 
 from .conftest import align_min_variant_bruteforce
 
@@ -578,8 +581,23 @@ def test_lone_surrogate_l1_label_rejected(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.fixture
+def writer_processes(monkeypatch):
+    """Every process started through subprocess.Popen while the test runs."""
+    started = []
+    popen = subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", recording_popen)
+    return started
+
+
 @pytest.mark.parametrize("k", ["1", "5"])
-def test_infeasible_clustering_exits_2_before_writing(tmp_path, k, capsys):
+def test_infeasible_clustering_exits_2_before_writing(tmp_path, k, capsys,
+                                                      writer_processes):
     # 3 speakers: k=5 exceeds them; k=1 leaves t-SNE 4 points, too few
     # for the default perplexity of 5
     manifest = write_manifest(tmp_path, [tiny_speaker(f"s{i}") for i in range(3)])
@@ -589,14 +607,36 @@ def test_infeasible_clustering_exits_2_before_writing(tmp_path, k, capsys):
     assert code == 2
     assert "internal error" not in capsys.readouterr().err
     assert not out.exists() or not any(out.rglob("*"))
+    assert writer_processes == []
 
     code = main(["align", str(manifest), "--lexicon", str(tmp_path / "lex.dict"),
                  "--out-dir", str(tmp_path / "aligned")])
     assert code == 0
+    assert len(writer_processes) == 1
     profiles = sorted(str(p) for p in (tmp_path / "aligned" / "profiles").glob("*.json"))
     code = main(["cluster", *profiles, "--k", k, "--out-dir", str(out)])
     assert code == 2
     assert not out.exists() or not any(out.rglob("*"))
+    assert len(writer_processes) == 1
+
+
+def test_cluster_rejects_a_repeated_speaker(tmp_path, capsys):
+    manifest = write_manifest(tmp_path, [tiny_speaker(f"s{i}") for i in range(3)])
+    aligned = tmp_path / "aligned"
+    assert main(["align", str(manifest), "--lexicon", str(tmp_path / "lex.dict"),
+                 "--out-dir", str(aligned)]) == 0
+    profiles = sorted(str(p) for p in (aligned / "profiles").glob("*.json"))
+    copy = tmp_path / "copy.json"
+    copy.write_bytes((aligned / "profiles" / "s0.json").read_bytes())
+    out = tmp_path / "out"
+    for repeated in (profiles[0], str(copy)):
+        capsys.readouterr()
+        code = main(["cluster", *profiles, repeated, "--k", "2", "--perplexity", "1",
+                     "--out-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"speaker 's0' is in both {profiles[0]} and {repeated}" in err
+        assert not out.exists()
 
 
 def utterance(**fields):
@@ -736,16 +776,65 @@ def test_library_defaults_match_run_config():
 
 def test_each_output_directory_created_once(tmp_path, monkeypatch):
     made = []
-    mkdir = Path.mkdir
+    mkdir = Writer.mkdir
 
-    def counting_mkdir(self, *args, **kwargs):
-        made.append(self)
-        return mkdir(self, *args, **kwargs)
+    def counting_mkdir(self, path):
+        made.append(path)
+        return mkdir(self, path)
 
-    monkeypatch.setattr(Path, "mkdir", counting_mkdir)
+    monkeypatch.setattr(Writer, "mkdir", counting_mkdir)
     out = tmp_path / "out"
     assert main(["run", *sample_args(out, ["--k", "3", "--min-occurrences", "2"])]) == 0
     assert sorted(made) == sorted([out, *(p for p in out.rglob("*") if p.is_dir())])
+
+
+@pytest.mark.parametrize("case", ["out_dir_is_a_file", "directory_at_output_file"])
+def test_write_failure_exits_2_naming_the_path(tmp_path, capsys, case):
+    out = tmp_path / "out"
+    if case == "out_dir_is_a_file":
+        out.write_text("")
+        failed, reason = out, "File exists"
+    else:
+        failed, reason = out / "clusters.csv", "Is a directory"
+        failed.mkdir(parents=True)
+    code = main(["run", *sample_args(out, ["--k", "3", "--min-occurrences", "2"])])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {failed}: {reason}\n"
+    if case == "directory_at_output_file":
+        # nothing is created after the failed write
+        assert (out / "profiles").is_dir()
+        assert not (out / "embedding.csv").exists()
+        # the write error wins over t-SNE divergence raised after it
+        code = main(["run", *sample_args(out, ["--k", "3", "--min-occurrences", "2",
+                                               "--learning-rate", "1e308"])])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {failed}: {reason}\n"
+
+
+@pytest.mark.parametrize("expected_code", [0, 2, 3])
+def test_main_leaves_no_writer_running(tmp_path, writer_processes, expected_code):
+    out = tmp_path / "out"
+    args = ["run", *sample_args(out, ["--k", "3", "--min-occurrences", "2"])]
+    if expected_code == 2:
+        out.write_text("")
+    elif expected_code == 3:
+        manifest = write_tiny_corpus(tmp_path, asr="unknownword")
+        args = ["align", str(manifest), "--lexicon", str(tmp_path / "lex.dict"),
+                "--out-dir", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(args) == expected_code
+        [proc] = writer_processes
+        assert proc.returncode == 0
+        assert proc.stdin.closed and proc.stdout.closed
+        with pytest.raises(ChildProcessError):
+            os.waitpid(proc.pid, os.WNOHANG)
+        del proc
+        writer_processes.clear()
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    if expected_code == 3:
+        assert (out / "oov_report.json").is_file()
 
 
 # sha256 of the sample corpus's `run` output tree (see tree_sha256) as
