@@ -17,6 +17,7 @@ PHONOSCOPE_PURE=1 to force the fallback. Both produce identical output.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -287,11 +288,50 @@ def align_min_variant(
 
 def dump_alignment(alignment: Alignment, inventory) -> str:
     """One op per line: expected<TAB>observed<TAB>kind<TAB>cost."""
-    symbols = inventory.symbols
-    return "".join([
-        f"{symbols[a]}\t{symbols[b]}\t{KINDS[k]}\t{cost!r}\n"
-        for a, b, k, cost in zip(alignment.expected.tolist(),
-                                 alignment.observed.tolist(),
-                                 alignment.kinds.tolist(),
-                                 alignment.costs.tolist())
-    ])
+    return _dump_lines(inventory.symbols).render(alignment)
+
+
+@functools.lru_cache(maxsize=8)
+def _dump_lines(symbols: tuple) -> _DumpLines:
+    return _DumpLines(symbols)
+
+
+class _DumpLines:
+    """Dump lines of one inventory, indexed by (expected * n + observed) * 4 + kind.
+
+    Each index holds the line of the cost last dumped there. Under one cost
+    grid a cell has one cost, so once a run's cells have been seen every
+    dump is a lookup. A dump that meets a cost the table does not hold
+    renders its lines directly and puts them into a copy of the table; a
+    table is never changed once built, so concurrent dumps each read a
+    consistent one.
+    """
+
+    def __init__(self, symbols: tuple) -> None:
+        self._symbols = symbols
+        size = len(symbols) ** 2 * len(KINDS)
+        # (index holds a line, bits of that line's cost, lines)
+        self._table = (np.zeros(size, bool), np.zeros(size, np.int64), [None] * size)
+
+    def render(self, alignment: Alignment) -> str:
+        keys = ((alignment.expected * len(self._symbols) + alignment.observed)
+                * len(KINDS) + alignment.kinds)
+        bits = np.asarray(alignment.costs, dtype=np.float64).view(np.int64)
+        held, held_bits, lines = self._table
+        if (held[keys] & (held_bits[keys] == bits)).all():
+            return "".join(map(lines.__getitem__, keys.tolist()))
+        symbols = self._symbols
+        rendered = [
+            f"{symbols[a]}\t{symbols[b]}\t{KINDS[k]}\t{cost!r}\n"
+            for a, b, k, cost in zip(alignment.expected.tolist(),
+                                     alignment.observed.tolist(),
+                                     alignment.kinds.tolist(),
+                                     alignment.costs.tolist())
+        ]
+        held, held_bits, lines = held.copy(), held_bits.copy(), lines.copy()
+        held[keys] = True
+        held_bits[keys] = bits
+        for key, line in zip(keys.tolist(), rendered):
+            lines[key] = line
+        self._table = held, held_bits, lines
+        return "".join(rendered)

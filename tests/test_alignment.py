@@ -294,6 +294,37 @@ def test_dump_format(weighted):
     assert lines[2].split("\t") == ["Z", "Z", "match", "0.0"]
 
 
+def plain_dump(a, inv):
+    """dump_alignment's format rendered op by op (oracle for its line table)."""
+    return "".join(f"{inv.label(op.expected)}\t{inv.label(op.observed)}\t{op.kind}\t{op.cost!r}\n"
+                   for op in a.ops)
+
+
+def test_dump_lines_follow_each_cost_grid():
+    # grids that differ in every off-diagonal cell, dumped in turn through
+    # one inventory's table
+    rng = np.random.default_rng(7)
+    grids = [random_cost_matrix(INV, rng) for _ in range(2)] + [UNIFORM]
+    for _ in range(3):
+        for costs in grids:
+            e = rng.integers(0, len(INV) - 1, 30)
+            o = [*e[:10], *rng.integers(0, len(INV) - 1, 15)]
+            a = align(e, o, costs)
+            assert dump_alignment(a, INV) == plain_dump(a, INV)
+    # grids that differ only in the sign of one zero
+    iy, ih = idx(INV, "IY IH")
+    for zero in (0.0, -0.0, 0.0):
+        grid = UNIFORM.costs.copy()
+        grid[iy, ih] = zero
+        a = align([iy], [ih], CostMatrix(INV, grid))
+        assert dump_alignment(a, INV) == f"IY\tIH\tsubstitute\t{zero!r}\n"
+    # one cell with two costs in the same hand-built alignment, then with each
+    for costs in ([0.5, 0.25], [0.5, 0.25], [0.25], [0.5]):
+        a = alignment.Alignment(np.ones(len(costs), np.int64), np.full(len(costs), 2),
+                                np.ones(len(costs), np.int8), np.array(costs), sum(costs))
+        assert dump_alignment(a, INV) == plain_dump(a, INV)
+
+
 def _lattice_csr(lattice):
     """(phonemes, variant offsets, word offsets) of a list of variant lists."""
     variants = [v for word in lattice for v in word]
