@@ -10,7 +10,6 @@ from .alignment import (
     Alignment,
     EditOp,
     align,
-    align_bruteforce,
     align_min_variant,
     backend,
     dump_alignment,
@@ -95,7 +94,6 @@ __all__ = [
     "ValidationError",
     "accumulate",
     "align",
-    "align_bruteforce",
     "align_min_variant",
     "annotations_to_confusion",
     "backend",

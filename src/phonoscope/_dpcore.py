@@ -1,10 +1,10 @@
-"""Compiled weighted edit-distance kernel: _dpkernel.c through ctypes.
+"""Compiled kernels: _dpkernel.c through ctypes.
 
 The library is the compile of _dpkernel.c cached as
-__pycache__/_dpkernel-<sha256 of the source>.so, made with ``cc`` on the
-first import that misses it, so an edited source is always rebuilt. Any
-failure to build or load raises ImportError, so phonoscope.alignment
-falls back to _dppy.
+__pycache__/_dpkernel-<sha256 of the compile command and the source>.so,
+made with ``cc`` on the first import that misses it, so an edited source
+or a changed compile flag is always rebuilt. Any failure to build or load
+raises ImportError, so phonoscope.alignment falls back to _dppy.
 """
 
 import ctypes
@@ -18,6 +18,8 @@ _HERE = Path(__file__).resolve().parent
 _SOURCE = _HERE / "_dpkernel.c"
 _INT64 = np.dtype(np.int64)
 _FLOAT64 = np.dtype(np.float64)
+# -ffp-contract=off: a fused multiply-add would round differently from _dppy
+_COMPILE = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 def _cached_build() -> Path:
@@ -26,7 +28,8 @@ def _cached_build() -> Path:
     The compiler writes a temporary file that os.replace moves into
     place, so concurrent first imports never load a partial library.
     """
-    digest = hashlib.sha256(_SOURCE.read_bytes()).hexdigest()
+    key = "\0".join(_COMPILE).encode() + b"\0" + _SOURCE.read_bytes()
+    digest = hashlib.sha256(key).hexdigest()
     target = _HERE / "__pycache__" / f"_dpkernel-{digest}.so"
     if target.is_file():
         return target
@@ -37,7 +40,7 @@ def _cached_build() -> Path:
     fd, tmp = tempfile.mkstemp(prefix="_dpkernel-", suffix=".tmp", dir=target.parent)
     os.close(fd)
     try:
-        proc = subprocess.run(["cc", "-O2", "-shared", "-fPIC", "-o", tmp, str(_SOURCE)],
+        proc = subprocess.run([*_COMPILE, "-o", tmp, str(_SOURCE)],
                               capture_output=True, text=True)
         if proc.returncode != 0:
             raise ImportError(f"cc failed on {_SOURCE}:\n{proc.stderr}")
@@ -51,12 +54,12 @@ def _cached_build() -> Path:
 def _load():
     try:
         library = ctypes.CDLL(str(_cached_build()))
-        return library.dp_align, library.dp_lattice
+        return library.dp_align, library.dp_lattice, library.tsne_descend
     except (OSError, AttributeError) as exc:
-        raise ImportError(f"alignment kernel unavailable: {exc}") from exc
+        raise ImportError(f"compiled kernel unavailable: {exc}") from exc
 
 
-_dp_align, _dp_lattice = _load()
+_dp_align, _dp_lattice, _tsne_descend = _load()
 _dp_align.argtypes = [
     ctypes.c_char_p, ctypes.c_int64, ctypes.c_char_p, ctypes.c_int64,
     ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64,
@@ -70,6 +73,11 @@ _dp_lattice.argtypes = [
     ctypes.POINTER(ctypes.c_double),
 ]
 _dp_lattice.restype = ctypes.c_int64
+_tsne_descend.argtypes = [
+    ctypes.c_char_p, ctypes.POINTER(ctypes.c_double), ctypes.c_int64,
+    ctypes.c_double, ctypes.c_int64, ctypes.c_double, ctypes.c_int64,
+]
+_tsne_descend.restype = ctypes.c_int64
 
 
 def _check(array, dtype, ndim: int, name: str) -> None:
@@ -136,3 +144,22 @@ def dp_lattice(phonemes, variant_offsets, word_offsets, observed, cost_rows, eps
                          size, eps, ctypes.byref(total))
     _raise_for(status)
     return total.value
+
+
+def tsne_descend(P, Y, learning_rate, iterations, early_exaggeration,
+                 exaggeration_iters):
+    """Same contract as _dppy.tsne_descend, on a float64 n x n P and n x 2 Y."""
+    _check(P, _FLOAT64, 2, "affinities")
+    _check(Y, _FLOAT64, 2, "embedding")
+    n = Y.shape[0]
+    if n < 1 or P.shape != (n, n) or Y.shape != (n, 2):
+        raise ValueError("affinities must be n x n for an n x 2 embedding, n >= 1")
+    # ctypes would silently wrap a count outside int64
+    if not all(-2**63 <= count < 2**63 for count in (iterations, exaggeration_iters)):
+        raise ValueError("iteration counts must fit in 64 bits")
+    out = np.array(Y, order="C")
+    status = _tsne_descend(P.tobytes(), out.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+                           n, learning_rate, iterations, early_exaggeration,
+                           exaggeration_iters)
+    _raise_for(status)
+    return out

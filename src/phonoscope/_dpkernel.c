@@ -1,9 +1,12 @@
-/* Compiled weighted edit-distance kernel, loaded by _dpcore.py.
+/* Compiled kernels, loaded by _dpcore.py: the weighted edit distance and
+   t-SNE's gradient descent.
 
    Must stay behaviorally identical to _dppy.py: same addition order in
    the table fill, same exact-equality backtrace, same tie preferences,
-   same element-wise minimum at lattice word boundaries. The test suite
-   asserts bitwise parity between the two backends.
+   same element-wise minimum at lattice word boundaries, and in the
+   descent the same float operations in the same order. The test suite
+   asserts bitwise parity between the two backends. _dpcore compiles
+   this file with -ffp-contract=off, so no multiply and add are fused.
 
    grid is a size x size row-major cost matrix and eps its epsilon index;
    every table has width m + 1 for the m observed symbols. */
@@ -152,5 +155,140 @@ int64_t dp_lattice(const int64_t *phonemes, const int64_t *variant_offsets,
     }
     *total = dp[m];
     free(dp);
+    return 0;
+}
+
+/* Left-to-right sum of each row of the n x n matrix m, starting from the
+   row's first term. Four rows run side by side, each in its own order, so
+   their additions overlap. */
+static void row_sums(const double *m, int64_t n, double *out)
+{
+    int64_t i = 0, j;
+    for (; i + 4 <= n; i += 4) {
+        const double *a = m + i * n, *b = a + n, *c = b + n, *d = c + n;
+        double sa = a[0], sb = b[0], sc = c[0], sd = d[0];
+        for (j = 1; j < n; j++) {
+            sa += a[j];
+            sb += b[j];
+            sc += c[j];
+            sd += d[j];
+        }
+        out[i] = sa;
+        out[i + 1] = sb;
+        out[i + 2] = sc;
+        out[i + 3] = sd;
+    }
+    for (; i < n; i++) {
+        const double *a = m + i * n;
+        double s = a[0];
+        for (j = 1; j < n; j++) s += a[j];
+        out[i] = s;
+    }
+}
+
+/* Exact t-SNE's gradient descent on the n x 2 row-major embedding Y, in
+   place, against the n x n affinities P (zero diagonal). Iteration it
+   uses P * early_exaggeration and momentum 0.5 while it <
+   exaggeration_iters, then P and momentum 0.8. Each iteration:
+     num = 1 / (1 + dx*dx + dy*dy) off the diagonal, 0 on it, once per
+           pair j < i and mirrored;
+     Z = the sum of num's row sums;
+     PQ = (P_eff - num / Z) * num, the two entries of a pair sharing
+          num / Z;
+     grad = (4 (diag(rowsum(PQ)) - PQ)) Y;
+     delta-bar-delta gains (x 0.8 where the signs of grad and the last
+          update agree, + 0.2 elsewhere, at least 0.01), update =
+          momentum * update - learning_rate * gains * grad, Y += update;
+     Y -= the column sums of Y / n.
+   Every sum runs left to right from its first term. Returns 0, or -2 if
+   the work arrays cannot be allocated. */
+int64_t tsne_descend(const double *P, double *Y, int64_t n,
+                     double learning_rate, int64_t iterations,
+                     double early_exaggeration, int64_t exaggeration_iters)
+{
+    int64_t it, i, j;
+    double *num, *pq, *sums, *grad, *update, *gains;
+
+    num = malloc((size_t)(2 * n * n + 7 * n) * sizeof *num);
+    if (num == NULL) return -2;
+    pq = num + n * n;
+    sums = pq + n * n;
+    grad = sums + n;
+    update = grad + 2 * n;
+    gains = update + 2 * n;
+    for (i = 0; i < 2 * n; i++) {
+        update[i] = 0.0;
+        gains[i] = 1.0;
+    }
+
+    for (it = 0; it < iterations; it++) {
+        const int exaggerating = it < exaggeration_iters;
+        const double momentum = exaggerating ? 0.5 : 0.8;
+        double z, sx, sy, mx, my;
+
+        for (i = 0; i < n; i++) {
+            const double xi = Y[2 * i], yi = Y[2 * i + 1];
+            for (j = 0; j < i; j++) {
+                const double dx = xi - Y[2 * j], dy = yi - Y[2 * j + 1];
+                const double w = 1.0 / (dx * dx + dy * dy + 1.0);
+                num[i * n + j] = w;
+                num[j * n + i] = w;
+            }
+            num[i * n + i] = 0.0;
+        }
+        row_sums(num, n, sums);
+        z = sums[0];
+        for (i = 1; i < n; i++) z += sums[i];
+
+        for (i = 0; i < n; i++) {
+            for (j = 0; j <= i; j++) {
+                const double w = num[i * n + j], q = w / z;
+                double pij = P[i * n + j], pji = P[j * n + i];
+                if (exaggerating) {
+                    pij = pij * early_exaggeration;
+                    pji = pji * early_exaggeration;
+                }
+                pq[i * n + j] = (pij - q) * w;
+                pq[j * n + i] = (pji - q) * w;
+            }
+        }
+        row_sums(pq, n, sums);
+
+        for (i = 0; i < n; i++) {
+            /* row i of 4 (diag(rowsum(PQ)) - PQ) times Y */
+            const double *row = pq + i * n;
+            double c = i == 0 ? 4.0 * sums[0] : 4.0 * (0.0 - row[0]);
+            double gx = c * Y[0], gy = c * Y[1];
+            for (j = 1; j < n; j++) {
+                c = j == i ? 4.0 * sums[i] : 4.0 * (0.0 - row[j]);
+                gx += c * Y[2 * j];
+                gy += c * Y[2 * j + 1];
+            }
+            grad[2 * i] = gx;
+            grad[2 * i + 1] = gy;
+        }
+
+        for (i = 0; i < 2 * n; i++) {
+            if ((grad[i] > 0) == (update[i] > 0)) gains[i] *= 0.8;
+            else gains[i] += 0.2;
+            if (gains[i] < 0.01) gains[i] = 0.01;
+            update[i] = momentum * update[i] - learning_rate * gains[i] * grad[i];
+            Y[i] += update[i];
+        }
+
+        sx = Y[0];
+        sy = Y[1];
+        for (i = 1; i < n; i++) {
+            sx += Y[2 * i];
+            sy += Y[2 * i + 1];
+        }
+        mx = sx / (double)n;
+        my = sy / (double)n;
+        for (i = 0; i < n; i++) {
+            Y[2 * i] -= mx;
+            Y[2 * i + 1] -= my;
+        }
+    }
+    free(num);
     return 0;
 }

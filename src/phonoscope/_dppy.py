@@ -1,11 +1,15 @@
-"""Pure-Python weighted edit-distance kernel (fallback backend).
+"""Pure-Python kernels (fallback backend): the weighted edit distance and,
+in numpy, t-SNE's gradient descent.
 
 Mirrors _dpkernel.c operation for operation: both fill the DP table with
 the same additions in the same order, backtrace with the same exact
 float comparisons and take the same element-wise minimum at lattice word
 boundaries, so the two backends return bitwise-identical costs and
-identical move sequences.
+identical move sequences. The descent does the same float operations as
+the C loop in the same order, so the embeddings match bit for bit too.
 """
+
+import numpy as np
 
 DIAG = 0
 DELETE = 1
@@ -124,3 +128,56 @@ def dp_lattice(phonemes, variant_offsets, word_offsets, observed, cost_rows, eps
                         for x, b in zip(dp[last:last + width], boundary)]
         dp[:width] = boundary
     return dp[width - 1]
+
+
+def _sum(a, axis):
+    """Left-to-right sums along axis, each starting from its first term:
+    the last partial sum of np.add.accumulate, which adds sequentially."""
+    return np.add.accumulate(a, axis).take(-1, axis)
+
+
+def tsne_descend(P, Y, learning_rate, iterations, early_exaggeration,
+                 exaggeration_iters):
+    """Exact t-SNE's gradient descent from the n x 2 embedding Y against the
+    n x n affinities P (zero diagonal); returns the new embedding.
+
+    Iteration it uses P * early_exaggeration and momentum 0.5 while it <
+    exaggeration_iters, then P and momentum 0.8. Z, the row sums of PQ,
+    the gradient and the centering mean are fixed-order sums, not numpy's
+    pairwise sums or a BLAS product, so the result does not depend on the
+    CPU.
+    """
+    n = Y.shape[0]
+    Y = np.array(Y, dtype=np.float64)
+    update = np.zeros_like(Y)
+    gains = np.ones_like(Y)
+    P_exaggerated = P * early_exaggeration
+    for it in range(iterations):
+        exaggerating = it < exaggeration_iters
+        P_eff = P_exaggerated if exaggerating else P
+        momentum = 0.5 if exaggerating else 0.8
+        dx = Y[:, None, 0] - Y[None, :, 0]
+        dy = Y[:, None, 1] - Y[None, :, 1]
+        num = dx * dx
+        num += dy * dy
+        num += 1.0
+        np.divide(1.0, num, out=num)
+        np.fill_diagonal(num, 0.0)
+        Z = _sum(_sum(num, 1), 0)
+        PQ = P_eff - num / Z
+        PQ *= num
+        row_sums = _sum(PQ, 1)
+        # grad = 4 (diag(rowsum(PQ)) - PQ) Y; PQ's diagonal is zero
+        np.subtract(0.0, PQ, out=PQ)
+        np.fill_diagonal(PQ, row_sums)
+        PQ *= 4.0
+        grad = np.stack([_sum(PQ * column, 1) for column in Y.T], axis=1)
+        # delta-bar-delta gains keep the step sizes stable under momentum
+        agree = (grad > 0) == (update > 0)
+        gains[agree] *= 0.8
+        gains[~agree] += 0.2
+        np.clip(gains, 0.01, None, out=gains)
+        update = momentum * update - learning_rate * gains * grad
+        Y += update
+        Y -= _sum(Y, 0) / n
+    return Y

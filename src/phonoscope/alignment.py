@@ -13,6 +13,7 @@ sums, which keeps alignments reproducible across runs and backends.
 The table fill and backtrace run in the compiled C kernel (_dpcore)
 when it builds and loads, otherwise in a pure-Python twin (_dppy). Set
 PHONOSCOPE_PURE=1 to force the fallback. Both produce identical output.
+clustering.tsne runs its gradient descent in the same kernel.
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ _MOVE_CODES = {
 }
 
 DEFAULT_TIE_BREAK = (SUBSTITUTE, DELETE, INSERT)
-
-_BRUTEFORCE_MAX = 12
 
 
 def backend() -> str:
@@ -186,43 +185,6 @@ def align(expected, observed, costs: CostMatrix,
     kinds = np.where(moves == _DIAG_CODE, expected_ops != observed_ops, moves + 1)
     return Alignment(expected_ops, observed_ops, kinds,
                      costs.costs[expected_ops, observed_ops], float(total))
-
-
-def align_bruteforce(expected, observed, costs: CostMatrix) -> float:
-    """Exhaustive minimum over all monotone edit scripts (test oracle).
-
-    Deliberately shares nothing with the DP path. Costs accumulate
-    left-to-right along each script, the same fold order the DP uses, so
-    the returned float is comparable to align().total_cost without any
-    tolerance.
-    """
-    inv = costs.inventory
-    e = _check_sequence(expected, inv, "expected")
-    o = _check_sequence(observed, inv, "observed")
-    if len(e) + len(o) > _BRUTEFORCE_MAX:
-        raise ValidationError(
-            f"brute force limited to combined length {_BRUTEFORCE_MAX}"
-        )
-    rows = costs.rows()
-    eps = inv.epsilon_index
-    n, m = len(e), len(o)
-    best = float("inf")
-
-    # stack of (i, j, cost so far); explores every script exactly once
-    stack = [(0, 0, 0.0)]
-    while stack:
-        i, j, acc = stack.pop()
-        if i == n and j == m:
-            if acc < best:
-                best = acc
-            continue
-        if i < n:
-            stack.append((i + 1, j, acc + rows[e[i]][eps]))
-        if j < m:
-            stack.append((i, j + 1, acc + rows[eps][o[j]]))
-        if i < n and j < m:
-            stack.append((i + 1, j + 1, acc + rows[e[i]][o[j]]))
-    return best
 
 
 def _variant_lattice(expected_lattice) -> list[list[tuple]]:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import alignment
 from .confusion import ConfusionMatrix, SpeakerProfile
 from .errors import ValidationError
 
@@ -75,9 +76,10 @@ def check_parameters(vectors: int, k: int | None = None,
                      early_exaggeration: float | None = None) -> None:
     """Raise ValidationError unless k-means (1 <= k <= vectors) and t-SNE of
     the vectors plus k centroids (at least 3 points, 1 <= perplexity <
-    points - 1) can run with these values: seed >= 0, iterations >= 0, and
-    a finite learning rate and early exaggeration above 0. A value of None
-    skips its rule; a perplexity of None skips t-SNE's point count."""
+    points - 1) can run with these values: seed >= 0, 0 <= iterations <
+    2**63 (the compiled kernel counts in 64 bits), and a finite learning
+    rate and early exaggeration above 0. A value of None skips its rule; a
+    perplexity of None skips t-SNE's point count."""
     if k is not None and not 1 <= k <= vectors:
         raise ValidationError(f"k={k} out of range for {vectors} vectors")
     points = vectors + (k or 0)
@@ -89,6 +91,8 @@ def check_parameters(vectors: int, k: int | None = None,
     for name, value in (("seed", seed), ("t-SNE iterations", iterations)):
         if value is not None and value < 0:
             raise ValidationError(f"{name} {value} must be at least 0")
+    if iterations is not None and iterations >= 2**63:
+        raise ValidationError(f"t-SNE iterations {iterations} must be below 2**63")
     for name, value in (("learning rate", learning_rate),
                         ("early exaggeration", early_exaggeration)):
         if value is not None and not (0 < value and math.isfinite(value)):
@@ -289,18 +293,13 @@ def symmetrized_affinities(conditional: np.ndarray) -> np.ndarray:
     return (conditional + conditional.T) / (2.0 * n)
 
 
-def _student_t(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The embedding's Student-t kernel (zero diagonal) and Q, its normalization."""
+def _kl(P: np.ndarray, Y: np.ndarray) -> float:
+    """KL(P || Q) in nats, Q the embedding's normalized Student-t kernel."""
     num = pairwise_sq_dists(Y)
     num += 1.0
     np.divide(1.0, num, out=num)
     np.fill_diagonal(num, 0.0)
-    return num, num / num.sum()
-
-
-def _kl(P: np.ndarray, Y: np.ndarray) -> float:
-    """KL(P || Q) in nats."""
-    _, Q = _student_t(Y)
+    Q = num / num.sum()
     tiny = 1e-12
     mask = P > 0
     return float((P[mask] * np.log(np.maximum(P[mask], tiny)
@@ -318,6 +317,8 @@ def tsne(vectors, perplexity: float = DEFAULT_PERPLEXITY,
 
     Gradient descent with momentum (0.5 for the exaggerated phase, 0.8
     after); the input set is tiny so no tree approximation is warranted.
+    The descent runs in the kernel that alignment.backend() names, with
+    every sum in one fixed order, so both backends give the same bytes.
     """
     ids, data = _stack(vectors)
     n = data.shape[0]
@@ -331,34 +332,9 @@ def tsne(vectors, perplexity: float = DEFAULT_PERPLEXITY,
 
     rng = np.random.default_rng(seed)
     Y = rng.normal(0.0, 1e-4, size=(n, 2))
-    update = np.zeros_like(Y)
-    gains = np.ones_like(Y)
-
     initial_kl = _kl(P, Y)
-    P_exaggerated = P * early_exaggeration
-
-    for it in range(iterations):
-        exaggerating = it < exaggeration_iters
-        P_eff = P_exaggerated if exaggerating else P
-        momentum = 0.5 if exaggerating else 0.8
-        num, Q = _student_t(Y)
-        # grad = 4 (diag(rowsum(PQ)) - PQ) @ Y, built in Q's buffer with the
-        # same float operations in the same order; PQ's diagonal is zero
-        PQ = np.subtract(P_eff, Q, out=Q)
-        PQ *= num
-        row_sums = PQ.sum(axis=1)
-        np.subtract(0.0, PQ, out=PQ)
-        np.fill_diagonal(PQ, row_sums)
-        PQ *= 4.0
-        grad = PQ @ Y
-        # delta-bar-delta gains keep the step sizes stable under momentum
-        agree = (grad > 0) == (update > 0)
-        gains[agree] *= 0.8
-        gains[~agree] += 0.2
-        np.clip(gains, 0.01, None, out=gains)
-        update = momentum * update - learning_rate * gains * grad
-        Y += update
-        Y -= Y.mean(axis=0)
+    Y = alignment._kernel.tsne_descend(P, Y, learning_rate, iterations,
+                                       early_exaggeration, exaggeration_iters)
 
     final_kl = _kl(P, Y)
     if not np.isfinite(Y).all() or not np.isfinite(final_kl):

@@ -1,15 +1,17 @@
 import itertools
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from phonoscope import CostMatrix, PhonemeInventory, align
-from phonoscope.alignment import DEFAULT_TIE_BREAK, VariantAlignment
+from phonoscope import CostMatrix, PhonemeInventory, ValidationError, align, alignment
+from phonoscope.alignment import DEFAULT_TIE_BREAK, VariantAlignment, _check_sequence
 from phonoscope.clustering import SpeakerVector
 
 ORACLE_MAX_COMBINATIONS = 4096
+BRUTEFORCE_MAX = 12
 
 # CI runs with --hypothesis-profile=ci: the same examples on every run, so
 # a failure there reproduces locally with the same flag.
@@ -53,12 +55,64 @@ def idx(inv, labels):
     return [inv.index(s) for s in labels.split()]
 
 
+@contextmanager
+def kernel_backend(name):
+    """Run alignment and t-SNE on the named kernel, then restore."""
+    if name == "compiled":
+        kernel = pytest.importorskip("phonoscope._dpcore")
+    else:
+        from phonoscope import _dppy as kernel
+    saved = alignment._kernel, alignment._BACKEND
+    alignment._kernel, alignment._BACKEND = kernel, name
+    try:
+        yield
+    finally:
+        alignment._kernel, alignment._BACKEND = saved
+
+
 def random_cost_matrix(inv, rng, low=0.05, high=2.0):
     n = len(inv)
     grid = rng.uniform(low, high, size=(n, n))
     np.fill_diagonal(grid, 0.0)
     grid[inv.epsilon_index, inv.epsilon_index] = 0.0
     return CostMatrix(inv, grid)
+
+
+def align_bruteforce(expected, observed, costs: CostMatrix) -> float:
+    """Exhaustive minimum over all monotone edit scripts (oracle for align).
+
+    Deliberately shares nothing with the DP path. Costs accumulate
+    left-to-right along each script, the same fold order the DP uses, so
+    the returned float is comparable to align().total_cost without any
+    tolerance.
+    """
+    inv = costs.inventory
+    e = _check_sequence(expected, inv, "expected")
+    o = _check_sequence(observed, inv, "observed")
+    if len(e) + len(o) > BRUTEFORCE_MAX:
+        raise ValidationError(
+            f"brute force limited to combined length {BRUTEFORCE_MAX}"
+        )
+    rows = costs.rows()
+    eps = inv.epsilon_index
+    n, m = len(e), len(o)
+    best = float("inf")
+
+    # stack of (i, j, cost so far); explores every script exactly once
+    stack = [(0, 0, 0.0)]
+    while stack:
+        i, j, acc = stack.pop()
+        if i == n and j == m:
+            if acc < best:
+                best = acc
+            continue
+        if i < n:
+            stack.append((i + 1, j, acc + rows[e[i]][eps]))
+        if j < m:
+            stack.append((i, j + 1, acc + rows[eps][o[j]]))
+        if i < n and j < m:
+            stack.append((i + 1, j + 1, acc + rows[e[i]][o[j]]))
+    return best
 
 
 def align_min_variant_bruteforce(expected_lattice, observed, costs,

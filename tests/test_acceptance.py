@@ -22,7 +22,6 @@ from phonoscope import (
     SpeakerProfile,
     accumulate,
     align,
-    align_bruteforce,
     compare,
     kmeans,
     parse_annotation_csv,
@@ -40,7 +39,13 @@ from phonoscope.clustering import (
     symmetrized_affinities,
 )
 
-from .conftest import idx, make_group_vectors, make_weighted_costs, random_cost_matrix
+from .conftest import (
+    align_bruteforce,
+    idx,
+    make_group_vectors,
+    make_weighted_costs,
+    random_cost_matrix,
+)
 from .test_alignment import enumerate_scripts, plain_levenshtein
 
 INV = PhonemeInventory.default()

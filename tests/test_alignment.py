@@ -4,7 +4,6 @@ import random
 import shutil
 import subprocess
 import sys
-from contextlib import contextmanager
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
@@ -19,7 +18,6 @@ from phonoscope import (
     PhonemeInventory,
     ValidationError,
     align,
-    align_bruteforce,
     align_min_variant,
     alignment,
     backend,
@@ -27,27 +25,18 @@ from phonoscope import (
 )
 from phonoscope.alignment import DELETE, INSERT, MATCH, SUBSTITUTE
 
-from .conftest import align_min_variant_bruteforce, idx, random_cost_matrix
+from .conftest import (
+    align_bruteforce,
+    align_min_variant_bruteforce,
+    idx,
+    kernel_backend,
+    random_cost_matrix,
+)
 
 INV = PhonemeInventory.default()
 UNIFORM = CostMatrix.uniform(INV)
 TIE_BREAKS = list(itertools.permutations((SUBSTITUTE, DELETE, INSERT)))
 PACKAGE = Path(phonoscope.__file__).resolve().parent
-
-
-@contextmanager
-def kernel_backend(name):
-    """Run align/align_min_variant on the named kernel, then restore."""
-    if name == "compiled":
-        kernel = pytest.importorskip("phonoscope._dpcore")
-    else:
-        from phonoscope import _dppy as kernel
-    saved = alignment._kernel, alignment._BACKEND
-    alignment._kernel, alignment._BACKEND = kernel, name
-    try:
-        yield
-    finally:
-        alignment._kernel, alignment._BACKEND = saved
 
 
 def plain_levenshtein(a, b):
@@ -488,6 +477,28 @@ def test_concurrent_first_imports_share_one_cached_kernel(tmp_path):
     cached = sorted(p.name for p in (package / "__pycache__").iterdir()
                     if p.name.startswith("_dpkernel"))
     assert len(cached) == 1 and cached[0].endswith(".so"), cached
+
+
+def test_changed_compile_flags_rebuild_the_kernel(tmp_path):
+    # the cache key covers the compile command, so a library built with old
+    # flags is never loaded after the flags change
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    package = _package_copy(tmp_path)
+
+    def cached():
+        out, err = _start_import(tmp_path).communicate(timeout=60)
+        assert out.strip() == "compiled", err
+        return {p.name for p in (package / "__pycache__").iterdir()
+                if p.name.startswith("_dpkernel")}
+
+    before = cached()
+    core = package / "_dpcore.py"
+    source = core.read_text()
+    assert source.count('"-O2"') == 1
+    core.write_text(source.replace('"-O2"', '"-O1"'))
+    after = cached()
+    assert len(before) == 1 and len(after) == 2 and before < after, (before, after)
 
 
 def test_pure_env_flag_selects_fallback():
