@@ -73,11 +73,12 @@ _dp_lattice.argtypes = [
     ctypes.POINTER(ctypes.c_double),
 ]
 _dp_lattice.restype = ctypes.c_int64
+_DOUBLES = ctypes.POINTER(ctypes.c_double)
 _tsne_descend.argtypes = [
-    ctypes.c_char_p, ctypes.POINTER(ctypes.c_double), ctypes.c_int64,
-    ctypes.c_double, ctypes.c_int64, ctypes.c_double, ctypes.c_int64,
+    _DOUBLES, _DOUBLES, ctypes.c_int64,
+    ctypes.c_double, ctypes.c_int64, ctypes.c_double, ctypes.c_int64, _DOUBLES,
 ]
-_tsne_descend.restype = ctypes.c_int64
+_tsne_descend.restype = None
 
 
 def _check(array, dtype, ndim: int, name: str) -> None:
@@ -157,9 +158,12 @@ def tsne_descend(P, Y, learning_rate, iterations, early_exaggeration,
     # ctypes would silently wrap a count outside int64
     if not all(-2**63 <= count < 2**63 for count in (iterations, exaggeration_iters)):
         raise ValueError("iteration counts must fit in 64 bits")
+    # C reads P, writes out and works in work through pointers; the
+    # names keep all three alive for the whole call
+    P = np.ascontiguousarray(P)
     out = np.array(Y, order="C")
-    status = _tsne_descend(P.tobytes(), out.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-                           n, learning_rate, iterations, early_exaggeration,
-                           exaggeration_iters)
-    _raise_for(status)
+    work = np.empty(2 * n * n + 7 * n)
+    _tsne_descend(P.ctypes.data_as(_DOUBLES), out.ctypes.data_as(_DOUBLES), n,
+                  learning_rate, iterations, early_exaggeration, exaggeration_iters,
+                  work.ctypes.data_as(_DOUBLES))
     return out

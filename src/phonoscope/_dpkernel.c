@@ -200,22 +200,17 @@ static void row_sums(const double *m, int64_t n, double *out)
           update agree, + 0.2 elsewhere, at least 0.01), update =
           momentum * update - learning_rate * gains * grad, Y += update;
      Y -= the column sums of Y / n.
-   Every sum runs left to right from its first term. Returns 0, or -2 if
-   the work arrays cannot be allocated. */
-int64_t tsne_descend(const double *P, double *Y, int64_t n,
-                     double learning_rate, int64_t iterations,
-                     double early_exaggeration, int64_t exaggeration_iters)
+   Every sum runs left to right from its first term. work is scratch of
+   2 n^2 + 7 n doubles, so the function allocates nothing. */
+void tsne_descend(const double *P, double *Y, int64_t n,
+                  double learning_rate, int64_t iterations,
+                  double early_exaggeration, int64_t exaggeration_iters,
+                  double *work)
 {
     int64_t it, i, j;
-    double *num, *pq, *sums, *grad, *update, *gains;
+    double *num = work, *pq = num + n * n, *sums = pq + n * n;
+    double *grad = sums + n, *update = grad + 2 * n, *gains = update + 2 * n;
 
-    num = malloc((size_t)(2 * n * n + 7 * n) * sizeof *num);
-    if (num == NULL) return -2;
-    pq = num + n * n;
-    sums = pq + n * n;
-    grad = sums + n;
-    update = grad + 2 * n;
-    gains = update + 2 * n;
     for (i = 0; i < 2 * n; i++) {
         update[i] = 0.0;
         gains[i] = 1.0;
@@ -289,6 +284,4 @@ int64_t tsne_descend(const double *P, double *Y, int64_t n,
             Y[2 * i + 1] -= my;
         }
     }
-    free(num);
-    return 0;
 }

@@ -130,10 +130,11 @@ def dp_lattice(phonemes, variant_offsets, word_offsets, observed, cost_rows, eps
     return dp[width - 1]
 
 
-def _sum(a, axis):
+def _sum(a, axis, out=None):
     """Left-to-right sums along axis, each starting from its first term:
-    the last partial sum of np.add.accumulate, which adds sequentially."""
-    return np.add.accumulate(a, axis).take(-1, axis)
+    the last partial sum of np.add.accumulate, which adds sequentially
+    (into out, a scratch array of a's shape, when given)."""
+    return np.add.accumulate(a, axis, out=out).take(-1, axis)
 
 
 def tsne_descend(P, Y, learning_rate, iterations, early_exaggeration,
@@ -145,33 +146,41 @@ def tsne_descend(P, Y, learning_rate, iterations, early_exaggeration,
     exaggeration_iters, then P and momentum 0.8. Z, the row sums of PQ,
     the gradient and the centering mean are fixed-order sums, not numpy's
     pairwise sums or a BLAS product, so the result does not depend on the
-    CPU.
+    CPU. Three n x n work arrays are allocated once and reused in every
+    iteration.
     """
     n = Y.shape[0]
     Y = np.array(Y, dtype=np.float64)
     update = np.zeros_like(Y)
     gains = np.ones_like(Y)
-    P_exaggerated = P * early_exaggeration
+    num, PQ, scratch = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
     for it in range(iterations):
         exaggerating = it < exaggeration_iters
-        P_eff = P_exaggerated if exaggerating else P
         momentum = 0.5 if exaggerating else 0.8
-        dx = Y[:, None, 0] - Y[None, :, 0]
-        dy = Y[:, None, 1] - Y[None, :, 1]
-        num = dx * dx
-        num += dy * dy
+        np.subtract(Y[:, None, 0], Y[None, :, 0], out=num)
+        num *= num
+        np.subtract(Y[:, None, 1], Y[None, :, 1], out=scratch)
+        scratch *= scratch
+        num += scratch
         num += 1.0
         np.divide(1.0, num, out=num)
         np.fill_diagonal(num, 0.0)
-        Z = _sum(_sum(num, 1), 0)
-        PQ = P_eff - num / Z
+        Z = _sum(_sum(num, 1, scratch), 0)
+        # PQ = (P_eff - num / Z) * num
+        if exaggerating:
+            np.multiply(P, early_exaggeration, out=PQ)
+        else:
+            PQ[...] = P
+        np.divide(num, Z, out=scratch)
+        PQ -= scratch
         PQ *= num
-        row_sums = _sum(PQ, 1)
+        row_sums = _sum(PQ, 1, scratch)
         # grad = 4 (diag(rowsum(PQ)) - PQ) Y; PQ's diagonal is zero
         np.subtract(0.0, PQ, out=PQ)
         np.fill_diagonal(PQ, row_sums)
         PQ *= 4.0
-        grad = np.stack([_sum(PQ * column, 1) for column in Y.T], axis=1)
+        grad = np.stack([_sum(np.multiply(PQ, column, out=num), 1, scratch)
+                         for column in Y.T], axis=1)
         # delta-bar-delta gains keep the step sizes stable under momentum
         agree = (grad > 0) == (update > 0)
         gains[agree] *= 0.8

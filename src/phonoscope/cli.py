@@ -294,22 +294,21 @@ def _check_clustering(vectors: int, cfg: RunConfig) -> None:
 
 
 def _cluster_outputs(profiles, cfg: RunConfig, files: Writer) -> None:
-    """clusters.csv, embedding.csv, and purity.txt when labels are complete."""
+    """clusters.csv, embedding.csv, and purity.txt when labels are complete.
+
+    The profiles and k-means's centroids share one matrix, which t-SNE
+    embeds whole."""
     out = cfg.out_dir
-    vectors = [clustering.vectorize(p, cfg.normalization) for p in profiles]
-    result = clustering.kmeans(vectors, cfg.k, seed=cfg.seed, init=cfg.init)
+    speakers = clustering.SpeakerMatrix.from_profiles(profiles, cfg.normalization,
+                                                      centroids=cfg.k)
+    result = clustering.kmeans(speakers, cfg.k, seed=cfg.seed, init=cfg.init)
     lines = ["speaker_id,cluster"]
-    for v in vectors:
-        lines.append(f"{v.speaker_id},{result.assignments[v.speaker_id]}")
+    for sid in speakers.speaker_ids:
+        lines.append(f"{sid},{result.assignments[sid]}")
     files.write(out / "clusters.csv", "\n".join(lines) + "\n")
 
-    centroid_vectors = [
-        clustering.SpeakerVector(f"centroid_{c}", result.centroids[c],
-                                 cfg.normalization)
-        for c in range(cfg.k)
-    ]
     embedded = clustering.tsne(
-        vectors + centroid_vectors,
+        speakers,
         perplexity=cfg.perplexity,
         learning_rate=cfg.learning_rate,
         iterations=cfg.tsne_iterations,
@@ -317,7 +316,7 @@ def _cluster_outputs(profiles, cfg: RunConfig, files: Writer) -> None:
         early_exaggeration=cfg.early_exaggeration,
     )
     lines = ["speaker_id,x,y,kind"]
-    speaker_count = len(vectors)
+    speaker_count = len(speakers.speaker_ids)
     for i, point in enumerate(embedded.points):
         kind = "speaker" if i < speaker_count else "centroid"
         lines.append(f"{point.speaker_id},{point.x!r},{point.y!r},{kind}")

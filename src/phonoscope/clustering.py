@@ -37,6 +37,19 @@ class SpeakerVector:
     normalization: str = RAW_COUNTS
 
 
+def _vectorize_into(counts: np.ndarray, normalization: str, out: np.ndarray) -> None:
+    """Write the row-major flattening of a count grid into the contiguous
+    float64 vector out, normalized as vectorize describes."""
+    if normalization not in (RAW_COUNTS, ROW_FREQUENCY):
+        raise ValidationError(f"unknown normalization {normalization!r}")
+    grid = out.reshape(counts.shape)
+    grid[...] = counts
+    if normalization == ROW_FREQUENCY:
+        sums = grid.sum(axis=1, keepdims=True)
+        nonzero = sums[:, 0] > 0
+        grid[nonzero] /= sums[nonzero]
+
+
 def vectorize(matrix, normalization: str = RAW_COUNTS,
               speaker_id: str = "") -> SpeakerVector:
     """Flatten a ConfusionMatrix (or a SpeakerProfile) into one vector.
@@ -49,14 +62,61 @@ def vectorize(matrix, normalization: str = RAW_COUNTS,
         matrix = matrix.matrix
     if not isinstance(matrix, ConfusionMatrix):
         raise ValidationError("vectorize expects a ConfusionMatrix or SpeakerProfile")
-    counts = matrix.counts.astype(np.float64)
-    if normalization == ROW_FREQUENCY:
-        sums = counts.sum(axis=1, keepdims=True)
-        nonzero = sums[:, 0] > 0
-        counts[nonzero] /= sums[nonzero]
-    elif normalization != RAW_COUNTS:
-        raise ValidationError(f"unknown normalization {normalization!r}")
-    return SpeakerVector(speaker_id, counts.reshape(-1), normalization)
+    values = np.empty(matrix.counts.size)
+    _vectorize_into(matrix.counts, normalization, values)
+    return SpeakerVector(speaker_id, values, normalization)
+
+
+@dataclass
+class SpeakerMatrix:
+    """Speaker vectors as the rows of one C-ordered float64 array, which
+    kmeans and tsne read in place.
+
+    The first len(speaker_ids) rows are speakers and the rows below them
+    are centroid rows. kmeans with k equal to their count clusters the
+    speaker rows and keeps its centroids in the centroid rows, so tsne
+    then embeds speakers and centroids (named centroid_0, centroid_1, ...)
+    from the one array.
+    """
+
+    speaker_ids: list[str]
+    data: np.ndarray
+
+    @classmethod
+    def from_profiles(cls, profiles, normalization: str = RAW_COUNTS,
+                      centroids: int = 0) -> SpeakerMatrix:
+        """Vectorize each SpeakerProfile straight into its row; the
+        centroids centroid rows start at zero."""
+        dim = profiles[0].matrix.counts.size if profiles else 0
+        data = np.zeros((len(profiles) + centroids, dim))
+        for row, profile in zip(data, profiles):
+            _vectorize_into(profile.matrix.counts, normalization, row)
+        return cls([p.speaker_id for p in profiles], data)
+
+    @classmethod
+    def stack(cls, vectors, centroids: int = 0) -> SpeakerMatrix:
+        """Copy SpeakerVectors into the rows of a new matrix with centroids
+        centroid rows."""
+        dim = len(vectors[0].values) if vectors else 0
+        data = np.zeros((len(vectors) + centroids, dim))
+        if vectors:
+            np.stack([np.asarray(v.values, dtype=np.float64) for v in vectors],
+                     out=data[:len(vectors)])
+        return cls([v.speaker_id for v in vectors], data)
+
+    @property
+    def speaker_rows(self) -> np.ndarray:
+        return self.data[:len(self.speaker_ids)]
+
+    @property
+    def centroid_rows(self) -> np.ndarray:
+        return self.data[len(self.speaker_ids):]
+
+    @property
+    def ids(self) -> list[str]:
+        """One name per row: the speakers', then centroid_<c>."""
+        return self.speaker_ids + [f"centroid_{c}"
+                                   for c in range(len(self.centroid_rows))]
 
 
 @dataclass
@@ -99,25 +159,45 @@ def check_parameters(vectors: int, k: int | None = None,
             raise ValidationError(f"{name} {value} must be finite and above 0")
 
 
-def _stack(vectors) -> tuple[list[str], np.ndarray]:
-    ids = [v.speaker_id for v in vectors]
-    data = np.stack([np.asarray(v.values, dtype=np.float64) for v in vectors])
-    return ids, data
+# Most bytes of row differences _sq_dists and _self_sq_dists hold at once:
+# they take the difference of one block of rows at a time, so no temporary
+# is as large as the speaker matrix.
+BLOCK_BYTES = 1 << 18
+
+
+def _block_buffer(data: np.ndarray) -> np.ndarray:
+    """Scratch for BLOCK_BYTES of data's rows (at least one row, at most all)."""
+    n, dim = data.shape
+    rows = max(1, BLOCK_BYTES // max(1, dim * data.itemsize))
+    return np.empty((min(n, rows), dim))
+
+
+def _sq_dists_to(data: np.ndarray, point: np.ndarray, out: np.ndarray,
+                 buffer: np.ndarray) -> None:
+    """out[i] = squared distance of data row i to point, one block of
+    len(buffer) rows at a time."""
+    step = len(buffer)
+    for start in range(0, len(data), step):
+        block = data[start:start + step]
+        diff = buffer[:len(block)]
+        np.subtract(block, point, out=diff)
+        out[start:start + len(block)] = np.einsum("ij,ij->i", diff, diff)
 
 
 def _sq_dists(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared distance of every data row to every center, one column per
-    center, so no len(data) x len(centers) x dim temporary is built."""
+    center. The row differences are taken one block of at most
+    BLOCK_BYTES at a time, so no len(data) x dim temporary is built."""
     out = np.empty((data.shape[0], centers.shape[0]))
+    buffer = _block_buffer(data)
     for j, center in enumerate(centers):
-        diff = data - center
-        out[:, j] = np.einsum("ij,ij->i", diff, diff)
+        _sq_dists_to(data, center, out[:, j], buffer)
     return out
 
 
-def _init_kmeanspp(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = data.shape[0]
-    centers = np.empty((k, data.shape[1]))
+def _init_kmeanspp(data: np.ndarray, centers: np.ndarray,
+                   rng: np.random.Generator) -> None:
+    n, k = data.shape[0], centers.shape[0]
     first = rng.integers(n)
     centers[0] = data[first]
     closest = _sq_dists(data, centers[:1])[:, 0]
@@ -130,7 +210,6 @@ def _init_kmeanspp(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
             idx = rng.choice(n, p=closest / total)
         centers[c] = data[idx]
         closest = np.minimum(closest, _sq_dists(data, centers[c:c + 1])[:, 0])
-    return centers
 
 
 def kmeans(vectors, k: int, seed: int = DEFAULT_SEED, init: str = DEFAULT_INIT,
@@ -140,15 +219,25 @@ def kmeans(vectors, k: int, seed: int = DEFAULT_SEED, init: str = DEFAULT_INIT,
     Empty clusters are re-seeded with the point farthest from its
     assigned centroid. Inertia is checked to be non-increasing on every
     iteration.
+
+    vectors is a SpeakerMatrix, whose speaker rows are clustered in place
+    and whose k centroid rows receive the centroids, or a sequence of
+    SpeakerVectors, which are first copied into one.
     """
-    ids, data = _stack(vectors)
+    if not isinstance(vectors, SpeakerMatrix):
+        check_parameters(len(vectors), k=k)
+        vectors = SpeakerMatrix.stack(vectors, centroids=k)
+    data, centers = vectors.speaker_rows, vectors.centroid_rows
     n = data.shape[0]
     check_parameters(n, k=k, seed=seed)
+    if len(centers) != k:
+        raise ValidationError(f"k={k} needs {k} centroid rows, "
+                              f"the matrix has {len(centers)}")
     rng = np.random.default_rng(seed)
     if init == "kmeanspp":
-        centers = _init_kmeanspp(data, k, rng)
+        _init_kmeanspp(data, centers, rng)
     elif init == "forgy":
-        centers = data[rng.choice(n, size=k, replace=False)].copy()
+        centers[...] = data[rng.choice(n, size=k, replace=False)]
     else:
         raise ValidationError(f"unknown init {init!r}")
 
@@ -162,7 +251,7 @@ def kmeans(vectors, k: int, seed: int = DEFAULT_SEED, init: str = DEFAULT_INIT,
         for c in range(k):
             members = labels == c
             if members.any():
-                centers[c] = data[members].mean(axis=0)
+                np.mean(data, axis=0, where=members[:, None], out=centers[c])
             else:
                 farthest = int(np.argmax(dists[np.arange(n), labels]))
                 centers[c] = data[farthest]
@@ -182,7 +271,7 @@ def kmeans(vectors, k: int, seed: int = DEFAULT_SEED, init: str = DEFAULT_INIT,
         if converged or plateau:
             break
 
-    assignments = {sid: int(c) for sid, c in zip(ids, labels)}
+    assignments = {sid: int(c) for sid, c in zip(vectors.speaker_ids, labels)}
     return ClusterResult(assignments, centers, inertia, iterations, seed, history)
 
 
@@ -233,9 +322,9 @@ def _self_sq_dists(data: np.ndarray) -> np.ndarray:
     (b - a)**2 exactly, so the lower triangle is mirrored."""
     n = data.shape[0]
     out = np.empty((n, n))
+    buffer = _block_buffer(data)
     for j in range(n):
-        diff = data[j:] - data[j]
-        out[j:, j] = np.einsum("ij,ij->i", diff, diff)
+        _sq_dists_to(data[j:], data[j], out[j:, j], buffer)
         out[j, j:] = out[j:, j]
     return out
 
@@ -290,20 +379,34 @@ def conditional_affinities(sq_dists: np.ndarray, perplexity: float,
 
 def symmetrized_affinities(conditional: np.ndarray) -> np.ndarray:
     n = conditional.shape[0]
-    return (conditional + conditional.T) / (2.0 * n)
+    P = np.add(conditional, conditional.T)
+    P /= 2.0 * n
+    return P
 
 
 def _kl(P: np.ndarray, Y: np.ndarray) -> float:
-    """KL(P || Q) in nats, Q the embedding's normalized Student-t kernel."""
-    num = pairwise_sq_dists(Y)
-    num += 1.0
-    np.divide(1.0, num, out=num)
-    np.fill_diagonal(num, 0.0)
-    Q = num / num.sum()
+    """KL(P || Q) in nats, Q the embedding's normalized Student-t kernel.
+
+    At most three n x n arrays are alive at once: P, Q (built in the
+    buffer of the kernel's weights) and one array of P's nonzero entries
+    that the terms are computed in."""
+    Q = pairwise_sq_dists(Y)
+    Q += 1.0
+    np.divide(1.0, Q, out=Q)
+    np.fill_diagonal(Q, 0.0)
+    Q /= Q.sum()
     tiny = 1e-12
     mask = P > 0
-    return float((P[mask] * np.log(np.maximum(P[mask], tiny)
-                                   / np.maximum(Q[mask], tiny))).sum())
+    q = Q[mask]
+    del Q
+    np.maximum(q, tiny, out=q)
+    terms = P[mask]
+    np.maximum(terms, tiny, out=terms)
+    terms /= q
+    del q
+    np.log(terms, out=terms)
+    terms *= P[mask]
+    return float(terms.sum())
 
 
 @np.errstate(over="ignore", invalid="ignore")   # divergence is checked at the end
@@ -319,8 +422,13 @@ def tsne(vectors, perplexity: float = DEFAULT_PERPLEXITY,
     after); the input set is tiny so no tree approximation is warranted.
     The descent runs in the kernel that alignment.backend() names, with
     every sum in one fixed order, so both backends give the same bytes.
+
+    vectors is a SpeakerMatrix, all of whose rows are embedded in place,
+    or a sequence of SpeakerVectors, which are first copied into one.
     """
-    ids, data = _stack(vectors)
+    if not isinstance(vectors, SpeakerMatrix):
+        vectors = SpeakerMatrix.stack(vectors)
+    data = vectors.data
     n = data.shape[0]
     check_parameters(n, perplexity=perplexity, seed=seed,
                      learning_rate=learning_rate, iterations=iterations,
@@ -329,6 +437,7 @@ def tsne(vectors, perplexity: float = DEFAULT_PERPLEXITY,
     cond, _ = conditional_affinities(_self_sq_dists(data), perplexity,
                                      entropy_tol)
     P = symmetrized_affinities(cond)
+    del cond
 
     rng = np.random.default_rng(seed)
     Y = rng.normal(0.0, 1e-4, size=(n, 2))
@@ -340,5 +449,6 @@ def tsne(vectors, perplexity: float = DEFAULT_PERPLEXITY,
     if not np.isfinite(Y).all() or not np.isfinite(final_kl):
         raise ValidationError("t-SNE diverged; lower the learning rate")
 
-    points = [EmbeddingPoint(sid, float(x), float(y)) for sid, (x, y) in zip(ids, Y)]
+    points = [EmbeddingPoint(sid, float(x), float(y))
+              for sid, (x, y) in zip(vectors.ids, Y)]
     return TsneResult(points, final_kl, initial_kl, iterations)

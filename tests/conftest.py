@@ -8,7 +8,7 @@ from hypothesis import settings
 
 from phonoscope import CostMatrix, PhonemeInventory, ValidationError, align, alignment
 from phonoscope.alignment import DEFAULT_TIE_BREAK, VariantAlignment, _check_sequence
-from phonoscope.clustering import SpeakerVector
+from phonoscope.clustering import SpeakerVector, conditional_affinities, pairwise_sq_dists
 
 ORACLE_MAX_COMBINATIONS = 4096
 BRUTEFORCE_MAX = 12
@@ -157,6 +157,113 @@ def make_group_vectors(seed=0, groups=6, per_group=4, dim=1600):
             vectors.append(SpeakerVector(sid, templates[g] + noise))
             labels[sid] = f"group{g}"
     return vectors, labels
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# Oracles for clustering's bounded-memory rewrite: the formulations that
+# built full-size temporaries (an n x d difference per center or point, a
+# data[members] copy, six n x n arrays in the KL). The rewrite does the same
+# float operations in the same order, so results must match bit for bit.
+
+def vectorize_full(counts, normalization):
+    counts = counts.astype(np.float64)
+    if normalization == "row_frequency":
+        sums = counts.sum(axis=1, keepdims=True)
+        nonzero = sums[:, 0] > 0
+        counts[nonzero] /= sums[nonzero]
+    return counts.reshape(-1)
+
+
+def sq_dists_full(data, centers):
+    out = np.empty((data.shape[0], centers.shape[0]))
+    for j, center in enumerate(centers):
+        diff = data - center
+        out[:, j] = np.einsum("ij,ij->i", diff, diff)
+    return out
+
+
+def self_sq_dists_full(data):
+    n = data.shape[0]
+    out = np.empty((n, n))
+    for j in range(n):
+        diff = data[j:] - data[j]
+        out[j:, j] = np.einsum("ij,ij->i", diff, diff)
+        out[j, j:] = out[j:, j]
+    return out
+
+
+def kmeans_full(data, k, seed, init, max_iter=300, rel_tol=1e-9):
+    """k-means on the rows of data; returns (labels, centers, inertia_history)."""
+    n = data.shape[0]
+    rng = np.random.default_rng(seed)
+    if init == "kmeanspp":
+        centers = np.empty((k, data.shape[1]))
+        centers[0] = data[rng.integers(n)]
+        closest = sq_dists_full(data, centers[:1])[:, 0]
+        for c in range(1, k):
+            total = closest.sum()
+            idx = rng.integers(n) if total == 0.0 else rng.choice(n, p=closest / total)
+            centers[c] = data[idx]
+            closest = np.minimum(closest, sq_dists_full(data, centers[c:c + 1])[:, 0])
+    else:
+        centers = data[rng.choice(n, size=k, replace=False)].copy()
+    dists = sq_dists_full(data, centers)
+    labels = dists.argmin(axis=1)
+    inertia = float(dists[np.arange(n), labels].sum())
+    history = [inertia]
+    for _ in range(max_iter):
+        for c in range(k):
+            members = labels == c
+            if members.any():
+                centers[c] = data[members].mean(axis=0)
+            else:
+                farthest = int(np.argmax(dists[np.arange(n), labels]))
+                centers[c] = data[farthest]
+                labels[farthest] = c
+        dists = sq_dists_full(data, centers)
+        new_labels = dists.argmin(axis=1)
+        new_inertia = float(dists[np.arange(n), new_labels].sum())
+        history.append(new_inertia)
+        converged = bool((new_labels == labels).all())
+        plateau = abs(inertia - new_inertia) < rel_tol * max(inertia, 1e-30)
+        labels, inertia = new_labels, new_inertia
+        if converged or plateau:
+            break
+    return labels, centers, history
+
+
+def symmetrized_affinities_full(conditional):
+    n = conditional.shape[0]
+    return (conditional + conditional.T) / (2.0 * n)
+
+
+def kl_full(P, Y):
+    num = pairwise_sq_dists(Y)
+    num += 1.0
+    np.divide(1.0, num, out=num)
+    np.fill_diagonal(num, 0.0)
+    Q = num / num.sum()
+    tiny = 1e-12
+    mask = P > 0
+    return float((P[mask] * np.log(np.maximum(P[mask], tiny)
+                                   / np.maximum(Q[mask], tiny))).sum())
+
+
+def tsne_full(data, perplexity, iterations, seed, learning_rate=200.0,
+              early_exaggeration=12.0, exaggeration_iters=250):
+    """tsne on the rows of data with the oracles above and the active
+    kernel's descent; returns (embedding, final KL, initial KL)."""
+    cond, _ = conditional_affinities(self_sq_dists_full(data), perplexity)
+    P = symmetrized_affinities_full(cond)
+    Y = np.random.default_rng(seed).normal(0.0, 1e-4, size=(data.shape[0], 2))
+    initial_kl = kl_full(P, Y)
+    Y = alignment._kernel.tsne_descend(P, Y, learning_rate, iterations,
+                                       early_exaggeration, exaggeration_iters)
+    return Y, kl_full(P, Y), initial_kl
 
 
 _ACCEPTANCE_RESULTS = []

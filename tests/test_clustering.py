@@ -1,18 +1,41 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phonoscope import (
     ConfusionMatrix,
     PhonemeInventory,
     SpeakerProfile,
     ValidationError,
+    cli,
     kmeans,
     purity,
+    tsne,
     vectorize,
 )
-from phonoscope.clustering import SpeakerVector
+from phonoscope.clustering import (
+    BLOCK_BYTES,
+    RAW_COUNTS,
+    ROW_FREQUENCY,
+    SpeakerMatrix,
+    SpeakerVector,
+    _self_sq_dists,
+    _sq_dists,
+)
+from phonoscope.manifest import RunConfig
 
-from .conftest import make_group_vectors
+from .conftest import (
+    kmeans_full,
+    make_group_vectors,
+    same_bits,
+    self_sq_dists_full,
+    sq_dists_full,
+    tsne_full,
+    vectorize_full,
+)
 
 INV = PhonemeInventory.default()
 
@@ -163,3 +186,97 @@ def test_purity_missing_label():
     del labels[vectors[0].speaker_id]
     with pytest.raises(ValidationError):
         purity(result, labels)
+
+
+def random_grids(rng, count):
+    """count random count grids over INV, each a valid ConfusionMatrix."""
+    grids = rng.poisson(rng.choice([0.05, 0.5, 3.0]), size=(count, len(INV), len(INV)))
+    grids[:, INV.epsilon_index, INV.epsilon_index] = 0
+    return grids
+
+
+def test_blocked_distances_cross_block_boundaries():
+    """70 rows of 1681 floats span more than three blocks."""
+    rows_per_block = BLOCK_BYTES // (8 * len(INV) ** 2)
+    assert 2 * rows_per_block < 70
+    rng = np.random.default_rng(3)
+    data = random_grids(rng, 70).reshape(70, -1).astype(np.float64)
+    centers = data[[0, 25, 69]] + 0.5
+    assert same_bits(_sq_dists(data, centers), sq_dists_full(data, centers))
+    assert same_bits(_self_sq_dists(data), self_sq_dists_full(data))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 70), st.integers(1, 70),
+       st.integers(1, 4), st.sampled_from(["kmeanspp", "forgy"]),
+       st.sampled_from([RAW_COUNTS, ROW_FREQUENCY]), st.floats(0.0, 0.999),
+       st.sampled_from([0, 1, 30]))
+@example(0, 40, 1, 4, "kmeanspp", RAW_COUNTS, 0.5, 30)   # empty clusters reseeded
+@example(1, 70, 3, 4, "forgy", ROW_FREQUENCY, 0.999, 30)
+def test_speaker_matrix_path_matches_full_temporaries(seed, rows, distinct, k, init,
+                                                      normalization, fraction,
+                                                      iterations):
+    """The pipeline's path (profiles vectorized into one shared matrix, k-means
+    keeping its centroids in the matrix's last rows, t-SNE of the whole
+    matrix) gives the same bits as the formulations with full-size
+    temporaries. Rows are drawn from `distinct` grids, so they repeat."""
+    k = min(k, rows)
+    rng = np.random.default_rng(seed)
+    grids = random_grids(rng, min(distinct, rows))
+    picks = rng.integers(len(grids), size=rows)
+    profiles = [SpeakerProfile(f"s{i}", ConfusionMatrix(INV, grids[g]))
+                for i, g in enumerate(picks)]
+    matrix = SpeakerMatrix.from_profiles(profiles, normalization, centroids=k)
+    result = kmeans(matrix, k, seed=seed % 1000, init=init)
+
+    data = np.stack([vectorize_full(grids[g], normalization) for g in picks])
+    assert same_bits(matrix.speaker_rows, data)
+    labels, centers, history = kmeans_full(data, k, seed % 1000, init)
+    assert [result.assignments[p.speaker_id] for p in profiles] == labels.tolist()
+    assert same_bits(result.centroids, centers)
+    assert same_bits(matrix.centroid_rows, centers)
+    assert same_bits(result.inertia_history, history)
+
+    points = rows + k
+    if points < 3:
+        return
+    perplexity = 1.0 + fraction * (points - 2)
+    embedded = tsne(matrix, perplexity=perplexity, iterations=iterations,
+                    seed=seed % 1000)
+    Y, kl, initial_kl = tsne_full(np.vstack([data, centers]), perplexity,
+                                  iterations, seed % 1000)
+    assert [p.speaker_id for p in embedded.points] == (
+        [p.speaker_id for p in profiles] + [f"centroid_{c}" for c in range(k)])
+    assert same_bits([(p.x, p.y) for p in embedded.points], Y)
+    assert same_bits(embedded.kl_divergence, kl)
+    assert same_bits(embedded.initial_kl, initial_kl)
+
+
+def test_kmeans_rejects_a_matrix_without_k_centroid_rows():
+    profiles = [SpeakerProfile(f"s{i}", ConfusionMatrix(INV)) for i in range(4)]
+    with pytest.raises(ValidationError, match="centroid rows"):
+        kmeans(SpeakerMatrix.from_profiles(profiles, centroids=2), k=3)
+
+
+class _Files:
+    def write(self, path, text):
+        pass
+
+
+def test_cluster_outputs_memory_is_bounded(tmp_path):
+    """Clustering 203 speakers into k = 3 holds at most one (n + k) x d
+    matrix, four (n + k) x (n + k) float64 arrays and 1 MiB more at once,
+    counted by tracemalloc, which sees numpy's allocations."""
+    n, k = 203, 3
+    grids = random_grids(np.random.default_rng(0), n)
+    profiles = [SpeakerProfile(f"s{i}", ConfusionMatrix(INV, grid), "l1")
+                for i, grid in enumerate(grids)]
+    cfg = RunConfig(k=k, tsne_iterations=5, out_dir=tmp_path)
+    tracemalloc.start()
+    try:
+        cli._cluster_outputs(profiles, cfg, _Files())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    points, dim = n + k, len(INV) ** 2
+    assert peak <= 8 * (points * dim + 4 * points ** 2) + 2**20, peak

@@ -18,7 +18,7 @@ from phonoscope.clustering import (
     symmetrized_affinities,
 )
 
-from .conftest import kernel_backend, make_group_vectors
+from .conftest import kernel_backend, make_group_vectors, same_bits
 
 
 def simplex_vectors(n):
@@ -230,11 +230,6 @@ def fixed_order_tsne(data, perplexity, iterations, seed):
     Y = np.random.default_rng(seed).normal(0.0, 1e-4, size=(data.shape[0], 2))
     Y = loop_descend(P, Y, 200.0, iterations)
     return Y, reference_kl(P, Y)
-
-
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
