@@ -27,11 +27,10 @@ from .annotations import (
 from .clustering import (
     ClusterResult,
     EmbeddingPoint,
-    SpeakerVector,
+    SpeakerMatrix,
     kmeans,
     purity,
     tsne,
-    vectorize,
 )
 from .confusion import (
     ConfusionMatrix,
@@ -88,8 +87,8 @@ __all__ = [
     "PhonoscopeError",
     "PronunciationVariant",
     "RunConfig",
+    "SpeakerMatrix",
     "SpeakerProfile",
-    "SpeakerVector",
     "UndefinedRateError",
     "ValidationError",
     "accumulate",
@@ -118,5 +117,4 @@ __all__ = [
     "strip_stress",
     "tokenize",
     "tsne",
-    "vectorize",
 ]

@@ -277,8 +277,7 @@ class ComparisonTable:
             if stats is None:
                 sides.append((undefined,) * 3)
                 continue
-            mcs = next((s for s in stats.substitutes
-                        if s.symbol != inv.epsilon_index), None)
+            mcs = stats.most_common_substitute(inv.epsilon_index)
             sides.append((
                 format_percent(stats.correct, stats.occurrences),
                 inv.label(mcs.symbol) if mcs else "none",

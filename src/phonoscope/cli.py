@@ -40,6 +40,7 @@ from .manifest import (
     CorpusManifest,
     LoadedConfig,
     RunConfig,
+    check_id,
     comparison_stem,
     load_config,
 )
@@ -334,6 +335,7 @@ def cmd_cluster(args, loaded: LoadedConfig, files: Writer) -> int:
     for path in args.profiles:
         profile = SpeakerProfile.from_json(read_input(path), loaded.inventory,
                                            source=path)
+        check_id(profile.speaker_id, "speaker_id", path)
         if profile.speaker_id in sources:
             raise ValidationError(f"speaker {profile.speaker_id!r} is in both "
                                   f"{sources[profile.speaker_id]} and {path}")

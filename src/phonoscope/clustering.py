@@ -1,4 +1,4 @@
-"""Speaker vectors, k-means clustering, and a 2-D t-SNE embedding.
+"""The shared speaker matrix, k-means clustering, and a 2-D t-SNE embedding.
 
 Everything here is deterministic given (inputs, seed): numpy Generators
 are seeded explicitly and no step depends on iteration order of sets or
@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import alignment
-from .confusion import ConfusionMatrix, SpeakerProfile
 from .errors import ValidationError
 
 RAW_COUNTS = "raw_counts"
@@ -27,19 +26,19 @@ DEFAULT_LEARNING_RATE = 200.0
 DEFAULT_TSNE_ITERATIONS = 1000
 DEFAULT_EARLY_EXAGGERATION = 12.0
 
-
-@dataclass
-class SpeakerVector:
-    """Row-major flattening of a confusion matrix (inventory² dimensions)."""
-
-    speaker_id: str
-    values: np.ndarray
-    normalization: str = RAW_COUNTS
+# Fixed tuning: k-means's iteration cap and relative inertia plateau,
+# t-SNE's exaggerated iterations, the affinity search's bits and steps.
+KMEANS_MAX_ITER = 300
+KMEANS_REL_TOL = 1e-9
+EXAGGERATION_ITERS = 250
+ENTROPY_TOL = 1e-5
+AFFINITY_MAX_STEPS = 100
 
 
 def _vectorize_into(counts: np.ndarray, normalization: str, out: np.ndarray) -> None:
     """Write the row-major flattening of a count grid into the contiguous
-    float64 vector out, normalized as vectorize describes."""
+    float64 vector out; row_frequency scales each nonempty row to sum 1,
+    so speakers with different utterance volumes become comparable."""
     if normalization not in (RAW_COUNTS, ROW_FREQUENCY):
         raise ValidationError(f"unknown normalization {normalization!r}")
     grid = out.reshape(counts.shape)
@@ -48,23 +47,6 @@ def _vectorize_into(counts: np.ndarray, normalization: str, out: np.ndarray) -> 
         sums = grid.sum(axis=1, keepdims=True)
         nonzero = sums[:, 0] > 0
         grid[nonzero] /= sums[nonzero]
-
-
-def vectorize(matrix, normalization: str = RAW_COUNTS,
-              speaker_id: str = "") -> SpeakerVector:
-    """Flatten a ConfusionMatrix (or a SpeakerProfile) into one vector.
-
-    row_frequency divides each row by its sum so speakers with different
-    utterance volumes become comparable; empty rows stay zero.
-    """
-    if isinstance(matrix, SpeakerProfile):
-        speaker_id = matrix.speaker_id
-        matrix = matrix.matrix
-    if not isinstance(matrix, ConfusionMatrix):
-        raise ValidationError("vectorize expects a ConfusionMatrix or SpeakerProfile")
-    values = np.empty(matrix.counts.size)
-    _vectorize_into(matrix.counts, normalization, values)
-    return SpeakerVector(speaker_id, values, normalization)
 
 
 @dataclass
@@ -92,17 +74,6 @@ class SpeakerMatrix:
         for row, profile in zip(data, profiles):
             _vectorize_into(profile.matrix.counts, normalization, row)
         return cls([p.speaker_id for p in profiles], data)
-
-    @classmethod
-    def stack(cls, vectors, centroids: int = 0) -> SpeakerMatrix:
-        """Copy SpeakerVectors into the rows of a new matrix with centroids
-        centroid rows."""
-        dim = len(vectors[0].values) if vectors else 0
-        data = np.zeros((len(vectors) + centroids, dim))
-        if vectors:
-            np.stack([np.asarray(v.values, dtype=np.float64) for v in vectors],
-                     out=data[:len(vectors)])
-        return cls([v.speaker_id for v in vectors], data)
 
     @property
     def speaker_rows(self) -> np.ndarray:
@@ -212,22 +183,17 @@ def _init_kmeanspp(data: np.ndarray, centers: np.ndarray,
         closest = np.minimum(closest, _sq_dists(data, centers[c:c + 1])[:, 0])
 
 
-def kmeans(vectors, k: int, seed: int = DEFAULT_SEED, init: str = DEFAULT_INIT,
-           max_iter: int = 300, rel_tol: float = 1e-9) -> ClusterResult:
-    """Lloyd iterations until assignment fixpoint, inertia plateau, or max_iter.
+def kmeans(speakers: SpeakerMatrix, k: int, seed: int = DEFAULT_SEED,
+           init: str = DEFAULT_INIT) -> ClusterResult:
+    """Lloyd iterations until assignment fixpoint, inertia plateau, or
+    KMEANS_MAX_ITER.
 
     Empty clusters are re-seeded with the point farthest from its
     assigned centroid. Inertia is checked to be non-increasing on every
-    iteration.
-
-    vectors is a SpeakerMatrix, whose speaker rows are clustered in place
-    and whose k centroid rows receive the centroids, or a sequence of
-    SpeakerVectors, which are first copied into one.
+    iteration. The speaker rows of speakers are clustered in place and
+    its k centroid rows receive the centroids.
     """
-    if not isinstance(vectors, SpeakerMatrix):
-        check_parameters(len(vectors), k=k)
-        vectors = SpeakerMatrix.stack(vectors, centroids=k)
-    data, centers = vectors.speaker_rows, vectors.centroid_rows
+    data, centers = speakers.speaker_rows, speakers.centroid_rows
     n = data.shape[0]
     check_parameters(n, k=k, seed=seed)
     if len(centers) != k:
@@ -247,7 +213,7 @@ def kmeans(vectors, k: int, seed: int = DEFAULT_SEED, init: str = DEFAULT_INIT,
     history = [inertia]
     iterations = 0
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, KMEANS_MAX_ITER + 1):
         for c in range(k):
             members = labels == c
             if members.any():
@@ -266,12 +232,12 @@ def kmeans(vectors, k: int, seed: int = DEFAULT_SEED, init: str = DEFAULT_INIT,
             )
         history.append(new_inertia)
         converged = bool((new_labels == labels).all())
-        plateau = abs(inertia - new_inertia) < rel_tol * max(inertia, 1e-30)
+        plateau = abs(inertia - new_inertia) < KMEANS_REL_TOL * max(inertia, 1e-30)
         labels, inertia = new_labels, new_inertia
         if converged or plateau:
             break
 
-    assignments = {sid: int(c) for sid, c in zip(vectors.speaker_ids, labels)}
+    assignments = {sid: int(c) for sid, c in zip(speakers.speaker_ids, labels)}
     return ClusterResult(assignments, centers, inertia, iterations, seed, history)
 
 
@@ -329,12 +295,12 @@ def _self_sq_dists(data: np.ndarray) -> np.ndarray:
     return out
 
 
-def conditional_affinities(sq_dists: np.ndarray, perplexity: float,
-                           entropy_tol: float = 1e-5,
-                           max_steps: int = 100) -> tuple[np.ndarray, np.ndarray]:
+def conditional_affinities(sq_dists: np.ndarray,
+                           perplexity: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-point Gaussian affinities with entropy matched to log2(perplexity).
 
-    Binary search over each point's precision beta; returns the row-wise
+    Binary search over each point's precision beta, for at most
+    AFFINITY_MAX_STEPS steps to within ENTROPY_TOL bits; returns the row-wise
     conditional distribution matrix (zero diagonal, rows sum to 1) and
     the achieved entropies in bits. When the target entropy is
     unreachable (e.g. all neighbors equidistant) the closest achievable
@@ -354,7 +320,7 @@ def conditional_affinities(sq_dists: np.ndarray, perplexity: float,
         beta_min, beta_max = -np.inf, np.inf
         row = np.full_like(d, 1.0 / len(d))
         entropy = math.log2(len(d))
-        for _ in range(max_steps):
+        for _ in range(AFFINITY_MAX_STEPS):
             w = np.exp(-d * beta)
             total = w.sum()
             if total <= 0.0:
@@ -364,7 +330,7 @@ def conditional_affinities(sq_dists: np.ndarray, perplexity: float,
                 nz = row > 0
                 entropy = float(-(row[nz] * np.log2(row[nz])).sum())
                 diff = entropy - target
-            if abs(diff) <= entropy_tol:
+            if abs(diff) <= ENTROPY_TOL:
                 break
             if diff > 0:
                 beta_min = beta
@@ -410,32 +376,25 @@ def _kl(P: np.ndarray, Y: np.ndarray) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")   # divergence is checked at the end
-def tsne(vectors, perplexity: float = DEFAULT_PERPLEXITY,
+def tsne(speakers: SpeakerMatrix, perplexity: float = DEFAULT_PERPLEXITY,
          learning_rate: float = DEFAULT_LEARNING_RATE,
          iterations: int = DEFAULT_TSNE_ITERATIONS, seed: int = DEFAULT_SEED,
-         early_exaggeration: float = DEFAULT_EARLY_EXAGGERATION,
-         exaggeration_iters: int = 250,
-         entropy_tol: float = 1e-5) -> TsneResult:
+         early_exaggeration: float = DEFAULT_EARLY_EXAGGERATION) -> TsneResult:
     """Exact (non-approximated) t-SNE to 2 dimensions.
 
     Gradient descent with momentum (0.5 for the exaggerated phase, 0.8
     after); the input set is tiny so no tree approximation is warranted.
     The descent runs in the kernel that alignment.backend() names, with
     every sum in one fixed order, so both backends give the same bytes.
-
-    vectors is a SpeakerMatrix, all of whose rows are embedded in place,
-    or a sequence of SpeakerVectors, which are first copied into one.
+    Every row of speakers, centroid rows included, is embedded.
     """
-    if not isinstance(vectors, SpeakerMatrix):
-        vectors = SpeakerMatrix.stack(vectors)
-    data = vectors.data
+    data = speakers.data
     n = data.shape[0]
     check_parameters(n, perplexity=perplexity, seed=seed,
                      learning_rate=learning_rate, iterations=iterations,
                      early_exaggeration=early_exaggeration)
 
-    cond, _ = conditional_affinities(_self_sq_dists(data), perplexity,
-                                     entropy_tol)
+    cond, _ = conditional_affinities(_self_sq_dists(data), perplexity)
     P = symmetrized_affinities(cond)
     del cond
 
@@ -443,12 +402,12 @@ def tsne(vectors, perplexity: float = DEFAULT_PERPLEXITY,
     Y = rng.normal(0.0, 1e-4, size=(n, 2))
     initial_kl = _kl(P, Y)
     Y = alignment._kernel.tsne_descend(P, Y, learning_rate, iterations,
-                                       early_exaggeration, exaggeration_iters)
+                                       early_exaggeration, EXAGGERATION_ITERS)
 
     final_kl = _kl(P, Y)
     if not np.isfinite(Y).all() or not np.isfinite(final_kl):
         raise ValidationError("t-SNE diverged; lower the learning rate")
 
     points = [EmbeddingPoint(sid, float(x), float(y))
-              for sid, (x, y) in zip(vectors.ids, Y)]
+              for sid, (x, y) in zip(speakers.ids, Y)]
     return TsneResult(points, final_kl, initial_kl, iterations)

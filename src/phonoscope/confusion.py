@@ -93,17 +93,32 @@ class SpeakerProfile:
     @classmethod
     def from_json(cls, text: str, inventory: PhonemeInventory,
                   source=None) -> "SpeakerProfile":
+        """speaker_id must be a string, l1_label a string or null, and each
+        count and utterance_count a JSON integer in 0 .. 2**63 - 1."""
         try:
             doc = json.loads(text)
-            matrix = ConfusionMatrix(inventory, np.asarray(doc["counts"]))
-            return cls(
-                speaker_id=doc["speaker_id"],
-                matrix=matrix,
-                l1_label=doc.get("l1_label"),
-                utterance_count=int(doc["utterance_count"]),
-            )
-        except (KeyError, TypeError, ValueError, ValidationError) as exc:
+            sid, counts, utterances = (doc["speaker_id"], doc["counts"],
+                                       doc["utterance_count"])
+            l1_label = doc.get("l1_label")
+            if not isinstance(sid, str) or not isinstance(l1_label, (str, type(None))):
+                raise ValueError("speaker_id must be a string and l1_label a "
+                                 "string or null")
+            if not (_is_count(utterances) and isinstance(counts, list) and all(
+                    isinstance(row, list) and all(map(_is_count, row))
+                    for row in counts)):
+                raise ValueError("counts and utterance_count must be JSON integers "
+                                 "in 0 .. 2**63 - 1")
+            matrix = ConfusionMatrix(inventory, np.asarray(counts, dtype=np.int64))
+        # RecursionError: nesting too deep for the decoder
+        except (KeyError, TypeError, ValueError, RecursionError,
+                ValidationError) as exc:
             raise ParseError(f"bad profile JSON: {exc}", source=source) from exc
+        return cls(sid, matrix, l1_label, utterances)
+
+
+def _is_count(value) -> bool:
+    """A JSON integer (not a bool or a float) that fits a non-negative int64."""
+    return type(value) is int and 0 <= value < 2**63
 
 
 def accumulate(profile: SpeakerProfile, alignment: Alignment) -> SpeakerProfile:
@@ -154,21 +169,8 @@ def most_common_substitute(matrix: ConfusionMatrix, target,
     The epsilon (deletion) column is excluded unless include_deletion.
     Returns None when every off-diagonal count is zero.
     """
-    t = _require_row(matrix, target)
-    eps = matrix.inventory.epsilon_index
-    row = matrix.counts[t]
-    total = matrix.row_sum(t)
-    best = None
-    for c, count in enumerate(row):
-        if c == t:
-            continue
-        if c == eps and not include_deletion:
-            continue
-        if count > 0 and (best is None or count > row[best]):
-            best = c
-    if best is None:
-        return None
-    return Substitute(best, int(row[best]), total)
+    return phoneme_stats(matrix, target).most_common_substitute(
+        matrix.inventory.epsilon_index, include_deletion)
 
 
 @dataclass
@@ -183,6 +185,14 @@ class PhonemeStats:
     @property
     def recognition_rate(self) -> float:
         return self.correct / self.occurrences
+
+    def most_common_substitute(self, epsilon: int,
+                               include_deletion: bool = False) -> Substitute | None:
+        """The most common substitute (MCS): the first of substitutes, which
+        are sorted by count and then symbol, skipping the deletion (the
+        epsilon column) unless include_deletion."""
+        return next((s for s in self.substitutes
+                     if include_deletion or s.symbol != epsilon), None)
 
 
 def phoneme_stats(matrix: ConfusionMatrix, target) -> PhonemeStats:

@@ -64,7 +64,7 @@ def comparison_stem(l1_group: str) -> str:
     return "comparison_" + l1_group.replace("/", "_").replace(" ", "_")
 
 
-_UNSAFE_ID_CHARS = frozenset("/\\\0")
+_UNSAFE_ID_CHARS = frozenset("/\\\0,\"\r\n")
 _JSON_NAMES = {dict: "an object", list: "an array", str: "a string", int: "a number",
                float: "a number", bool: "a boolean", type(None): "null"}
 
@@ -82,13 +82,14 @@ def _expect(value, kind: type, what: str, source):
     return value
 
 
-def _check_path_component(value: str, what: str, source) -> None:
-    """Ids name output files and directories, so each must be one plain name."""
-    if (value in (".", "..") or not _UNSAFE_ID_CHARS.isdisjoint(value)
+def check_id(value: str, what: str, source) -> None:
+    """Ids name output files and directories and are written unquoted into
+    CSV rows, so each must be one plain name."""
+    if (value in ("", ".", "..") or not _UNSAFE_ID_CHARS.isdisjoint(value)
             or _has_surrogate(value)):
         raise ParseError(
-            f"{what} {value!r} is not a single path component "
-            "(no '/', '\\', NUL, lone surrogate, '.' or '..')", source=source,
+            f"{what} {value!r} is not a plain name (not empty, '.' or '..'; no "
+            "'/', '\\', ',', '\"', CR, LF, NUL or lone surrogate)", source=source,
         )
 
 
@@ -115,7 +116,7 @@ class CorpusManifest:
             sid = _expect(sdoc, dict, f"speakers[{n}]", source).get("speaker_id")
             if not sid or not isinstance(sid, str):
                 raise ParseError("speaker entry missing speaker_id", source=source)
-            _check_path_component(sid, "speaker_id", source)
+            check_id(sid, "speaker_id", source)
             if sid in seen_speakers:
                 raise ParseError(f"duplicate speaker_id {sid!r}", source=source)
             seen_speakers.add(sid)
@@ -135,7 +136,7 @@ class CorpusManifest:
                     raise ParseError(
                         f"utterance of {sid!r} missing utterance_id", source=source
                     )
-                _check_path_component(uid, f"utterance_id of {sid!r}", source)
+                check_id(uid, f"utterance_id of {sid!r}", source)
                 if uid in seen_utts:
                     raise ParseError(
                         f"duplicate utterance_id {uid!r} for speaker {sid!r}",

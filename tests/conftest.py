@@ -8,7 +8,7 @@ from hypothesis import settings
 
 from phonoscope import CostMatrix, PhonemeInventory, ValidationError, align, alignment
 from phonoscope.alignment import DEFAULT_TIE_BREAK, VariantAlignment, _check_sequence
-from phonoscope.clustering import SpeakerVector, conditional_affinities, pairwise_sq_dists
+from phonoscope.clustering import SpeakerMatrix, conditional_affinities, pairwise_sq_dists
 
 ORACLE_MAX_COMBINATIONS = 4096
 BRUTEFORCE_MAX = 12
@@ -136,7 +136,7 @@ def align_min_variant_bruteforce(expected_lattice, observed, costs,
 
 
 def make_group_vectors(seed=0, groups=6, per_group=4, dim=1600):
-    """Synthetic speaker vectors: per-group templates plus small noise.
+    """Synthetic (speaker id, values) rows: per-group templates plus small noise.
 
     Noise magnitude stays well under a tenth of the smallest
     inter-template distance, so group recovery is unambiguous.
@@ -154,9 +154,18 @@ def make_group_vectors(seed=0, groups=6, per_group=4, dim=1600):
         for i in range(per_group):
             noise = rng.normal(0.0, sigma, size=dim)
             sid = f"spk_{g}_{i}"
-            vectors.append(SpeakerVector(sid, templates[g] + noise))
+            vectors.append((sid, templates[g] + noise))
             labels[sid] = f"group{g}"
     return vectors, labels
+
+
+def speaker_matrix(rows, k=0):
+    """The (speaker id, values) rows stacked into a SpeakerMatrix, followed
+    by k zero centroid rows."""
+    values = [np.asarray(v, dtype=np.float64) for _, v in rows]
+    data = np.zeros((len(rows) + k, len(values[0]) if values else 0))
+    data[:len(rows)] = values
+    return SpeakerMatrix([sid for sid, _ in rows], data)
 
 
 def same_bits(a, b) -> bool:

@@ -45,6 +45,7 @@ from .conftest import (
     make_group_vectors,
     make_weighted_costs,
     random_cost_matrix,
+    speaker_matrix,
 )
 from .test_alignment import enumerate_scripts, plain_levenshtein
 
@@ -183,7 +184,7 @@ def test_c6_clustering_recovery():
         vectors, labels = make_group_vectors(seed=0)
         perfect = 0
         for seed in range(10):
-            result = kmeans(vectors, k=6, seed=seed, init="kmeanspp")
+            result = kmeans(speaker_matrix(vectors, 6), k=6, seed=seed, init="kmeanspp")
             history = result.inertia_history
             for earlier, later in zip(history, history[1:]):
                 assert later <= earlier
@@ -195,7 +196,7 @@ def test_c6_clustering_recovery():
 def test_c7_tsne_properties():
     with budget(60.0):
         vectors, labels = make_group_vectors(seed=0)
-        data = np.stack([v.values for v in vectors])
+        data = np.stack([v for _, v in vectors])
         cond, entropies = conditional_affinities(pairwise_sq_dists(data), 5.0)
         np.testing.assert_allclose(entropies, math.log2(5.0), atol=1e-5)
         sym = symmetrized_affinities(cond)
@@ -203,9 +204,9 @@ def test_c7_tsne_properties():
         np.testing.assert_allclose(sym, sym.T)
         assert abs(sym.sum() - 1.0) < 1e-9
 
-        ids = [v.speaker_id for v in vectors]
+        ids = [sid for sid, _ in vectors]
         for seed in range(5):
-            result = tsne(vectors, perplexity=5.0, seed=seed)
+            result = tsne(speaker_matrix(vectors), perplexity=5.0, seed=seed)
             assert result.kl_divergence < result.initial_kl
             coords = {p.speaker_id: (p.x, p.y) for p in result.points}
             intra, inter = [], []

@@ -17,6 +17,7 @@ from phonoscope import (
     CostMatrix,
     ParseError,
     PhonemeInventory,
+    SpeakerProfile,
     dump_alignment,
     parse_lexicon,
     phonemize,
@@ -508,7 +509,8 @@ def tiny_speaker(speaker_id="s1", utterance_id="u1", l1_label="L1A"):
     ]}
 
 
-UNSAFE_IDS = ["../../escaped", "a/b", "a\\b", ".", "..", "a\0b", "", "a\ud800"]
+UNSAFE_IDS = ["../../escaped", "a/b", "a\\b", ".", "..", "a\0b", "", "a\ud800",
+              "spk,m1", 'a"b', "a\rb", "a,b\nc"]
 
 
 @pytest.mark.parametrize("bad", UNSAFE_IDS)
@@ -533,6 +535,44 @@ def test_unsafe_utterance_id_rejected(tmp_path, bad):
                  "--out-dir", str(tmp_path / "a" / "out")])
     assert code == 2
     assert not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize("bad", UNSAFE_IDS)
+def test_unsafe_profile_speaker_id_rejected(tmp_path, capsys, bad):
+    paths = []
+    for sid in ("s1", "s2", bad):
+        path = tmp_path / f"{len(paths)}.json"
+        path.write_text(SpeakerProfile(sid, ConfusionMatrix(INV), "L1A", 1).to_json())
+        paths.append(str(path))
+    out = tmp_path / "out"
+    code = main(["cluster", *paths, "--k", "1", "--perplexity", "1",
+                 "--out-dir", str(out)])
+    assert code == 2
+    assert paths[-1] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, number", [
+    ("counts", str(2**70)), ("utterance_count", "1e999"), ("counts", "1.5"),
+])
+def test_profile_number_outside_int64_or_fractional_exits_2(tmp_path, capsys,
+                                                            key, number):
+    out = tmp_path / "aligned"
+    assert main(["align", *sample_args(out)]) == 0
+    paths = sorted((out / "profiles").glob("*.json"))[:4]
+    doc = json.loads(paths[0].read_text())
+    if key == "counts":
+        doc["counts"][INV.index("TH")][INV.index("S")] = "NUMBER"
+    else:
+        doc[key] = "NUMBER"
+    paths[0].write_text(json.dumps(doc).replace('"NUMBER"', number))
+    capsys.readouterr()
+    code = main(["cluster", *map(str, paths), "--k", "2", "--perplexity", "1",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(paths[0]) in err and "internal error" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("labels", [("a b", "a_b"), ("a/b", "a_b"), ("a b", "a/b")])
@@ -762,7 +802,8 @@ def test_library_defaults_match_run_config():
         (default(clustering.tsne, "seed"), cfg.seed),
         (default(clustering.kmeans, "seed"), cfg.seed),
         (default(clustering.kmeans, "init"), cfg.init),
-        (default(clustering.vectorize, "normalization"), cfg.normalization),
+        (default(clustering.SpeakerMatrix.from_profiles, "normalization"),
+         cfg.normalization),
         (default(annotations.compare, "top_k"), cfg.top_k),
         (default(annotations.compare, "min_occurrences"), cfg.min_occurrences),
         (default(alignment.align, "tie_break"), cfg.tie_break),
@@ -943,3 +984,14 @@ def test_tsne_divergence_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", *sample_args(out, ["--k", "3", "--learning-rate", "1e308"])]) == 2
     assert "t-SNE diverged" in capsys.readouterr().err
+
+
+def test_readme_library_snippet_runs(monkeypatch, capsys):
+    """README's "Library use" block runs as written from sample_corpus/."""
+    readme = (REPO / "README.md").read_text()
+    block = readme.split("## Library use\n\n```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(SAMPLE)
+    exec(compile(block, "README.md", "exec"), {})
+    rate, mcs = capsys.readouterr().out.splitlines()
+    assert rate == "0.5"
+    assert mcs == f"Substitute(symbol={INV.index('S')}, count=1, occurrences=2)"

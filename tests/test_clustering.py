@@ -14,14 +14,12 @@ from phonoscope import (
     kmeans,
     purity,
     tsne,
-    vectorize,
 )
 from phonoscope.clustering import (
     BLOCK_BYTES,
     RAW_COUNTS,
     ROW_FREQUENCY,
     SpeakerMatrix,
-    SpeakerVector,
     _self_sq_dists,
     _sq_dists,
 )
@@ -32,6 +30,7 @@ from .conftest import (
     make_group_vectors,
     same_bits,
     self_sq_dists_full,
+    speaker_matrix,
     sq_dists_full,
     tsne_full,
     vectorize_full,
@@ -40,19 +39,25 @@ from .conftest import (
 INV = PhonemeInventory.default()
 
 
+def profile_row(matrix, normalization=RAW_COUNTS):
+    """The one row SpeakerMatrix.from_profiles gives a profile of matrix."""
+    profile = SpeakerProfile("s", matrix)
+    return SpeakerMatrix.from_profiles([profile], normalization).data[0]
+
+
 def test_vectorize_zero_matrix():
-    v = vectorize(ConfusionMatrix(INV))
-    assert v.values.shape == (1600,)
-    assert not v.values.any()
+    v = profile_row(ConfusionMatrix(INV))
+    assert v.shape == (1600,)
+    assert not v.any()
 
 
 def test_vectorize_row_major_indexing():
     m = ConfusionMatrix(INV)
     m.counts[0, 1] = 5
-    assert vectorize(m).values[1] == 5.0
+    assert profile_row(m)[1] == 5.0
     m2 = ConfusionMatrix(INV)
     m2.counts[2, 3] = 7
-    assert vectorize(m2).values[2 * 40 + 3] == 7.0
+    assert profile_row(m2)[2 * 40 + 3] == 7.0
 
 
 def test_vectorize_row_frequency_sums():
@@ -61,7 +66,7 @@ def test_vectorize_row_frequency_sums():
     counts[INV.epsilon_index, INV.epsilon_index] = 0
     counts[5] = 0  # force an empty row
     m = ConfusionMatrix(INV, counts)
-    v = vectorize(m, "row_frequency").values
+    v = profile_row(m, "row_frequency")
     for r in range(40):
         span = v[r * 40:(r + 1) * 40]
         row_total = counts[r].sum()
@@ -75,7 +80,7 @@ def test_vectorize_row_frequency_sums():
 
 def test_vectorize_profile_carries_id():
     p = SpeakerProfile("spk_7", ConfusionMatrix(INV))
-    assert vectorize(p).speaker_id == "spk_7"
+    assert SpeakerMatrix.from_profiles([p]).speaker_ids == ["spk_7"]
 
 
 def test_vectorize_injective_on_random_matrices():
@@ -84,23 +89,23 @@ def test_vectorize_injective_on_random_matrices():
     for _ in range(60):
         counts = rng.integers(0, 4, size=(40, 40))
         counts[INV.epsilon_index, INV.epsilon_index] = 0
-        v = vectorize(ConfusionMatrix(INV, counts))
-        seen.add(v.values.tobytes())
+        v = profile_row(ConfusionMatrix(INV, counts))
+        seen.add(v.tobytes())
     assert len(seen) == 60  # distinct matrices gave distinct vectors
 
 
 def test_vectorize_rejects_unknown_normalization():
     with pytest.raises(ValidationError):
-        vectorize(ConfusionMatrix(INV), "zscore")
+        profile_row(ConfusionMatrix(INV), "zscore")
 
 
-def vecs(arrays):
-    return [SpeakerVector(f"v{i}", np.asarray(a, float)) for i, a in enumerate(arrays)]
+def vecs(arrays, k):
+    return speaker_matrix([(f"v{i}", a) for i, a in enumerate(arrays)], k)
 
 
 def test_kmeans_k1_closed_form():
     data = [[0.0, 0.0], [2.0, 0.0], [4.0, 6.0]]
-    result = kmeans(vecs(data), k=1, seed=0)
+    result = kmeans(vecs(data, 1), k=1, seed=0)
     mean = np.mean(data, axis=0)
     np.testing.assert_allclose(result.centroids[0], mean)
     expected_inertia = sum(((np.array(p) - mean) ** 2).sum() for p in data)
@@ -108,36 +113,36 @@ def test_kmeans_k1_closed_form():
 
 
 def test_kmeans_two_points_two_clusters():
-    result = kmeans(vecs([[0.0, 0.0], [5.0, 5.0]]), k=2, seed=3)
+    result = kmeans(vecs([[0.0, 0.0], [5.0, 5.0]], 2), k=2, seed=3)
     assert result.inertia == 0.0
     assert sorted(result.assignments.values()) == [0, 1]
 
 
 def test_kmeans_k_out_of_range():
     with pytest.raises(ValidationError):
-        kmeans(vecs([[1.0], [2.0]]), k=3)
+        kmeans(vecs([[1.0], [2.0]], 3), k=3)
     with pytest.raises(ValidationError):
-        kmeans(vecs([[1.0], [2.0]]), k=0)
+        kmeans(vecs([[1.0], [2.0]], 0), k=0)
 
 
 def test_kmeans_recovers_groups_across_seeds():
     vectors, labels = make_group_vectors(seed=0)
     for seed in range(10):
-        result = kmeans(vectors, k=6, seed=seed)
+        result = kmeans(speaker_matrix(vectors, 6), k=6, seed=seed)
         assert purity(result, labels) == 1.0
 
 
 def test_kmeans_inertia_never_increases():
     vectors, _ = make_group_vectors(seed=1)
-    result = kmeans(vectors, k=6, seed=0)
+    result = kmeans(speaker_matrix(vectors, 6), k=6, seed=0)
     for earlier, later in zip(result.inertia_history, result.inertia_history[1:]):
         assert later <= earlier
 
 
 def test_kmeans_deterministic_given_seed():
     vectors, _ = make_group_vectors(seed=2)
-    a = kmeans(vectors, k=6, seed=9)
-    b = kmeans(vectors, k=6, seed=9)
+    a = kmeans(speaker_matrix(vectors, 6), k=6, seed=9)
+    b = kmeans(speaker_matrix(vectors, 6), k=6, seed=9)
     assert a.assignments == b.assignments
     np.testing.assert_array_equal(a.centroids, b.centroids)
     assert a.inertia == b.inertia
@@ -145,45 +150,45 @@ def test_kmeans_deterministic_given_seed():
 
 def test_kmeans_forgy_init():
     vectors, labels = make_group_vectors(seed=3)
-    result = kmeans(vectors, k=6, seed=1, init="forgy")
+    result = kmeans(speaker_matrix(vectors, 6), k=6, seed=1, init="forgy")
     assert set(result.assignments.values()) <= set(range(6))
     assert result.inertia >= 0.0
 
 
 def test_kmeans_fixpoint_assignments_are_nearest():
     vectors, _ = make_group_vectors(seed=4)
-    result = kmeans(vectors, k=6, seed=2)
-    data = np.stack([v.values for v in vectors])
+    result = kmeans(speaker_matrix(vectors, 6), k=6, seed=2)
+    data = np.stack([values for _, values in vectors])
     d = ((data[:, None, :] - result.centroids[None]) ** 2).sum(-1)
     nearest = d.argmin(axis=1)
-    got = np.array([result.assignments[v.speaker_id] for v in vectors])
+    got = np.array([result.assignments[sid] for sid, _ in vectors])
     np.testing.assert_array_equal(nearest, got)
 
 
 def test_kmeans_handles_duplicate_points():
     data = [[0.0, 0.0]] * 4 + [[9.0, 9.0]]
-    result = kmeans(vecs(data), k=3, seed=0)
+    result = kmeans(vecs(data, 3), k=3, seed=0)
     assert set(result.assignments.values()) <= {0, 1, 2}
     assert np.isfinite(result.inertia)
 
 
 def test_kmeans_unknown_init():
     with pytest.raises(ValidationError):
-        kmeans(vecs([[1.0], [2.0]]), k=1, init="random++")
+        kmeans(vecs([[1.0], [2.0]], 1), k=1, init="random++")
 
 
 def test_purity_perfect_and_degenerate():
     vectors, labels = make_group_vectors(seed=5)
-    perfect = kmeans(vectors, k=6, seed=0)
+    perfect = kmeans(speaker_matrix(vectors, 6), k=6, seed=0)
     assert purity(perfect, labels) == 1.0
-    collapsed = kmeans(vectors, k=1, seed=0)
+    collapsed = kmeans(speaker_matrix(vectors, 1), k=1, seed=0)
     assert purity(collapsed, labels) == 4 / 24
 
 
 def test_purity_missing_label():
     vectors, labels = make_group_vectors(seed=6)
-    result = kmeans(vectors, k=6, seed=0)
-    del labels[vectors[0].speaker_id]
+    result = kmeans(speaker_matrix(vectors, 6), k=6, seed=0)
+    del labels[vectors[0][0]]
     with pytest.raises(ValidationError):
         purity(result, labels)
 

@@ -26,6 +26,7 @@ from phonoscope import (
     tokenize,
 )
 from phonoscope.alignment import KINDS, Alignment, EditOp
+from phonoscope.confusion import Substitute
 
 INV = PhonemeInventory.default()
 EPS = INV.epsilon_index
@@ -140,6 +141,41 @@ def test_mcs_include_deletion_flag():
     with_eps = most_common_substitute(m, "TH", include_deletion=True)
     assert with_eps.symbol == EPS
     assert with_eps.count == 93
+
+
+def most_common_substitute_scan(matrix, target, include_deletion=False):
+    """most_common_substitute's first formulation (oracle): one scan of the
+    target row that keeps the first strictly larger off-diagonal count."""
+    row = matrix.counts[target]
+    best = None
+    for c, count in enumerate(row):
+        if c == target or (c == EPS and not include_deletion):
+            continue
+        if count > 0 and (best is None or count > row[best]):
+            best = c
+    if best is None:
+        return None
+    return Substitute(best, int(row[best]), matrix.row_sum(target))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2), min_size=len(INV), max_size=len(INV)),
+       st.sampled_from(INV.non_epsilon_indices()), st.booleans())
+@example([0] * len(INV), INV.index("TH"), False)             # empty row
+@example([1] * len(INV), INV.index("TH"), True)              # all tied, deletion first
+@example([0] * EPS + [2] + [0] * (len(INV) - EPS - 1), 0, False)  # only deletions
+@example([0] * EPS + [2] + [0] * (len(INV) - EPS - 1), 0, True)
+def test_mcs_matches_the_row_scan(row, target, include_deletion):
+    """Counts of 0-2 tie often; the pick from phoneme_stats equals the scan's."""
+    counts = np.zeros((len(INV), len(INV)), dtype=np.int64)
+    counts[target] = row
+    m = ConfusionMatrix(INV, counts)
+    if m.row_sum(target) == 0:
+        with pytest.raises(UndefinedRateError):
+            most_common_substitute(m, target, include_deletion)
+        return
+    assert (most_common_substitute(m, target, include_deletion)
+            == most_common_substitute_scan(m, target, include_deletion))
 
 
 def test_phoneme_stats_identity():

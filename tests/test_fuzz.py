@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from phonoscope import (
     PhonemeInventory,
     PhonoscopeError,
+    SpeakerProfile,
     parse_annotation_csv,
     parse_lexicon,
     parse_textgrid,
@@ -76,6 +77,52 @@ def test_manifest_raises_only_phonoscope_errors(text):
     manifest = parses_or_phonoscope_error(CorpusManifest.from_json, text, Path("base"))
     if manifest is not None:
         parses_or_phonoscope_error(manifest.validate_paths)
+
+
+# counts that fit the profile format, and JSON values that do not
+COUNTS = st.one_of(st.integers(0, 3), st.sampled_from(
+    [-1, 2**63 - 1, 2**63, 2**70, 1.5, 1.0, float("inf"), float("nan"), True, "1",
+     None]))
+
+
+@st.composite
+def count_grids(draw):
+    """An all-zero inventory-sized grid with up to three cells redrawn, or
+    a row cut short or dropped."""
+    grid = [[0] * len(INV) for _ in INV.symbols]
+    for _ in range(draw(st.integers(0, 3))):
+        row, col = draw(st.integers(0, len(INV) - 1)), draw(st.integers(0, len(INV) - 1))
+        grid[row][col] = draw(st.one_of(COUNTS, json_values))
+    shape = draw(st.sampled_from(["square"] * 4 + ["short row", "missing row"]))
+    if shape == "short row":
+        grid[0].pop()
+    elif shape == "missing row":
+        grid.pop()
+    return grid
+
+
+profile_docs = st.fixed_dictionaries({}, optional={
+    "counts": st.one_of(count_grids(), json_values),
+    "speaker_id": json_values,
+    "l1_label": json_values,
+    "utterance_count": st.one_of(COUNTS, json_values),
+})
+
+
+def zero_profile(**fields) -> str:
+    doc = {"counts": [[0] * len(INV) for _ in INV.symbols], "l1_label": "L1A",
+           "speaker_id": "s1", "utterance_count": 1}
+    return json.dumps({**doc, **fields})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), json_values.map(json.dumps), profile_docs.map(json.dumps)))
+@example("[" * 100_000)                                       # nesting too deep
+@example(zero_profile(utterance_count=2**70))
+@example(zero_profile().replace('"utterance_count": 1', '"utterance_count": 1e999'))
+@example(zero_profile(counts=[[2**70] * len(INV) for _ in INV.symbols]))
+def test_profile_json_raises_only_phonoscope_errors(text):
+    parses_or_phonoscope_error(SpeakerProfile.from_json, text, INV)
 
 
 lexicon_lines = st.tuples(
