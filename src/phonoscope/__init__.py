@@ -17,7 +17,6 @@ from .alignment import (
 from .annotations import (
     AnnotationRecord,
     AnnotationSet,
-    LabelConvention,
     annotations_to_confusion,
     compare,
     parse_annotation_csv,
@@ -78,7 +77,6 @@ __all__ = [
     "CostMatrix",
     "EditOp",
     "EmbeddingPoint",
-    "LabelConvention",
     "Lexicon",
     "OovError",
     "OovPolicy",

@@ -2,9 +2,9 @@
 
 The canonical input is a neutral CSV (header
 ``utterance,position,target,observed,kind``, epsilon spelled ``<eps>``).
-Praat TextGrids are ingested through an adapter with a configurable
-label convention; labels that do not match the convention are skipped
-and surfaced in a skip report, never dropped silently.
+Praat TextGrids are ingested through an adapter with one fixed label
+rule (decode_label); labels that do not match it are skipped and surfaced
+in a skip report, never dropped silently.
 """
 
 from __future__ import annotations
@@ -136,53 +136,45 @@ def serialize_annotation_csv(aset: AnnotationSet,
     return "\n".join(lines) + "\n"
 
 
-def load_annotation_csv(path, inventory: PhonemeInventory | None = None,
-                        speaker_id: str = "") -> AnnotationSet:
-    return parse_annotation_csv(read_input(path), inventory, speaker_id, source=path)
+def load_annotation_csv(path, inventory: PhonemeInventory | None = None) -> AnnotationSet:
+    return parse_annotation_csv(read_input(path), inventory, source=path)
 
 
-@dataclass
-class LabelConvention:
-    """How interval labels encode annotations.
+# TextGrid interval labels: a bare label marks a correctly realized phoneme;
+# otherwise the label is target,observed,code with one of KIND_CODES. The
+# observed field of a deletion and the target field of an insertion may be
+# empty or <eps>.
+LABEL_SEPARATOR = ","
+KIND_CODES = {"s": SUBSTITUTION, "d": DELETION, "i": INSERTION}
 
-    A bare label (no separator) marks a correctly realized phoneme.
-    Otherwise the label is ``target<sep>observed<sep>kind`` with
-    single-letter kind codes; the observed field of a deletion and the
-    target field of an insertion may be empty or ``<eps>``.
-    """
 
-    separator: str = ","
-    kind_codes: dict[str, str] = field(
-        default_factory=lambda: {"s": SUBSTITUTION, "d": DELETION, "i": INSERTION}
-    )
-
-    def decode(self, label: str, inventory: PhonemeInventory):
-        """(target, observed, kind) indices, or a reason string on mismatch."""
-        parts = [p.strip() for p in label.split(self.separator)]
-        if len(parts) == 1:
-            sym = parts[0]
-            if sym not in inventory or sym == EPSILON:
-                return f"unknown phoneme {sym!r}"
-            idx = inventory.index(sym)
-            return idx, idx, CORRECT
-        if len(parts) != 3:
-            return f"expected 1 or 3 fields, got {len(parts)}"
-        target_s, observed_s, code = parts
-        kind = self.kind_codes.get(code)
-        if kind is None:
-            return f"unknown kind code {code!r}"
-        target_s = target_s or EPSILON
-        observed_s = observed_s or EPSILON
-        if target_s not in inventory:
-            return f"unknown phoneme {target_s!r}"
-        if observed_s not in inventory:
-            return f"unknown phoneme {observed_s!r}"
-        target = inventory.index(target_s)
-        observed = inventory.index(observed_s)
-        msg = _kind_error(kind, target, observed, inventory.epsilon_index)
-        if msg:
-            return msg
-        return target, observed, kind
+def decode_label(label: str, inventory: PhonemeInventory):
+    """(target, observed, kind) indices, or a reason string on mismatch."""
+    parts = [p.strip() for p in label.split(LABEL_SEPARATOR)]
+    if len(parts) == 1:
+        sym = parts[0]
+        if sym not in inventory or sym == EPSILON:
+            return f"unknown phoneme {sym!r}"
+        idx = inventory.index(sym)
+        return idx, idx, CORRECT
+    if len(parts) != 3:
+        return f"expected 1 or 3 fields, got {len(parts)}"
+    target_s, observed_s, code = parts
+    kind = KIND_CODES.get(code)
+    if kind is None:
+        return f"unknown kind code {code!r}"
+    target_s = target_s or EPSILON
+    observed_s = observed_s or EPSILON
+    if target_s not in inventory:
+        return f"unknown phoneme {target_s!r}"
+    if observed_s not in inventory:
+        return f"unknown phoneme {observed_s!r}"
+    target = inventory.index(target_s)
+    observed = inventory.index(observed_s)
+    msg = _kind_error(kind, target, observed, inventory.epsilon_index)
+    if msg:
+        return msg
+    return target, observed, kind
 
 
 @dataclass
@@ -199,39 +191,28 @@ class TextGridAnnotations:
 
 
 def parse_textgrid(text: str, tier_name: str,
-                   convention: LabelConvention | None = None,
                    inventory: PhonemeInventory | None = None,
-                   speaker_id: str = "", utterance_id: str = "",
                    source=None) -> TextGridAnnotations:
     """Read one annotation tier of a TextGrid.
 
     Positions follow interval order. Blank intervals are ignored;
-    non-blank labels the convention cannot decode are skipped and
-    reported.
+    non-blank labels decode_label cannot decode are skipped and reported.
     """
     if inventory is None:
         inventory = PhonemeInventory.default()
-    if convention is None:
-        convention = LabelConvention()
-    grid = parse_textgrid_file(text, source=source)
-    tier = grid.tier(tier_name)
+    tier = parse_textgrid_file(text, source).tier(tier_name, source)
     records = []
     skipped = []
     for position, interval in enumerate(tier.intervals):
         label = interval.text.strip()
         if not label:
             continue
-        decoded = convention.decode(label, inventory)
+        decoded = decode_label(label, inventory)
         if isinstance(decoded, str):
             skipped.append(SkippedLabel(position, label, decoded))
-            continue
-        target, observed, kind = decoded
-        records.append(
-            AnnotationRecord(utterance_id, position, target, observed, kind)
-        )
-    aset = AnnotationSet(speaker_id, records)
-    aset.validate(inventory)
-    return TextGridAnnotations(aset, skipped)
+        else:
+            records.append(AnnotationRecord("", position, *decoded))
+    return TextGridAnnotations(AnnotationSet("", records), skipped)
 
 
 def annotations_to_confusion(aset: AnnotationSet,

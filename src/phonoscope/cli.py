@@ -355,24 +355,36 @@ def _load_annotation_file(path: Path, inventory, tier_name: str):
     return load_annotation_csv(path, inventory)
 
 
-def _comparison_outputs(profiles, loaded: LoadedConfig, files: Writer) -> None:
+def _annotation_matrices(manifest, loaded: LoadedConfig) -> dict[str, ConfusionMatrix]:
+    """Each L1 group's annotator matrix, pooled over every annotation file
+    the manifest lists for the group's speakers.
+
+    Reads every file, so a bad one fails the command before it writes."""
+    inventory = loaded.inventory
+    pooled: dict[str, ConfusionMatrix] = {}
+    for speaker in manifest.speakers:
+        matrix = pooled.get(speaker.l1_group, ConfusionMatrix(inventory))
+        for utt in speaker.utterances:
+            if utt.annotation_path is not None:
+                aset = _load_annotation_file(utt.annotation_path, inventory,
+                                             loaded.config.annotation_tier)
+                matrix = merge(matrix, annotations_to_confusion(aset, inventory))
+        pooled[speaker.l1_group] = matrix
+    return pooled
+
+
+def _comparison_outputs(profiles, annotated: dict[str, ConfusionMatrix],
+                        loaded: LoadedConfig, files: Writer) -> None:
     """comparison_<l1>.{csv,txt}: each L1 group's pooled ASR matrix against
-    every annotation file the manifest lists for the group's speakers."""
-    cfg, inventory = loaded.config, loaded.inventory
-    groups: dict[str, list] = {}
+    its pooled annotator matrix from _annotation_matrices."""
+    cfg = loaded.config
+    asr: dict[str, ConfusionMatrix] = {}
     for speaker, profile in profiles:
-        groups.setdefault(speaker.l1_group, []).append((speaker, profile))
-    for l1 in sorted(groups):
-        asr_matrix = ha_matrix = ConfusionMatrix(inventory)
-        for speaker, profile in groups[l1]:
-            asr_matrix = merge(asr_matrix, profile.matrix)
-            for utt in speaker.utterances:
-                if utt.annotation_path is not None:
-                    aset = _load_annotation_file(utt.annotation_path, inventory,
-                                                 cfg.annotation_tier)
-                    ha_matrix = merge(ha_matrix,
-                                      annotations_to_confusion(aset, inventory))
-        table = compare(asr_matrix, ha_matrix, loaded.targets,
+        asr[speaker.l1_group] = merge(
+            asr.get(speaker.l1_group, ConfusionMatrix(loaded.inventory)),
+            profile.matrix)
+    for l1 in sorted(asr):
+        table = compare(asr[l1], annotated[l1], loaded.targets,
                         top_k=cfg.top_k, min_occurrences=cfg.min_occurrences)
         stem = comparison_stem(l1)
         files.write(cfg.out_dir / f"{stem}.csv", table.to_csv())
@@ -380,15 +392,17 @@ def _comparison_outputs(profiles, loaded: LoadedConfig, files: Writer) -> None:
 
 
 def cmd_compare(args, loaded: LoadedConfig, files: Writer) -> int:
+    manifest = _load_manifest(args)
     profiles = []
-    for speaker in _load_manifest(args).speakers:
+    for speaker in manifest.speakers:
         path = args.profiles_dir / f"{speaker.speaker_id}.json"
         if not path.exists():
             raise ValidationError(f"no profile for {speaker.speaker_id!r} at {path}")
         profiles.append((speaker, SpeakerProfile.from_json(
             read_input(path), loaded.inventory, source=path)))
+    annotated = _annotation_matrices(manifest, loaded)
     files.mkdir(loaded.config.out_dir)
-    _comparison_outputs(profiles, loaded, files)
+    _comparison_outputs(profiles, annotated, loaded, files)
     return EXIT_OK
 
 
@@ -405,9 +419,10 @@ def cmd_run(args, loaded: LoadedConfig, files: Writer) -> int:
     cfg = loaded.config
     manifest = _load_manifest(args)
     _check_clustering(len(manifest.speakers), cfg)
+    annotated = _annotation_matrices(manifest, loaded)
     profiles = _align_corpus(manifest, loaded, files)
     _cluster_outputs([p for _, p in profiles], cfg, files)
-    _comparison_outputs(profiles, loaded, files)
+    _comparison_outputs(profiles, annotated, loaded, files)
     heatmaps_dir = files.mkdir(cfg.out_dir / "heatmaps")
     for _, profile in profiles:
         svg = svg_heatmap(profile.matrix.counts, loaded.inventory.symbols,

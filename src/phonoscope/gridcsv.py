@@ -100,4 +100,4 @@ def serialize_grid(grid: np.ndarray, inventory: PhonemeInventory, *,
 
 
 def _fmt_float(v: float) -> str:
-    return str(int(v)) if v == int(v) else repr(v)
+    return str(int(v)) if v.is_integer() else repr(v)

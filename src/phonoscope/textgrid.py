@@ -1,9 +1,14 @@
 """Praat TextGrid reader covering both the long and short text forms.
 
-Only the structure needed for annotation ingestion is modelled: interval
-tiers with (xmin, xmax, text) triples. Point tiers are parsed (so the
-file walks correctly) but carry no intervals. Structural problems raise
-ParseError with the byte offset of the offending line.
+Both forms are the same sequence of values: quoted strings, in which
+``""`` is a literal quote and which may span lines, and numbers. The long
+form only adds labels such as ``xmin =`` and ``item [1]:`` around them,
+so the reader takes the values in order and skips everything else,
+``[...]`` indices and ``<flag>``s included. Only the structure needed for
+annotation ingestion is modelled: interval tiers with (xmin, xmax, text)
+triples. Point tiers are read (so the values stay in step) but carry no
+intervals. Structural problems raise ParseError with the byte offset of
+the offending value, or of the end of the file.
 """
 
 from __future__ import annotations
@@ -36,127 +41,91 @@ class TextGrid:
     xmax: float
     tiers: list[Tier] = field(default_factory=list)
 
-    def tier(self, name: str) -> Tier:
+    def tier(self, name: str, source=None) -> Tier:
         for t in self.tiers:
             if t.name == name:
                 return t
         available = ", ".join(repr(t.name) for t in self.tiers) or "(none)"
-        raise ParseError(f"no tier named {name!r}; available tiers: {available}")
+        raise ParseError(f"no tier named {name!r}; available tiers: {available}",
+                         source=source)
 
 
-class _Lines:
-    """Line cursor that remembers byte offsets for error reporting."""
+_NUMBER = r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?"
+# group 1 a quoted string, 2 a number, 3 a quote that no other quote closes;
+# an index, a flag or a run of characters that start none of these matches
+# no group and is skipped
+_VALUE_RE = re.compile(rf'"([^"]*(?:""[^"]*)*)"|({_NUMBER})|(")'
+                       r'|\[[^\]\n]*\]|<[^>\n]*>|[^"\d\[<-]+')
+
+
+class _Values:
+    """The file's strings and numbers in order, each with its byte offset."""
 
     def __init__(self, text: str, source=None):
+        self.text = text
         self.source = source
-        self.lines: list[tuple[int, str]] = []
-        offset = 0
-        for raw in text.splitlines(keepends=True):
-            self.lines.append((offset, raw.rstrip("\r\n")))
-            offset += len(raw.encode("utf-8"))
-        self.pos = 0
+        self.matches = (m for m in _VALUE_RE.finditer(text) if m.lastindex)
+        self.last: re.Match | None = None
 
-    def peek(self) -> str | None:
-        while self.pos < len(self.lines) and not self.lines[self.pos][1].strip():
-            self.pos += 1
-        if self.pos >= len(self.lines):
-            return None
-        return self.lines[self.pos][1]
+    def fail(self, message: str, match: re.Match | None = None):
+        end = len(self.text) if match is None else match.start()
+        raise ParseError(message, offset=len(self.text[:end].encode("utf-8")),
+                         source=self.source)
 
-    def take(self, what: str) -> str:
-        line = self.peek()
-        if line is None:
-            raise ParseError(f"unexpected end of file, expected {what}",
-                             offset=self.offset(), source=self.source)
-        self.pos += 1
-        return line
+    def take(self, what: str) -> re.Match:
+        self.last = next(self.matches, None)
+        if self.last is None:
+            self.fail(f"unexpected end of file, expected {what}")
+        if self.last.lastindex == 3:
+            self.fail(f"unterminated quoted string for {what}", self.last)
+        return self.last
 
-    def offset(self) -> int:
-        idx = min(self.pos, len(self.lines) - 1)
-        return self.lines[idx][0] if self.lines else 0
+    def string(self, what: str) -> str:
+        match = self.take(what)
+        if match.lastindex != 1:
+            self.fail(f"expected a quoted string for {what}, got {match[0]!r}", match)
+        return match[1].replace('""', '"')
 
-    def fail(self, message: str):
-        raise ParseError(message, offset=self.offset(), source=self.source)
+    def number(self, what: str) -> float:
+        match = self.take(what)
+        if match.lastindex != 2:
+            self.fail(f"expected a number for {what}, got {match[0]!r}", match)
+        return float(match[2])
 
-
-_NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
-_QUOTED_RE = re.compile(r'"((?:[^"]|"")*)"')
-
-
-def _field_number(cur: _Lines, what: str) -> float:
-    line = cur.take(what)
-    m = _NUMBER_RE.search(line)
-    if m is None:
-        cur.pos -= 1
-        cur.fail(f"expected a number for {what}, got {line.strip()!r}")
-    return float(m.group(0))
-
-
-def _field_count(cur: _Lines, what: str) -> int:
-    number = _field_number(cur, what)
-    if not (number >= 0 and number.is_integer()):
-        cur.pos -= 1
-        cur.fail(f"expected a whole number >= 0 for {what}, got {number!r}")
-    return int(number)
-
-
-def _field_string(cur: _Lines, what: str) -> str:
-    line = cur.take(what)
-    m = _QUOTED_RE.search(line)
-    if m is None:
-        cur.pos -= 1
-        cur.fail(f"expected a quoted string for {what}, got {line.strip()!r}")
-    return m.group(1).replace('""', '"')
-
-
-def _skip_header(cur: _Lines, name: str) -> None:
-    """Consume a long-form header line such as ``item [1]:`` if one is next."""
-    line = cur.peek()
-    if line is not None and line.strip().startswith(name + " ["):
-        cur.pos += 1
+    def count(self, what: str) -> int:
+        number = self.number(what)
+        if not (number >= 0 and number.is_integer()):
+            self.fail(f"expected a whole number >= 0 for {what}, got {number!r}",
+                      self.last)
+        return int(number)
 
 
 def parse_textgrid_file(text: str, source=None) -> TextGrid:
-    """Parse either text form: the long form only adds labels to the short
-    form's values, plus header lines that _skip_header consumes."""
-    cur = _Lines(text, source)
-    header = cur.take("file type header")
-    if "ooTextFile" not in header:
-        cur.pos -= 1
-        cur.fail("not a TextGrid: missing ooTextFile header")
-    object_class = cur.take("object class header")
-    if "TextGrid" not in object_class:
-        cur.pos -= 1
-        cur.fail("not a TextGrid: object class is not TextGrid")
+    values = _Values(text, source)
+    header = values.take("file type header")
+    if "ooTextFile" not in (header[1] or ""):
+        values.fail("not a TextGrid: missing ooTextFile header", header)
+    object_class = values.take("object class header")
+    if "TextGrid" not in (object_class[1] or ""):
+        values.fail("not a TextGrid: object class is not TextGrid", object_class)
 
-    xmin = _field_number(cur, "xmin")
-    xmax = _field_number(cur, "xmax")
-    line = cur.peek()
-    if line is not None and ("tiers?" in line or "exists" in line):
-        cur.pos += 1
-    size = _field_count(cur, "tier count")
-    _skip_header(cur, "item")  # the "item []:" container line
-
-    grid = TextGrid(xmin, xmax)
-    for _ in range(size):
-        _skip_header(cur, "item")
-        tier_class = _field_string(cur, "tier class")
-        name = _field_string(cur, "tier name")
-        t_xmin = _field_number(cur, "tier xmin")
-        t_xmax = _field_number(cur, "tier xmax")
-        count = _field_count(cur, "interval count")
-        tier = Tier(name, tier_class, t_xmin, t_xmax)
+    grid = TextGrid(values.number("xmin"), values.number("xmax"))
+    for _ in range(values.count("tier count")):
+        tier_class = values.string("tier class")
+        tier = Tier(values.string("tier name"), tier_class,
+                    values.number("tier xmin"), values.number("tier xmax"))
+        count = values.count("interval count")
         if tier_class == "IntervalTier":
             for _ in range(count):
-                _skip_header(cur, "intervals")
-                i_xmin = _field_number(cur, "interval xmin")
-                i_xmax = _field_number(cur, "interval xmax")
-                text = _field_string(cur, "interval text")
-                tier.intervals.append(Interval(i_xmin, i_xmax, text))
+                tier.intervals.append(Interval(values.number("interval xmin"),
+                                               values.number("interval xmax"),
+                                               values.string("interval text")))
         else:
             for _ in range(count):
-                _skip_header(cur, "points")
-                _field_number(cur, "point time")
-                _field_string(cur, "point mark")
+                values.number("point time")
+                values.string("point mark")
         grid.tiers.append(tier)
+    extra = next(values.matches, None)
+    if extra is not None:
+        values.fail(f"unexpected value {extra[0]!r} after the last tier", extra)
     return grid

@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -62,12 +63,12 @@ def write_tiny_corpus(tmp_path, asr="ease", annotation=False):
     return tmp_path / "manifest.json"
 
 
-def sample_args(out_dir, extra=()):
+def sample_args(out_dir, extra=(), corpus=SAMPLE):
     return [
-        str(SAMPLE / "manifest.json"),
-        "--lexicon", str(SAMPLE / "lexicon.dict"),
-        "--costs", str(SAMPLE / "costs.csv"),
-        "--supplementary-lexicon", str(SAMPLE / "nonwords.dict"),
+        str(corpus / "manifest.json"),
+        "--lexicon", str(corpus / "lexicon.dict"),
+        "--costs", str(corpus / "costs.csv"),
+        "--supplementary-lexicon", str(corpus / "nonwords.dict"),
         "--oov-policy", "supplementary_lexicon",
         "--out-dir", str(out_dir),
         *extra,
@@ -977,6 +978,33 @@ def test_bad_run_parameter_exits_2_before_writing(tmp_path, capsys, flags):
     out = tmp_path / "out"
     assert main(["run", *sample_args(out, ["--k", "3", *flags])]) == 2
     assert "internal error" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("fault", ["missing-tier", "bad-csv-row"])
+def test_bad_annotation_file_exits_2_naming_it_before_writing(tmp_path, capsys,
+                                                              command, fault):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(SAMPLE, corpus)
+    if fault == "missing-tier":
+        flags, named = ["--annotation-tier", "nope"], "spk_k1_u1.TextGrid"
+    else:
+        flags, named = [], "spk_m1_u2.csv"
+        (corpus / "annotations" / named).write_text(
+            "utterance,position,target,observed,kind\nm1_u2,0,QQ,T,correct\n")
+    out = tmp_path / "out"
+    if command == "run":
+        code = main(["run", *sample_args(out, ["--k", "3", *flags], corpus)])
+    else:
+        aligned = tmp_path / "aligned"
+        assert main(["align", *sample_args(aligned, corpus=corpus)]) == 0
+        code = main(["compare", str(corpus / "manifest.json"), *flags,
+                     "--profiles-dir", str(aligned / "profiles"), "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {corpus / 'annotations' / named}")
+    assert "internal error" not in err
     assert not out.exists()
 
 

@@ -71,6 +71,18 @@ def test_inf_entry_allowed(inv):
     assert align([ah], [ih], costs).total_cost == 2.0
 
 
+def test_inf_cost_round_trips_through_csv(inv):
+    grid = np.ones((40, 40))
+    np.fill_diagonal(grid, 0.0)
+    ah, ih = inv.index("AH"), inv.index("IH")
+    grid[ah, ih] = np.inf
+    grid[ih, ah] = 0.5
+    costs = CostMatrix(inv, grid)
+    text = costs.to_csv()
+    assert ",inf," in text and ",0.5," in text
+    assert parse_cost_matrix(text, inv) == costs
+
+
 def test_nonzero_diagonal_rejected(inv):
     grid = np.ones((40, 40))
     np.fill_diagonal(grid, 0.0)

@@ -1,7 +1,11 @@
-import pytest
+import re
 
-from phonoscope import LabelConvention, ParseError, PhonemeInventory, parse_textgrid
-from phonoscope.textgrid import parse_textgrid_file
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from phonoscope import ParseError, PhonemeInventory, parse_textgrid
+from phonoscope.textgrid import Interval, TextGrid, Tier, parse_textgrid_file
 
 INV = PhonemeInventory.default()
 
@@ -94,8 +98,10 @@ def test_blank_intervals_ignored_silently():
 
 def test_missing_tier_names_available():
     with pytest.raises(ParseError) as err:
-        parse_textgrid(long_form(["T"], tier="phones"), "annotations", inventory=INV)
+        parse_textgrid(long_form(["T"], tier="phones"), "annotations", inventory=INV,
+                       source="spk.TextGrid")
     assert "phones" in str(err.value)
+    assert err.value.source == "spk.TextGrid"
 
 
 def test_unmatched_labels_skipped_with_reason():
@@ -107,13 +113,6 @@ def test_unmatched_labels_skipped_with_reason():
     assert "a,b,c,d" in reasons
     assert "T,D,x" in reasons and "kind code" in reasons["T,D,x"]
     assert [s.position for s in result.skipped] == [1, 2, 3]
-
-
-def test_custom_convention():
-    conv = LabelConvention(separator="/", kind_codes={"sub": "substitution"})
-    result = parse_textgrid(long_form(["T/D/sub"]), "annotations",
-                            convention=conv, inventory=INV)
-    assert result.annotations.records[0].kind == "substitution"
 
 
 def test_malformed_header_reports_offset():
@@ -178,3 +177,178 @@ def test_bundled_sample_textgrid_parses():
     subs = [r for r in result.annotations.records if r.kind == "substitution"]
     assert len(subs) == 2
     assert all(INV.label(r.target) == "Z" for r in subs)
+
+
+class _Lines:
+    """Line cursor that remembers byte offsets for error reporting."""
+
+    def __init__(self, text: str, source=None):
+        self.source = source
+        self.lines: list[tuple[int, str]] = []
+        offset = 0
+        for raw in text.splitlines(keepends=True):
+            self.lines.append((offset, raw.rstrip("\r\n")))
+            offset += len(raw.encode("utf-8"))
+        self.pos = 0
+
+    def peek(self) -> str | None:
+        while self.pos < len(self.lines) and not self.lines[self.pos][1].strip():
+            self.pos += 1
+        if self.pos >= len(self.lines):
+            return None
+        return self.lines[self.pos][1]
+
+    def take(self, what: str) -> str:
+        line = self.peek()
+        if line is None:
+            raise ParseError(f"unexpected end of file, expected {what}",
+                             offset=self.offset(), source=self.source)
+        self.pos += 1
+        return line
+
+    def offset(self) -> int:
+        idx = min(self.pos, len(self.lines) - 1)
+        return self.lines[idx][0] if self.lines else 0
+
+    def fail(self, message: str):
+        raise ParseError(message, offset=self.offset(), source=self.source)
+
+
+_NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+_QUOTED_RE = re.compile(r'"((?:[^"]|"")*)"')
+
+
+def _field_number(cur: _Lines, what: str) -> float:
+    line = cur.take(what)
+    m = _NUMBER_RE.search(line)
+    if m is None:
+        cur.pos -= 1
+        cur.fail(f"expected a number for {what}, got {line.strip()!r}")
+    return float(m.group(0))
+
+
+def _field_count(cur: _Lines, what: str) -> int:
+    number = _field_number(cur, what)
+    if not (number >= 0 and number.is_integer()):
+        cur.pos -= 1
+        cur.fail(f"expected a whole number >= 0 for {what}, got {number!r}")
+    return int(number)
+
+
+def _field_string(cur: _Lines, what: str) -> str:
+    line = cur.take(what)
+    m = _QUOTED_RE.search(line)
+    if m is None:
+        cur.pos -= 1
+        cur.fail(f"expected a quoted string for {what}, got {line.strip()!r}")
+    return m.group(1).replace('""', '"')
+
+
+def _skip_header(cur: _Lines, name: str) -> None:
+    """Consume a long-form header line such as ``item [1]:`` if one is next."""
+    line = cur.peek()
+    if line is not None and line.strip().startswith(name + " ["):
+        cur.pos += 1
+
+
+def line_reader(text: str, source=None) -> TextGrid:
+    """The first TextGrid reader, one value per line; the oracle for
+    parse_textgrid_file on files that keep to that layout."""
+    cur = _Lines(text, source)
+    header = cur.take("file type header")
+    if "ooTextFile" not in header:
+        cur.pos -= 1
+        cur.fail("not a TextGrid: missing ooTextFile header")
+    object_class = cur.take("object class header")
+    if "TextGrid" not in object_class:
+        cur.pos -= 1
+        cur.fail("not a TextGrid: object class is not TextGrid")
+
+    xmin = _field_number(cur, "xmin")
+    xmax = _field_number(cur, "xmax")
+    line = cur.peek()
+    if line is not None and ("tiers?" in line or "exists" in line):
+        cur.pos += 1
+    size = _field_count(cur, "tier count")
+    _skip_header(cur, "item")  # the "item []:" container line
+
+    grid = TextGrid(xmin, xmax)
+    for _ in range(size):
+        _skip_header(cur, "item")
+        tier_class = _field_string(cur, "tier class")
+        name = _field_string(cur, "tier name")
+        t_xmin = _field_number(cur, "tier xmin")
+        t_xmax = _field_number(cur, "tier xmax")
+        count = _field_count(cur, "interval count")
+        tier = Tier(name, tier_class, t_xmin, t_xmax)
+        if tier_class == "IntervalTier":
+            for _ in range(count):
+                _skip_header(cur, "intervals")
+                i_xmin = _field_number(cur, "interval xmin")
+                i_xmax = _field_number(cur, "interval xmax")
+                text = _field_string(cur, "interval text")
+                tier.intervals.append(Interval(i_xmin, i_xmax, text))
+        else:
+            for _ in range(count):
+                _skip_header(cur, "points")
+                _field_number(cur, "point time")
+                _field_string(cur, "point mark")
+        grid.tiers.append(tier)
+    return grid
+
+
+# every character str.splitlines breaks at, which one-line labels leave out
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+one_line = st.text(st.one_of(
+    st.characters(exclude_categories=["Cs"], exclude_characters=LINE_BREAKS),
+    st.sampled_from('"[]<>0123456789.-e ')))
+
+
+def quoted(text: str) -> str:
+    return text.replace('"', '""')
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(one_line, max_size=5), one_line,
+       st.sampled_from([long_form, short_form]))
+def test_reader_equals_the_line_reader(labels, name, form):
+    text = form([quoted(lab) for lab in labels], tier=quoted(name))
+    grid = parse_textgrid_file(text)
+    assert grid == line_reader(text)
+    assert grid.tiers[0].name == name
+    assert [i.text for i in grid.tiers[0].intervals] == labels
+
+
+def test_label_spanning_lines():
+    grid = parse_textgrid_file(long_form(["T,D,s", "first\nsecond", "T"]))
+    assert [i.text for i in grid.tiers[0].intervals] == ["T,D,s", "first\nsecond", "T"]
+
+
+def test_several_values_on_one_line():
+    text = ('File type = "ooTextFile"\nObject class = "TextGrid"\n'
+            '0 2 <exists> 1\n"IntervalTier" "annotations" 0 2 2\n'
+            '0 1 "T" 1 2 "T,D,s"\n')
+    assert parse_textgrid_file(text) == parse_textgrid_file(short_form(["T", "T,D,s"]))
+
+
+@pytest.mark.parametrize("form", [long_form, short_form])
+def test_crlf_line_ends(form):
+    text = form(["T", 'say ""hi""', ""])
+    assert parse_textgrid_file(text.replace("\n", "\r\n")) == parse_textgrid_file(text)
+
+
+@pytest.mark.parametrize("extra", ["5\n", '"x"\n', '"\n'])
+def test_value_after_the_last_tier_fails_at_its_offset(extra):
+    text = short_form(["T"])
+    with pytest.raises(ParseError) as err:
+        parse_textgrid_file(text + extra, source="grid.TextGrid")
+    assert err.value.offset == len(text.encode("utf-8"))
+    assert err.value.source == "grid.TextGrid"
+
+
+def test_error_offset_is_the_offending_value():
+    bad = long_form(["é", "T"]).replace('text = "T"', "text = 7")
+    with pytest.raises(ParseError) as err:
+        parse_textgrid_file(bad)
+    assert err.value.offset == len(bad[:bad.index("7\n")].encode("utf-8"))
+    assert "interval text" in str(err.value)
