@@ -47,6 +47,8 @@ DELETE = "delete"
 INSERT = "insert"
 KINDS = (MATCH, SUBSTITUTE, DELETE, INSERT)  # Alignment.kinds indexes this
 
+_BOOLS = frozenset((bool, np.bool_))  # numpy reads [1, True] as int64
+
 _DIAG_CODE, _DELETE_CODE, _INSERT_CODE = 0, 1, 2
 _MOVE_CODES = {
     "diagonal": _DIAG_CODE,
@@ -96,12 +98,6 @@ class Alignment:
                          self.expected.tolist(), self.observed.tolist(),
                          self.costs.tolist()))
 
-    def expected_sequence(self, eps: int) -> list[int]:
-        return self.expected[self.expected != eps].tolist()
-
-    def observed_sequence(self, eps: int) -> list[int]:
-        return self.observed[self.observed != eps].tolist()
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Alignment) and self.ops == other.ops
                 and self.total_cost == other.total_cost)
@@ -113,6 +109,24 @@ class VariantAlignment:
 
     alignment: Alignment
     chosen: tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=8)
+def cell_kinds(inventory) -> np.ndarray:
+    """Each (expected, observed) cell's op kind as an index into KINDS.
+
+    Match on the diagonal, substitute elsewhere, delete in the epsilon
+    column, insert in the epsilon row and -1 at (eps, eps), which is no
+    op. Read-only; one grid per inventory.
+    """
+    eps = inventory.epsilon_index
+    kinds = np.ones((len(inventory),) * 2, dtype=np.int8)
+    np.fill_diagonal(kinds, 0)
+    kinds[:, eps] = 2
+    kinds[eps, :] = 3
+    kinds[eps, eps] = -1
+    kinds.flags.writeable = False
+    return kinds
 
 
 def tie_codes(tie_break) -> tuple[int, int, int]:
@@ -133,20 +147,25 @@ def tie_codes(tie_break) -> tuple[int, int, int]:
 
 
 def _check_sequence(seq, inventory, side: str) -> np.ndarray:
-    """The sequence as an int64 array; rejects the first index outside the
-    inventory or equal to epsilon."""
+    """The sequence as an int64 array; rejects anything but a 1-d sequence
+    of integers (bools excluded) or an empty one, then the first index
+    outside the inventory or equal to epsilon."""
     try:
-        arr = np.asarray(seq, dtype=np.int64)
-    except OverflowError:
-        raise ValidationError(f"{side} index outside inventory") from None
+        arr = np.asarray(seq)
+    except ValueError:   # ragged nesting
+        arr = None
+    if (arr is None or arr.ndim != 1 or arr.size and arr.dtype.kind not in "iu"
+            or not isinstance(seq, np.ndarray) and not _BOOLS.isdisjoint(map(type, seq))):
+        raise ValidationError(f"{side} must be a 1-d sequence of integer indices")
     eps = inventory.epsilon_index
+    # compared before the cast, so a uint64 index above 2**63 is not wrapped
     bad = (arr < 0) | (arr >= len(inventory)) | (arr == eps)
     if bad.any():
         p = int(arr[bad.argmax()])
         if p == eps:
             raise ValidationError(f"epsilon not allowed in {side} sequence")
         raise ValidationError(f"{side} index {p} outside inventory")
-    return arr
+    return arr.astype(np.int64, copy=False)
 
 
 def _kernel_args(costs: CostMatrix, *sequences) -> list:
@@ -181,8 +200,8 @@ def align(expected, observed, costs: CostMatrix,
     expected_ops[moves != _INSERT_CODE] = e
     observed_ops = np.full(len(moves), eps, dtype=np.int64)
     observed_ops[moves != _DELETE_CODE] = o
-    # diagonal -> 0 match / 1 substitute, delete -> 2, insert -> 3
-    kinds = np.where(moves == _DIAG_CODE, expected_ops != observed_ops, moves + 1)
+    # a diagonal move never touches epsilon, so each op's cell gives its kind
+    kinds = cell_kinds(inv)[expected_ops, observed_ops]
     return Alignment(expected_ops, observed_ops, kinds,
                      costs.costs[expected_ops, observed_ops], float(total))
 
@@ -248,52 +267,39 @@ def align_min_variant(
     return VariantAlignment(align(expected, o, costs, tie_break), tuple(chosen))
 
 
-def dump_alignment(alignment: Alignment, inventory) -> str:
-    """One op per line: expected<TAB>observed<TAB>kind<TAB>cost."""
-    return _dump_lines(inventory.symbols).render(alignment)
+def dump_alignment(alignment: Alignment, costs: CostMatrix) -> str:
+    """One op per line: expected<TAB>observed<TAB>kind<TAB>cost.
+
+    When every op has its cell's kind and, bit for bit, its cell's cost in
+    ``costs`` (as every op align returns under that grid does), the dump
+    joins the grid's prebuilt lines; otherwise it renders op by op.
+    """
+    inv = costs.inventory
+    lines, bits = _dump_table(inv, costs.costs.tobytes())
+    cells = alignment.expected * len(inv) + alignment.observed
+    op_bits = np.asarray(alignment.costs, dtype=np.float64).view(np.int64)
+    if ((bits[cells] == op_bits).all()
+            and (cell_kinds(inv).ravel()[cells] == alignment.kinds).all()):
+        return "".join(map(lines.__getitem__, cells.tolist()))
+    return "".join(_render(inv.symbols, alignment.expected.tolist(),
+                           alignment.observed.tolist(), alignment.kinds.tolist(),
+                           alignment.costs.tolist()))
+
+
+def _render(symbols, expected, observed, kinds, costs) -> list[str]:
+    return [f"{symbols[a]}\t{symbols[b]}\t{KINDS[k]}\t{cost!r}\n"
+            for a, b, k, cost in zip(expected, observed, kinds, costs)]
 
 
 @functools.lru_cache(maxsize=8)
-def _dump_lines(symbols: tuple) -> _DumpLines:
-    return _DumpLines(symbols)
-
-
-class _DumpLines:
-    """Dump lines of one inventory, indexed by (expected * n + observed) * 4 + kind.
-
-    Each index holds the line of the cost last dumped there. Under one cost
-    grid a cell has one cost, so once a run's cells have been seen every
-    dump is a lookup. A dump that meets a cost the table does not hold
-    renders its lines directly and puts them into a copy of the table; a
-    table is never changed once built, so concurrent dumps each read a
-    consistent one.
-    """
-
-    def __init__(self, symbols: tuple) -> None:
-        self._symbols = symbols
-        size = len(symbols) ** 2 * len(KINDS)
-        # (index holds a line, bits of that line's cost, lines)
-        self._table = (np.zeros(size, bool), np.zeros(size, np.int64), [None] * size)
-
-    def render(self, alignment: Alignment) -> str:
-        keys = ((alignment.expected * len(self._symbols) + alignment.observed)
-                * len(KINDS) + alignment.kinds)
-        bits = np.asarray(alignment.costs, dtype=np.float64).view(np.int64)
-        held, held_bits, lines = self._table
-        if (held[keys] & (held_bits[keys] == bits)).all():
-            return "".join(map(lines.__getitem__, keys.tolist()))
-        symbols = self._symbols
-        rendered = [
-            f"{symbols[a]}\t{symbols[b]}\t{KINDS[k]}\t{cost!r}\n"
-            for a, b, k, cost in zip(alignment.expected.tolist(),
-                                     alignment.observed.tolist(),
-                                     alignment.kinds.tolist(),
-                                     alignment.costs.tolist())
-        ]
-        held, held_bits, lines = held.copy(), held_bits.copy(), lines.copy()
-        held[keys] = True
-        held_bits[keys] = bits
-        for key, line in zip(keys.tolist(), rendered):
-            lines[key] = line
-        self._table = held, held_bits, lines
-        return "".join(rendered)
+def _dump_table(inventory, grid: bytes) -> tuple[tuple[str, ...], np.ndarray]:
+    """The dump line of every cell under one cost grid, in row-major
+    order, and the bits of each cell's cost. Never changed once built, so
+    concurrent dumps may share it."""
+    costs = np.frombuffer(grid, dtype=np.float64)
+    n = len(inventory)
+    cells = np.arange(n * n)
+    # (eps, eps) has kind -1, so no op of align is ever given its line
+    lines = _render(inventory.symbols, (cells // n).tolist(), (cells % n).tolist(),
+                    cell_kinds(inventory).ravel().tolist(), costs.tolist())
+    return tuple(lines), costs.view(np.int64)

@@ -13,6 +13,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 
+from .alignment import cell_kinds
 from .confusion import ConfusionMatrix, PhonemeStats, format_percent, phoneme_stats
 from .errors import ParseError, ValidationError, read_input
 from .inventory import EPSILON, PhonemeInventory
@@ -22,7 +23,7 @@ CORRECT = "correct"
 SUBSTITUTION = "substitution"
 DELETION = "deletion"
 INSERTION = "insertion"
-KINDS = (CORRECT, SUBSTITUTION, DELETION, INSERTION)
+KINDS = (CORRECT, SUBSTITUTION, DELETION, INSERTION)  # alignment.KINDS' order: cell_kinds indexes both
 
 # compare()'s defaults; RunConfig refers to these.
 DEFAULT_TOP_K = 3
@@ -38,24 +39,18 @@ class AnnotationRecord:
     kind: str
 
 
-def _kind_error(kind: str, target: int, observed: int, eps: int) -> str | None:
-    """Return a message when the kind is inconsistent with the eps pattern."""
-    if kind == CORRECT:
-        if target == eps or observed == eps or target != observed:
-            return "correct requires target = observed, neither epsilon"
-    elif kind == SUBSTITUTION:
-        if target == eps or observed == eps:
-            return "substitution requires non-epsilon target and observed"
-        if target == observed:
-            return "substitution requires target != observed"
-    elif kind == DELETION:
-        if target == eps or observed != eps:
-            return "deletion requires non-epsilon target and observed = <eps>"
-    elif kind == INSERTION:
-        if target != eps or observed == eps:
-            return "insertion requires target = <eps> and non-epsilon observed"
-    else:
+def _kind_error(kind: str, target: int, observed: int,
+                inventory: PhonemeInventory) -> str | None:
+    """Return a message unless kind is the kind of the (target, observed) cell."""
+    if kind not in KINDS:
         return f"unknown kind {kind!r}"
+    if not (0 <= target < len(inventory) and 0 <= observed < len(inventory)):
+        return f"target {target} or observed {observed} outside the inventory"
+    cell = int(cell_kinds(inventory)[target, observed])
+    if KINDS.index(kind) != cell:
+        found = KINDS[cell] if cell >= 0 else "no op"
+        return (f"{kind} does not fit target {inventory.label(target)}, "
+                f"observed {inventory.label(observed)} ({found})")
     return None
 
 
@@ -65,10 +60,9 @@ class AnnotationSet:
     records: list[AnnotationRecord] = field(default_factory=list)
 
     def validate(self, inventory: PhonemeInventory) -> None:
-        eps = inventory.epsilon_index
         last_position: dict[str, int] = {}
         for rec in self.records:
-            msg = _kind_error(rec.kind, rec.target, rec.observed, eps)
+            msg = _kind_error(rec.kind, rec.target, rec.observed, inventory)
             if msg:
                 raise ValidationError(f"record {rec}: {msg}")
             prev = last_position.get(rec.utterance_id)
@@ -95,7 +89,6 @@ def parse_annotation_csv(text: str, inventory: PhonemeInventory | None = None,
         raise ParseError(
             f"expected header {','.join(_CSV_HEADER)!r}", line=1, source=source
         )
-    eps = inventory.epsilon_index
     records = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != 5:
@@ -112,7 +105,7 @@ def parse_annotation_csv(text: str, inventory: PhonemeInventory | None = None,
             observed = inventory.index(observed_s)
         except ValidationError as exc:
             raise ParseError(str(exc), line=lineno, source=source) from None
-        msg = _kind_error(kind, target, observed, eps)
+        msg = _kind_error(kind, target, observed, inventory)
         if msg:
             raise ParseError(msg, line=lineno, source=source)
         records.append(AnnotationRecord(utt, position, target, observed, kind))
@@ -171,7 +164,7 @@ def decode_label(label: str, inventory: PhonemeInventory):
         return f"unknown phoneme {observed_s!r}"
     target = inventory.index(target_s)
     observed = inventory.index(observed_s)
-    msg = _kind_error(kind, target, observed, inventory.epsilon_index)
+    msg = _kind_error(kind, target, observed, inventory)
     if msg:
         return msg
     return target, observed, kind

@@ -66,9 +66,6 @@ class CostMatrix:
             self._rows = self.costs.tolist()
         return self._rows
 
-    def transpose(self) -> "CostMatrix":
-        return CostMatrix(self.inventory, self.costs.T.copy())
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CostMatrix)

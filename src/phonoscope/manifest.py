@@ -189,9 +189,6 @@ class CorpusManifest:
                     if p is not None and not p.exists():
                         raise ValidationError(f"referenced path does not exist: {p}")
 
-    def utterance_count(self) -> int:
-        return sum(len(s.utterances) for s in self.speakers)
-
 
 @dataclass
 class RunConfig:

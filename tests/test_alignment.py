@@ -160,7 +160,7 @@ def test_transposition_symmetry():
         e = [pyrng.choice(non_eps) for _ in range(pyrng.randint(0, 8))]
         o = [pyrng.choice(non_eps) for _ in range(pyrng.randint(0, 8))]
         assert align(e, o, costs).total_cost == align(
-            o, e, costs.transpose()
+            o, e, CostMatrix(INV, costs.costs.T.copy())
         ).total_cost
 
 
@@ -174,8 +174,8 @@ def test_alignment_reconstructs_inputs(e, o, seed):
     costs = random_cost_matrix(INV, np.random.default_rng(seed))
     a = align(e, o, costs)
     eps = INV.epsilon_index
-    assert a.expected_sequence(eps) == list(e)
-    assert a.observed_sequence(eps) == list(o)
+    assert a.expected[a.expected != eps].tolist() == list(e)
+    assert a.observed[a.observed != eps].tolist() == list(o)
     total = 0.0
     for op in a.ops:
         total = total + op.cost
@@ -278,7 +278,7 @@ def test_min_variant_matches_enumeration_oracle(kernel, lattice, observed,
 
 def test_dump_format(weighted):
     a = align(idx(INV, "HH IH Z"), idx(INV, "IY Z"), weighted)
-    lines = dump_alignment(a, INV).splitlines()
+    lines = dump_alignment(a, weighted).splitlines()
     assert lines[0].split("\t") == ["HH", "<eps>", "delete", "0.3"]
     assert lines[2].split("\t") == ["Z", "Z", "match", "0.0"]
 
@@ -290,8 +290,7 @@ def plain_dump(a, inv):
 
 
 def test_dump_lines_follow_each_cost_grid():
-    # grids that differ in every off-diagonal cell, dumped in turn through
-    # one inventory's table
+    # grids that differ in every off-diagonal cell, dumped in turn
     rng = np.random.default_rng(7)
     grids = [random_cost_matrix(INV, rng) for _ in range(2)] + [UNIFORM]
     for _ in range(3):
@@ -299,19 +298,127 @@ def test_dump_lines_follow_each_cost_grid():
             e = rng.integers(0, len(INV) - 1, 30)
             o = [*e[:10], *rng.integers(0, len(INV) - 1, 15)]
             a = align(e, o, costs)
-            assert dump_alignment(a, INV) == plain_dump(a, INV)
+            assert dump_alignment(a, costs) == plain_dump(a, INV)
     # grids that differ only in the sign of one zero
     iy, ih = idx(INV, "IY IH")
     for zero in (0.0, -0.0, 0.0):
         grid = UNIFORM.costs.copy()
         grid[iy, ih] = zero
-        a = align([iy], [ih], CostMatrix(INV, grid))
-        assert dump_alignment(a, INV) == f"IY\tIH\tsubstitute\t{zero!r}\n"
+        costs = CostMatrix(INV, grid)
+        a = align([iy], [ih], costs)
+        assert dump_alignment(a, costs) == f"IY\tIH\tsubstitute\t{zero!r}\n"
     # one cell with two costs in the same hand-built alignment, then with each
     for costs in ([0.5, 0.25], [0.5, 0.25], [0.25], [0.5]):
         a = alignment.Alignment(np.ones(len(costs), np.int64), np.full(len(costs), 2),
                                 np.ones(len(costs), np.int8), np.array(costs), sum(costs))
-        assert dump_alignment(a, INV) == plain_dump(a, INV)
+        assert dump_alignment(a, UNIFORM) == plain_dump(a, INV)
+
+
+def test_dump_under_another_grid_renders_op_by_op():
+    # the dumping grid differs from the aligning one only in the sign of one
+    # zero, so the op's cost bits are not that grid's and no table line fits
+    iy, ih = idx(INV, "IY IH")
+    grid = UNIFORM.costs.copy()
+    grid[iy, ih] = -0.0
+    a = align([iy, iy], [ih, iy], CostMatrix(INV, grid))
+    grid[iy, ih] = 0.0
+    dumped = dump_alignment(a, CostMatrix(INV, grid))
+    assert dumped == plain_dump(a, INV) == "IY\tIH\tsubstitute\t-0.0\nIY\tIY\tmatch\t0.0\n"
+    # a kind that is not its cell's is rendered as given, even where every
+    # cost is its cell's
+    a = align([iy, iy], [ih, iy], UNIFORM)
+    wrong = alignment.Alignment(a.expected, a.observed, np.array([0, 1], np.int8),
+                                a.costs, a.total_cost)
+    assert dump_alignment(wrong, UNIFORM) == "IY\tIH\tmatch\t1.0\nIY\tIY\tsubstitute\t0.0\n"
+
+
+@st.composite
+def signed_zero_grids(draw):
+    """Valid cost grids whose off-diagonal cells mix -0.0, 0.0, inf and
+    ordinary costs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = rng.choice([-0.0, 0.0, np.inf, 0.5, 1.0, 2.5], size=(len(INV),) * 2)
+    np.fill_diagonal(grid, 0.0)
+    return CostMatrix(INV, grid)
+
+
+any_seqs = st.lists(st.sampled_from(INV.non_epsilon_indices()), max_size=12)
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "pure"])
+@settings(max_examples=100, deadline=None)
+@given(signed_zero_grids(), any_seqs, any_seqs)
+def test_dump_of_align_equals_plain_dump(kernel, costs, e, o):
+    with kernel_backend(kernel):
+        a = align(e, o, costs)
+    alignment._dump_table(INV, costs.costs.tobytes())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(alignment, "_render", None)  # so only table lines can be joined
+        dumped = dump_alignment(a, costs)
+    assert dumped == plain_dump(a, INV)
+    eps = INV.epsilon_index
+    assert kinds(a) == [INSERT if x == eps else DELETE if y == eps
+                        else MATCH if x == y else SUBSTITUTE
+                        for x, y in zip(a.expected.tolist(), a.observed.tolist())]
+
+
+def test_cell_kinds_is_read_only_and_shared():
+    grid = alignment.cell_kinds(INV)
+    assert grid is alignment.cell_kinds(PhonemeInventory.default())
+    with pytest.raises(ValueError):
+        grid[0, 0] = 1
+
+
+T = INV.index("T")
+BAD_SEQUENCES = [
+    [1.7], [T + 0.0], [True], [T, True], np.array([True]), [[T, T]], [[T], [T, T]],
+    [[]], np.array([T], dtype=object), ["T"], T,
+]
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "pure"])
+@pytest.mark.parametrize("seq", BAD_SEQUENCES, ids=repr)
+def test_align_rejects_anything_but_1d_integer_indices(kernel, seq):
+    with kernel_backend(kernel):
+        with pytest.raises(ValidationError, match="expected must be a 1-d"):
+            align(seq, [T], UNIFORM)
+        with pytest.raises(ValidationError, match="observed must be a 1-d"):
+            align([T], seq, UNIFORM)
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "pure"])
+def test_min_variant_rejects_nested_variants(kernel):
+    with kernel_backend(kernel):
+        with pytest.raises(ValidationError, match="expected must be a 1-d"):
+            align_min_variant([[[[T, T]]]], [T], UNIFORM)
+        with pytest.raises(ValidationError, match="expected must be a 1-d"):
+            align_min_variant([[[T, 1.5]]], [T], UNIFORM)
+        with pytest.raises(ValidationError, match="observed must be a 1-d"):
+            align_min_variant([[[T]]], [[T]], UNIFORM)
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "pure"])
+def test_align_range_checks_before_the_int64_cast(kernel):
+    with kernel_backend(kernel):
+        for big, shown in ((np.array([2**63], dtype=np.uint64), 2**63),
+                           ([2**63], 2**63), ([2**64 - 1], 2**64 - 1)):
+            with pytest.raises(ValidationError, match=f"observed index {shown} outside"):
+                align([T], big, UNIFORM)
+        with pytest.raises(ValidationError, match="observed"):
+            align([T], [2**70], UNIFORM)
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "pure"])
+def test_align_accepts_any_integer_dtype_and_empty_sequences(kernel):
+    # the other side of the rule above: nothing valid is refused
+    d = INV.index("D")
+    with kernel_backend(kernel):
+        expected = align([T, d], [d], UNIFORM)
+        for e in (np.array([T, d], dtype=np.uint8), np.array([T, d], dtype=np.int32),
+                  (T, d), np.array([T, d], dtype=np.uint64)):
+            assert align(e, np.array([d], dtype=np.int16), UNIFORM) == expected
+        for empty in ([], (), np.array([]), np.zeros(0, dtype=np.uint8)):
+            assert align(empty, [], UNIFORM).ops == ()
 
 
 def _lattice_csr(lattice):

@@ -15,6 +15,8 @@ from phonoscope import (
     recognition_rate,
     serialize_annotation_csv,
 )
+from phonoscope import alignment, annotations
+from phonoscope.annotations import CORRECT, DELETION, INSERTION, SUBSTITUTION
 
 INV = PhonemeInventory.default()
 EPS = INV.epsilon_index
@@ -58,6 +60,59 @@ def test_inconsistent_kinds_rejected():
     for row in bad_rows:
         with pytest.raises(ParseError):
             parse_annotation_csv(f"{HEADER}\n{row}\n", INV)
+
+
+def ladder_kind_error(kind, target, observed, eps):
+    """The first kind check, one branch per kind (oracle for _kind_error)."""
+    if kind == CORRECT:
+        if target == eps or observed == eps or target != observed:
+            return "correct requires target = observed, neither epsilon"
+    elif kind == SUBSTITUTION:
+        if target == eps or observed == eps:
+            return "substitution requires non-epsilon target and observed"
+        if target == observed:
+            return "substitution requires target != observed"
+    elif kind == DELETION:
+        if target == eps or observed != eps:
+            return "deletion requires non-epsilon target and observed = <eps>"
+    elif kind == INSERTION:
+        if target != eps or observed == eps:
+            return "insertion requires target = <eps> and non-epsilon observed"
+    else:
+        return f"unknown kind {kind!r}"
+    return None
+
+
+def test_kind_rule_accepts_what_the_ladder_accepts():
+    for kind in (*annotations.KINDS, "mumble"):
+        for target in range(len(INV)):
+            for observed in range(len(INV)):
+                new = annotations._kind_error(kind, target, observed, INV)
+                old = ladder_kind_error(kind, target, observed, EPS)
+                assert (new is None) == (old is None), (kind, target, observed, new, old)
+
+
+def test_kind_error_names_both_symbols_and_the_cells_kind():
+    t, d = INV.index("T"), INV.index("D")
+    assert annotations._kind_error(DELETION, t, d, INV) == (
+        "deletion does not fit target T, observed D (substitution)")
+    assert annotations._kind_error(INSERTION, EPS, EPS, INV) == (
+        "insertion does not fit target <eps>, observed <eps> (no op)")
+
+
+@pytest.mark.parametrize("target,observed,kind", [
+    (-1, INV.index("T"), INSERTION), (-2, -2, CORRECT), (len(INV), len(INV), CORRECT)])
+def test_validate_rejects_indices_outside_the_inventory(target, observed, kind):
+    aset = AnnotationSet("s", [AnnotationRecord("u", 0, target, observed, kind)])
+    with pytest.raises(ValidationError, match="outside the inventory"):
+        aset.validate(INV)
+
+
+def test_annotation_kinds_follow_alignment_kinds():
+    # both index one cell_kinds grid, so code i must name one op on both sides
+    assert list(zip(annotations.KINDS, alignment.KINDS)) == [
+        ("correct", "match"), ("substitution", "substitute"),
+        ("deletion", "delete"), ("insertion", "insert")]
 
 
 def test_unknown_phoneme_names_line():
