@@ -60,38 +60,38 @@ def _load():
 
 
 _dp_align, _dp_lattice, _tsne_descend = _load()
+_POINTER = ctypes.c_void_p  # of every array and of each kernel's out values
 _dp_align.argtypes = [
-    ctypes.c_char_p, ctypes.c_int64, ctypes.c_char_p, ctypes.c_int64,
-    ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64,
-    ctypes.c_int, ctypes.c_int, ctypes.c_int,
-    ctypes.POINTER(ctypes.c_double), ctypes.c_char_p,
+    _POINTER, ctypes.c_int64, _POINTER, ctypes.c_int64,
+    _POINTER, ctypes.c_int64, ctypes.c_int64,
+    ctypes.c_int, ctypes.c_int, ctypes.c_int, _POINTER, _POINTER,
 ]
 _dp_align.restype = ctypes.c_int64
 _dp_lattice.argtypes = [
-    ctypes.c_char_p, ctypes.c_char_p, ctypes.c_char_p, ctypes.c_int64,
-    ctypes.c_char_p, ctypes.c_int64, ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64,
-    ctypes.POINTER(ctypes.c_double),
+    _POINTER, _POINTER, _POINTER, ctypes.c_int64,
+    _POINTER, ctypes.c_int64, _POINTER, ctypes.c_int64, ctypes.c_int64, _POINTER,
 ]
 _dp_lattice.restype = ctypes.c_int64
-_DOUBLES = ctypes.POINTER(ctypes.c_double)
 _tsne_descend.argtypes = [
-    _DOUBLES, _DOUBLES, ctypes.c_int64,
-    ctypes.c_double, ctypes.c_int64, ctypes.c_double, ctypes.c_int64, _DOUBLES,
+    _POINTER, _POINTER, ctypes.c_int64,
+    ctypes.c_double, ctypes.c_int64, ctypes.c_double, ctypes.c_int64, _POINTER,
 ]
 _tsne_descend.restype = None
 
 
-def _check(array, dtype, ndim: int, name: str) -> None:
+def _checked(array, dtype, ndim: int, name: str) -> np.ndarray:
+    """The array C-ordered, copied only if it is not; C reads it through its
+    address, so the caller keeps the result alive for the whole call."""
     if not (isinstance(array, np.ndarray) and array.dtype == dtype and array.ndim == ndim):
         raise ValueError(f"{name} must be a {ndim}-d {dtype} array")
+    return np.ascontiguousarray(array)
 
 
-def _grid_size(cost_rows) -> int:
-    _check(cost_rows, _FLOAT64, 2, "cost grid")
-    size = cost_rows.shape[0]
-    if cost_rows.shape[1] != size:
+def _checked_grid(cost_rows) -> np.ndarray:
+    cost_rows = _checked(cost_rows, _FLOAT64, 2, "cost grid")
+    if cost_rows.shape[1] != len(cost_rows):
         raise ValueError("cost grid must be square")
-    return size
+    return cost_rows
 
 
 def _raise_for(status: int) -> None:
@@ -109,18 +109,17 @@ def dp_align(expected, observed, cost_rows, eps, pref0, pref1, pref2):
     Returns (total_cost, moves) with moves the forward-order list of move
     codes (0 diagonal, 1 delete, 2 insert).
     """
-    _check(expected, _INT64, 1, "expected")
-    _check(observed, _INT64, 1, "observed")
-    size = _grid_size(cost_rows)
+    expected = _checked(expected, _INT64, 1, "expected")
+    observed = _checked(observed, _INT64, 1, "observed")
+    cost_rows = _checked_grid(cost_rows)
     n, m = len(expected), len(observed)
     total = ctypes.c_double()
-    moves = ctypes.create_string_buffer(n + m)
-    # tobytes() hands C a C-ordered copy that lives for the whole call
-    count = _dp_align(expected.tobytes(), n, observed.tobytes(), m,
-                      cost_rows.tobytes(), size, eps, pref0, pref1, pref2,
+    moves = (ctypes.c_int8 * (n + m))()
+    count = _dp_align(expected.ctypes.data, n, observed.ctypes.data, m,
+                      cost_rows.ctypes.data, len(cost_rows), eps, pref0, pref1, pref2,
                       ctypes.byref(total), moves)
     _raise_for(count)
-    return total.value, list(moves.raw[:count])
+    return total.value, moves[:count]
 
 
 def dp_lattice(phonemes, variant_offsets, word_offsets, observed, cost_rows, eps):
@@ -129,20 +128,21 @@ def dp_lattice(phonemes, variant_offsets, word_offsets, observed, cost_rows, eps
     Each offsets array must rise from 0 to the length of what it indexes:
     variant_offsets to len(phonemes), word_offsets to the variant count.
     """
-    for array, name in ((phonemes, "phonemes"), (variant_offsets, "variant offsets"),
-                        (word_offsets, "word offsets"), (observed, "observed")):
-        _check(array, _INT64, 1, name)
-    size = _grid_size(cost_rows)
+    phonemes, variant_offsets, word_offsets, observed = (
+        _checked(array, _INT64, 1, name) for array, name in (
+            (phonemes, "phonemes"), (variant_offsets, "variant offsets"),
+            (word_offsets, "word offsets"), (observed, "observed")))
+    cost_rows = _checked_grid(cost_rows)
     for offsets, end, name in ((variant_offsets, len(phonemes), "variant offsets"),
                                (word_offsets, len(variant_offsets) - 1, "word offsets")):
         if not (len(offsets) and offsets[0] == 0 and offsets[-1] == end
                 and (offsets[1:] >= offsets[:-1]).all()):
             raise ValueError(f"{name} must rise from 0 to {end}")
     total = ctypes.c_double()
-    status = _dp_lattice(phonemes.tobytes(), variant_offsets.tobytes(),
-                         word_offsets.tobytes(), len(word_offsets) - 1,
-                         observed.tobytes(), len(observed), cost_rows.tobytes(),
-                         size, eps, ctypes.byref(total))
+    status = _dp_lattice(phonemes.ctypes.data, variant_offsets.ctypes.data,
+                         word_offsets.ctypes.data, len(word_offsets) - 1,
+                         observed.ctypes.data, len(observed), cost_rows.ctypes.data,
+                         len(cost_rows), eps, ctypes.byref(total))
     _raise_for(status)
     return total.value
 
@@ -150,20 +150,18 @@ def dp_lattice(phonemes, variant_offsets, word_offsets, observed, cost_rows, eps
 def tsne_descend(P, Y, learning_rate, iterations, early_exaggeration,
                  exaggeration_iters):
     """Same contract as _dppy.tsne_descend, on a float64 n x n P and n x 2 Y."""
-    _check(P, _FLOAT64, 2, "affinities")
-    _check(Y, _FLOAT64, 2, "embedding")
+    P = _checked(P, _FLOAT64, 2, "affinities")
+    Y = _checked(Y, _FLOAT64, 2, "embedding")
     n = Y.shape[0]
     if n < 1 or P.shape != (n, n) or Y.shape != (n, 2):
         raise ValueError("affinities must be n x n for an n x 2 embedding, n >= 1")
     # ctypes would silently wrap a count outside int64
     if not all(-2**63 <= count < 2**63 for count in (iterations, exaggeration_iters)):
         raise ValueError("iteration counts must fit in 64 bits")
-    # C reads P, writes out and works in work through pointers; the
-    # names keep all three alive for the whole call
-    P = np.ascontiguousarray(P)
-    out = np.array(Y, order="C")
+    # C reads P, writes out and works in work; the names keep all three alive
+    out = Y.copy()
     work = np.empty(2 * n * n + 7 * n)
-    _tsne_descend(P.ctypes.data_as(_DOUBLES), out.ctypes.data_as(_DOUBLES), n,
+    _tsne_descend(P.ctypes.data, out.ctypes.data, n,
                   learning_rate, iterations, early_exaggeration, exaggeration_iters,
-                  work.ctypes.data_as(_DOUBLES))
+                  work.ctypes.data)
     return out

@@ -18,13 +18,12 @@ clustering.tsne runs its gradient descent in the same kernel.
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostMatrix
+from .costs import DELETE, INSERT, KINDS, MATCH, SUBSTITUTE, CostMatrix, cell_kinds
 from .errors import ValidationError
 
 if os.environ.get("PHONOSCOPE_PURE"):
@@ -40,12 +39,6 @@ else:
         from . import _dppy as _kernel  # type: ignore[no-redef]
 
         _BACKEND = "pure"
-
-MATCH = "match"
-SUBSTITUTE = "substitute"
-DELETE = "delete"
-INSERT = "insert"
-KINDS = (MATCH, SUBSTITUTE, DELETE, INSERT)  # Alignment.kinds indexes this
 
 _BOOLS = frozenset((bool, np.bool_))  # numpy reads [1, True] as int64
 
@@ -78,18 +71,46 @@ class EditOp:
 
 @dataclass(frozen=True, eq=False)
 class Alignment:
-    """An alignment as per-op arrays, ops in forward order.
+    """An alignment as its ops' cells under one cost grid, in forward order.
 
-    ``expected`` and ``observed`` (int64) hold inventory indices, epsilon
-    on the side an insertion or a deletion leaves empty; ``kinds`` (int8)
-    indexes KINDS; ``costs`` (float64) holds each op's cost.
+    ``expected`` and ``observed`` are equal-length 1-d integer arrays of
+    inventory indices, epsilon on the side an insertion or a deletion
+    leaves empty. Each op's kind and cost are its cell's in
+    ``cost_matrix``, so an alignment cannot disagree with its grid.
     """
 
     expected: np.ndarray
     observed: np.ndarray
-    kinds: np.ndarray
-    costs: np.ndarray
+    cost_matrix: CostMatrix
     total_cost: float
+
+    def __post_init__(self):
+        sides, inv = (self.expected, self.observed), self.cost_matrix.inventory
+        if not all(isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind in "iu"
+                   for a in sides) or len(sides[0]) != len(sides[1]):
+            raise ValidationError("alignment sides must be equal-length 1-d integer arrays")
+        try:
+            cells = self.cells
+        except ValueError:
+            raise ValidationError("alignment cell outside the cost grid") from None
+        if inv.epsilon_index * (len(inv) + 1) in cells:
+            raise ValidationError("(eps, eps) is no op")
+
+    @property
+    def cells(self) -> np.ndarray:
+        """Each op's row-major cell in the cost grid."""
+        n = len(self.cost_matrix.inventory)
+        return np.ravel_multi_index((self.expected, self.observed), (n, n))
+
+    @property
+    def kinds(self) -> np.ndarray:
+        """Each op's kind as an index into KINDS."""
+        return cell_kinds(self.cost_matrix.inventory)[self.expected, self.observed]
+
+    @property
+    def costs(self) -> np.ndarray:
+        """Each op's cost."""
+        return self.cost_matrix.costs[self.expected, self.observed]
 
     @property
     def ops(self) -> tuple[EditOp, ...]:
@@ -109,24 +130,6 @@ class VariantAlignment:
 
     alignment: Alignment
     chosen: tuple[int, ...]
-
-
-@functools.lru_cache(maxsize=8)
-def cell_kinds(inventory) -> np.ndarray:
-    """Each (expected, observed) cell's op kind as an index into KINDS.
-
-    Match on the diagonal, substitute elsewhere, delete in the epsilon
-    column, insert in the epsilon row and -1 at (eps, eps), which is no
-    op. Read-only; one grid per inventory.
-    """
-    eps = inventory.epsilon_index
-    kinds = np.ones((len(inventory),) * 2, dtype=np.int8)
-    np.fill_diagonal(kinds, 0)
-    kinds[:, eps] = 2
-    kinds[eps, :] = 3
-    kinds[eps, eps] = -1
-    kinds.flags.writeable = False
-    return kinds
 
 
 def tie_codes(tie_break) -> tuple[int, int, int]:
@@ -154,8 +157,12 @@ def _check_sequence(seq, inventory, side: str) -> np.ndarray:
         arr = np.asarray(seq)
     except ValueError:   # ragged nesting
         arr = None
-    if (arr is None or arr.ndim != 1 or arr.size and arr.dtype.kind not in "iu"
-            or not isinstance(seq, np.ndarray) and not _BOOLS.isdisjoint(map(type, seq))):
+    integers = arr is not None and arr.ndim == 1 and (
+        not arr.size or arr.dtype.kind in "iu"
+        # numpy holds a list's ints beyond 64 bits as objects
+        or arr.dtype == object and not isinstance(seq, np.ndarray)
+        and all(isinstance(p, (int, np.integer)) for p in seq))
+    if not integers or not isinstance(seq, np.ndarray) and not _BOOLS.isdisjoint(map(type, seq)):
         raise ValidationError(f"{side} must be a 1-d sequence of integer indices")
     eps = inventory.epsilon_index
     # compared before the cast, so a uint64 index above 2**63 is not wrapped
@@ -200,10 +207,7 @@ def align(expected, observed, costs: CostMatrix,
     expected_ops[moves != _INSERT_CODE] = e
     observed_ops = np.full(len(moves), eps, dtype=np.int64)
     observed_ops[moves != _DELETE_CODE] = o
-    # a diagonal move never touches epsilon, so each op's cell gives its kind
-    kinds = cell_kinds(inv)[expected_ops, observed_ops]
-    return Alignment(expected_ops, observed_ops, kinds,
-                     costs.costs[expected_ops, observed_ops], float(total))
+    return Alignment(expected_ops, observed_ops, costs, float(total))
 
 
 def _variant_lattice(expected_lattice) -> list[list[tuple]]:
@@ -267,39 +271,8 @@ def align_min_variant(
     return VariantAlignment(align(expected, o, costs, tie_break), tuple(chosen))
 
 
-def dump_alignment(alignment: Alignment, costs: CostMatrix) -> str:
-    """One op per line: expected<TAB>observed<TAB>kind<TAB>cost.
-
-    When every op has its cell's kind and, bit for bit, its cell's cost in
-    ``costs`` (as every op align returns under that grid does), the dump
-    joins the grid's prebuilt lines; otherwise it renders op by op.
-    """
-    inv = costs.inventory
-    lines, bits = _dump_table(inv, costs.costs.tobytes())
-    cells = alignment.expected * len(inv) + alignment.observed
-    op_bits = np.asarray(alignment.costs, dtype=np.float64).view(np.int64)
-    if ((bits[cells] == op_bits).all()
-            and (cell_kinds(inv).ravel()[cells] == alignment.kinds).all()):
-        return "".join(map(lines.__getitem__, cells.tolist()))
-    return "".join(_render(inv.symbols, alignment.expected.tolist(),
-                           alignment.observed.tolist(), alignment.kinds.tolist(),
-                           alignment.costs.tolist()))
-
-
-def _render(symbols, expected, observed, kinds, costs) -> list[str]:
-    return [f"{symbols[a]}\t{symbols[b]}\t{KINDS[k]}\t{cost!r}\n"
-            for a, b, k, cost in zip(expected, observed, kinds, costs)]
-
-
-@functools.lru_cache(maxsize=8)
-def _dump_table(inventory, grid: bytes) -> tuple[tuple[str, ...], np.ndarray]:
-    """The dump line of every cell under one cost grid, in row-major
-    order, and the bits of each cell's cost. Never changed once built, so
-    concurrent dumps may share it."""
-    costs = np.frombuffer(grid, dtype=np.float64)
-    n = len(inventory)
-    cells = np.arange(n * n)
-    # (eps, eps) has kind -1, so no op of align is ever given its line
-    lines = _render(inventory.symbols, (cells // n).tolist(), (cells % n).tolist(),
-                    cell_kinds(inventory).ravel().tolist(), costs.tolist())
-    return tuple(lines), costs.view(np.int64)
+def dump_alignment(alignment: Alignment) -> str:
+    """One op per line: expected<TAB>observed<TAB>kind<TAB>cost, each
+    line its cell's in the alignment's cost grid."""
+    return "".join(map(alignment.cost_matrix.lines.__getitem__,
+                       alignment.cells.tolist()))

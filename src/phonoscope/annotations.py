@@ -13,8 +13,8 @@ import csv
 import io
 from dataclasses import dataclass, field
 
-from .alignment import cell_kinds
 from .confusion import ConfusionMatrix, PhonemeStats, format_percent, phoneme_stats
+from .costs import cell_kinds
 from .errors import ParseError, ValidationError, read_input
 from .inventory import EPSILON, PhonemeInventory
 from .textgrid import parse_textgrid_file
@@ -23,7 +23,7 @@ CORRECT = "correct"
 SUBSTITUTION = "substitution"
 DELETION = "deletion"
 INSERTION = "insertion"
-KINDS = (CORRECT, SUBSTITUTION, DELETION, INSERTION)  # alignment.KINDS' order: cell_kinds indexes both
+KINDS = (CORRECT, SUBSTITUTION, DELETION, INSERTION)  # costs.KINDS' order: cell_kinds indexes both
 
 # compare()'s defaults; RunConfig refers to these.
 DEFAULT_TOP_K = 3

@@ -274,7 +274,7 @@ def _align_corpus(manifest, loaded: LoadedConfig, files: Writer):
                                cfg.tie_break)
             accumulate(profile, ali)
             files.write(speaker_dir / f"{utt.utterance_id}.tsv",
-                        al.dump_alignment(ali, loaded.costs))
+                        al.dump_alignment(ali))
         files.write(profiles_dir / f"{speaker.speaker_id}.json", profile.to_json())
         files.write(confusions_dir / f"{speaker.speaker_id}.csv",
                     profile.matrix.to_csv())

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 
 import numpy as np
 
@@ -100,4 +101,5 @@ def serialize_grid(grid: np.ndarray, inventory: PhonemeInventory, *,
 
 
 def _fmt_float(v: float) -> str:
-    return str(int(v)) if v.is_integer() else repr(v)
+    # int() would drop the sign of -0.0
+    return str(int(v)) if v.is_integer() and (v or math.copysign(1.0, v) > 0) else repr(v)

@@ -22,6 +22,7 @@ from phonoscope import (
     alignment,
     backend,
     dump_alignment,
+    parse_cost_matrix,
 )
 from phonoscope.alignment import DELETE, INSERT, MATCH, SUBSTITUTE
 
@@ -278,7 +279,7 @@ def test_min_variant_matches_enumeration_oracle(kernel, lattice, observed,
 
 def test_dump_format(weighted):
     a = align(idx(INV, "HH IH Z"), idx(INV, "IY Z"), weighted)
-    lines = dump_alignment(a, weighted).splitlines()
+    lines = dump_alignment(a).splitlines()
     assert lines[0].split("\t") == ["HH", "<eps>", "delete", "0.3"]
     assert lines[2].split("\t") == ["Z", "Z", "match", "0.0"]
 
@@ -298,7 +299,7 @@ def test_dump_lines_follow_each_cost_grid():
             e = rng.integers(0, len(INV) - 1, 30)
             o = [*e[:10], *rng.integers(0, len(INV) - 1, 15)]
             a = align(e, o, costs)
-            assert dump_alignment(a, costs) == plain_dump(a, INV)
+            assert dump_alignment(a) == plain_dump(a, INV)
     # grids that differ only in the sign of one zero
     iy, ih = idx(INV, "IY IH")
     for zero in (0.0, -0.0, 0.0):
@@ -306,30 +307,7 @@ def test_dump_lines_follow_each_cost_grid():
         grid[iy, ih] = zero
         costs = CostMatrix(INV, grid)
         a = align([iy], [ih], costs)
-        assert dump_alignment(a, costs) == f"IY\tIH\tsubstitute\t{zero!r}\n"
-    # one cell with two costs in the same hand-built alignment, then with each
-    for costs in ([0.5, 0.25], [0.5, 0.25], [0.25], [0.5]):
-        a = alignment.Alignment(np.ones(len(costs), np.int64), np.full(len(costs), 2),
-                                np.ones(len(costs), np.int8), np.array(costs), sum(costs))
-        assert dump_alignment(a, UNIFORM) == plain_dump(a, INV)
-
-
-def test_dump_under_another_grid_renders_op_by_op():
-    # the dumping grid differs from the aligning one only in the sign of one
-    # zero, so the op's cost bits are not that grid's and no table line fits
-    iy, ih = idx(INV, "IY IH")
-    grid = UNIFORM.costs.copy()
-    grid[iy, ih] = -0.0
-    a = align([iy, iy], [ih, iy], CostMatrix(INV, grid))
-    grid[iy, ih] = 0.0
-    dumped = dump_alignment(a, CostMatrix(INV, grid))
-    assert dumped == plain_dump(a, INV) == "IY\tIH\tsubstitute\t-0.0\nIY\tIY\tmatch\t0.0\n"
-    # a kind that is not its cell's is rendered as given, even where every
-    # cost is its cell's
-    a = align([iy, iy], [ih, iy], UNIFORM)
-    wrong = alignment.Alignment(a.expected, a.observed, np.array([0, 1], np.int8),
-                                a.costs, a.total_cost)
-    assert dump_alignment(wrong, UNIFORM) == "IY\tIH\tmatch\t1.0\nIY\tIY\tsubstitute\t0.0\n"
+        assert dump_alignment(a) == f"IY\tIH\tsubstitute\t{zero!r}\n"
 
 
 @st.composite
@@ -351,15 +329,19 @@ any_seqs = st.lists(st.sampled_from(INV.non_epsilon_indices()), max_size=12)
 def test_dump_of_align_equals_plain_dump(kernel, costs, e, o):
     with kernel_backend(kernel):
         a = align(e, o, costs)
-    alignment._dump_table(INV, costs.costs.tobytes())
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(alignment, "_render", None)  # so only table lines can be joined
-        dumped = dump_alignment(a, costs)
-    assert dumped == plain_dump(a, INV)
+    assert dump_alignment(a) == plain_dump(a, INV)
     eps = INV.epsilon_index
     assert kinds(a) == [INSERT if x == eps else DELETE if y == eps
                         else MATCH if x == y else SUBSTITUTE
                         for x, y in zip(a.expected.tolist(), a.observed.tolist())]
+
+
+@settings(max_examples=50, deadline=None)
+@given(signed_zero_grids(), any_seqs, any_seqs)
+def test_cost_csv_round_trip_keeps_every_dump_byte(costs, e, o):
+    reparsed = parse_cost_matrix(costs.to_csv(), INV)
+    assert reparsed.costs.tobytes() == costs.costs.tobytes()
+    assert dump_alignment(align(e, o, reparsed)) == dump_alignment(align(e, o, costs))
 
 
 def test_cell_kinds_is_read_only_and_shared():
@@ -367,6 +349,40 @@ def test_cell_kinds_is_read_only_and_shared():
     assert grid is alignment.cell_kinds(PhonemeInventory.default())
     with pytest.raises(ValueError):
         grid[0, 0] = 1
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "pure"])
+def test_cost_grid_is_a_frozen_copy(kernel):
+    t, s = idx(INV, "T S")
+    grid = UNIFORM.costs.copy()
+    costs = CostMatrix(INV, grid)
+    with kernel_backend(kernel):
+        before = dump_alignment(align([t], [s], costs))
+        for value in (0.25, np.nan, -3.0):
+            grid[t, s] = value   # the caller's array, not the validated copy
+            assert dump_alignment(align([t], [s], costs)) == before == "T\tS\tsubstitute\t1.0\n"
+    with pytest.raises(ValueError, match="read-only"):
+        costs.costs[t, s] = 0.25
+
+
+def test_alignment_construction_checks_its_cells():
+    t, eps = INV.index("T"), INV.index("<eps>")
+
+    def alignment_of(expected, observed):
+        return alignment.Alignment(np.array(expected, dtype=np.int64),
+                                   np.array(observed, dtype=np.int64), UNIFORM, 1.0)
+
+    assert alignment_of([t, eps], [eps, t]).kinds.tolist() == [2, 3]
+    for expected, observed, message in (
+            ([t, eps], [t, eps], "no op"),
+            ([t], [-1], "outside"),
+            ([len(INV)], [t], "outside"),
+            ([t, t], [t], "equal-length"),
+            ([[t]], [[t]], "1-d")):
+        with pytest.raises(ValidationError, match=message):
+            alignment_of(expected, observed)
+    with pytest.raises(ValidationError, match="integer"):
+        alignment.Alignment(np.array([1.0]), np.array([1.0]), UNIFORM, 1.0)
 
 
 T = INV.index("T")
@@ -404,8 +420,10 @@ def test_align_range_checks_before_the_int64_cast(kernel):
                            ([2**63], 2**63), ([2**64 - 1], 2**64 - 1)):
             with pytest.raises(ValidationError, match=f"observed index {shown} outside"):
                 align([T], big, UNIFORM)
-        with pytest.raises(ValidationError, match="observed"):
-            align([T], [2**70], UNIFORM)
+        # numpy holds these as objects, but they are indices all the same
+        for big in (2**70, -2**70):
+            with pytest.raises(ValidationError, match=f"observed index {big} outside"):
+                align([T], [big], UNIFORM)
 
 
 @pytest.mark.parametrize("kernel", ["compiled", "pure"])
@@ -487,6 +505,25 @@ def test_backend_parity_on_random_instances():
                            ([[[t, t], [d]], [[t]]], [d, d]),
                            ([[[t], [t, t]]], [d])):
             check_lattice(lattice, o, costs)
+
+
+def test_compiled_kernel_reads_strided_and_transposed_arrays():
+    _dpcore = pytest.importorskip("phonoscope._dpcore")
+    rng = np.random.default_rng(5)
+    eps = INV.epsilon_index
+    grid = random_cost_matrix(INV, rng).costs.T   # Fortran-ordered view
+    assert not grid.flags.c_contiguous
+    e = rng.choice(INV.non_epsilon_indices(), 24)[::2]   # strided views
+    o = rng.choice(INV.non_epsilon_indices(), 30)[::3]
+    assert not (e.flags.c_contiguous or o.flags.c_contiguous)
+    plain = [np.array(a, order="C") for a in (e, o, grid)]
+    assert (_dpcore.dp_align(e, o, grid, eps, 0, 1, 2)
+            == _dpcore.dp_align(*plain, eps, 0, 1, 2))
+    # one word of two variants, e[:4] and e[4:], every array a strided view
+    csr = [e, np.array([0, 9, 4, 9, 12])[::2], np.array([0, 9, 2])[::2]]
+    assert not any(a.flags.c_contiguous for a in csr)
+    assert (_dpcore.dp_lattice(*csr, o, grid, eps)
+            == _dpcore.dp_lattice(*[np.array(a, order="C") for a in (*csr, o, grid)], eps))
 
 
 def test_compiled_kernel_rejects_bad_arguments():

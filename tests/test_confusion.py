@@ -25,7 +25,7 @@ from phonoscope import (
     recognition_rate,
     tokenize,
 )
-from phonoscope.alignment import KINDS, Alignment, EditOp
+from phonoscope.alignment import Alignment, EditOp
 from phonoscope.confusion import Substitute
 
 INV = PhonemeInventory.default()
@@ -37,16 +37,16 @@ def fresh_profile(speaker="spk"):
 
 
 def ops_alignment(ops):
+    """An Alignment of the ops' cells under uniform costs, which give each op
+    its kind and cost."""
     total = 0.0
     for op in ops:
         total = total + op.cost
-    return Alignment(
-        np.array([op.expected for op in ops], dtype=np.int64),
-        np.array([op.observed for op in ops], dtype=np.int64),
-        np.array([KINDS.index(op.kind) for op in ops], dtype=np.int8),
-        np.array([op.cost for op in ops], dtype=np.float64),
-        total,
-    )
+    alignment = Alignment(np.array([op.expected for op in ops], dtype=np.int64),
+                          np.array([op.observed for op in ops], dtype=np.int64),
+                          CostMatrix.uniform(INV), total)
+    assert alignment.ops == tuple(ops)
+    return alignment
 
 
 def table2_alignment():
