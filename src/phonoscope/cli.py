@@ -131,8 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles-dir", type=Path, required=True,
                    help="directory of speaker profile JSONs from `align`")
 
-    p = command("heatmap", cmd_heatmap, "render a matrix CSV as an SVG heatmap")
-    p.add_argument("matrix", help="confusion or cost matrix CSV")
+    p = command("heatmap", cmd_heatmap,
+                "render a speaker profile or a cost matrix as an SVG heatmap")
+    p.add_argument("matrix", help="speaker profile JSON (--kind confusion) or "
+                                  "cost matrix CSV (--kind costs)")
     p.add_argument("out", type=Path, help="output SVG path")
     p.add_argument("--kind", default="confusion", choices=["confusion", "costs"],
                    help="confusion scales each row to its max, costs globally")
@@ -251,13 +253,12 @@ def cmd_phonemize(args, loaded: LoadedConfig, files: Writer) -> int:
 
 
 def _align_corpus(manifest, loaded: LoadedConfig, files: Writer):
-    """Align every utterance and write alignments/, profiles/, confusions/
-    and oov_report.json; returns (speaker, profile) pairs."""
+    """Align every utterance and write alignments/, profiles/ (each
+    speaker's counts) and oov_report.json; returns (speaker, profile) pairs."""
     cfg, inv, out = loaded.config, loaded.inventory, loaded.config.out_dir
     corpus = _phonemize_corpus(manifest, loaded, files)
     alignments_dir = files.mkdir(out / "alignments")
     profiles_dir = files.mkdir(out / "profiles")
-    confusions_dir = files.mkdir(out / "confusions")
     profiles = []
     for speaker, produced in corpus.by_speaker:
         profile = SpeakerProfile(
@@ -276,8 +277,6 @@ def _align_corpus(manifest, loaded: LoadedConfig, files: Writer):
             files.write(speaker_dir / f"{utt.utterance_id}.tsv",
                         al.dump_alignment(ali))
         files.write(profiles_dir / f"{speaker.speaker_id}.json", profile.to_json())
-        files.write(confusions_dir / f"{speaker.speaker_id}.csv",
-                    profile.matrix.to_csv())
         profiles.append((speaker, profile))
     _oov_report(files, out, corpus)
     return profiles
@@ -398,8 +397,12 @@ def cmd_compare(args, loaded: LoadedConfig, files: Writer) -> int:
         path = args.profiles_dir / f"{speaker.speaker_id}.json"
         if not path.exists():
             raise ValidationError(f"no profile for {speaker.speaker_id!r} at {path}")
-        profiles.append((speaker, SpeakerProfile.from_json(
-            read_input(path), loaded.inventory, source=path)))
+        profile = SpeakerProfile.from_json(read_input(path), loaded.inventory,
+                                           source=path)
+        if profile.speaker_id != speaker.speaker_id:
+            raise ValidationError(f"{path}: speaker_id {profile.speaker_id!r} is "
+                                  f"not the manifest's {speaker.speaker_id!r}")
+        profiles.append((speaker, profile))
     annotated = _annotation_matrices(manifest, loaded)
     files.mkdir(loaded.config.out_dir)
     _comparison_outputs(profiles, annotated, loaded, files)
@@ -407,8 +410,11 @@ def cmd_compare(args, loaded: LoadedConfig, files: Writer) -> int:
 
 
 def cmd_heatmap(args, loaded: LoadedConfig, files: Writer) -> int:
-    inv = loaded.inventory
-    grid = gridcsv.parse_grid(read_input(args.matrix), inv, source=args.matrix)
+    inv, text = loaded.inventory, read_input(args.matrix)
+    if args.kind == "confusion":
+        grid = SpeakerProfile.from_json(text, inv, source=args.matrix).matrix.counts
+    else:
+        grid = gridcsv.parse_grid(text, inv, source=args.matrix)
     svg = svg_heatmap(grid, inv.symbols, per_row=(args.kind == "confusion"))
     files.mkdir(args.out.parent)
     files.write(args.out, svg)

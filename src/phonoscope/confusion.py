@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gridcsv
 from .alignment import Alignment
 from .errors import ParseError, UndefinedRateError, ValidationError
 from .inventory import PhonemeInventory
@@ -55,18 +54,6 @@ class ConfusionMatrix:
             and np.array_equal(self.counts, other.counts)
         )
 
-    def to_csv(self) -> str:
-        return gridcsv.serialize_grid(self.counts, self.inventory, integer=True)
-
-    @classmethod
-    def from_csv(cls, text: str, inventory: PhonemeInventory,
-                 source=None) -> "ConfusionMatrix":
-        grid = gridcsv.parse_grid(text, inventory, integer=True, source=source)
-        try:
-            return cls(inventory, grid)
-        except ValidationError as exc:
-            raise ParseError(str(exc), source=source) from exc
-
 
 @dataclass
 class SpeakerProfile:
@@ -76,13 +63,9 @@ class SpeakerProfile:
     utterance_count: int = 0
 
     def to_json(self) -> str:
-        """The text of json.dumps(doc, indent=2, sort_keys=True) + "\\n", with
-        the count grid written by joins: the stdlib's indenting encoder is
-        pure Python and spends a millisecond on a 40 x 40 grid."""
-        rows = ",\n    ".join(
-            "[\n      " + ",\n      ".join(map(str, row)) + "\n    ]"
-            for row in self.matrix.counts.tolist()
-        )
+        """JSON with sorted keys and each row of counts on one line."""
+        rows = ",\n    ".join(f"[{', '.join(map(str, row))}]"
+                               for row in self.matrix.counts.tolist())
         return (
             f'{{\n  "counts": [\n    {rows}\n  ],\n'
             f'  "l1_label": {json.dumps(self.l1_label)},\n'

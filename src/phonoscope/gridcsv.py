@@ -1,9 +1,9 @@
-"""Shared reader/writer for labelled-grid CSV files.
+"""Reader/writer for labelled float-grid CSV files (cost matrices).
 
-Cost matrices and confusion matrices use the same layout: a header row
-and header column of inventory labels (``<eps>`` included), corner cell
-blank. Labels may appear in any order but must cover the inventory
-exactly; the parsed grid is returned in inventory order.
+The layout is a header row and header column of inventory labels
+(``<eps>`` included), corner cell blank. Labels may appear in any order
+but must cover the inventory exactly; the parsed grid is returned in
+inventory order.
 """
 
 from __future__ import annotations
@@ -14,12 +14,11 @@ import math
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError
 from .inventory import PhonemeInventory
 
 
-def parse_grid(text: str, inventory: PhonemeInventory, *, integer=False,
-               source=None) -> np.ndarray:
+def parse_grid(text: str, inventory: PhonemeInventory, *, source=None) -> np.ndarray:
     try:
         rows = list(csv.reader(io.StringIO(text)))
     except csv.Error as exc:   # e.g. a field over csv's size limit
@@ -33,8 +32,7 @@ def parse_grid(text: str, inventory: PhonemeInventory, *, integer=False,
     _check_labels(header, inventory, "column", source)
     col_for = [inventory.index(lab) for lab in header]
 
-    dtype = np.int64 if integer else np.float64
-    grid = np.zeros((n, n), dtype=dtype)
+    grid = np.zeros((n, n), dtype=np.float64)
     seen_rows = []
     for lineno, row in enumerate(rows[1:], start=2):
         label = row[0].strip()
@@ -54,8 +52,8 @@ def parse_grid(text: str, inventory: PhonemeInventory, *, integer=False,
         for cell, c in zip(values, col_for):
             cell = cell.strip()
             try:
-                grid[r, c] = int(cell) if integer else float(cell)
-            except (ValueError, OverflowError):   # OverflowError: beyond int64
+                grid[r, c] = float(cell)
+            except ValueError:
                 raise ParseError(
                     f"bad numeric value {cell!r} in row {label!r}",
                     line=lineno, source=source,
@@ -81,22 +79,12 @@ def _check_labels(labels, inventory, axis, source):
         )
 
 
-def serialize_grid(grid: np.ndarray, inventory: PhonemeInventory, *,
-                   integer=False) -> str:
-    """Write a grid in inventory order. Floats use repr so values round-trip;
-    integer=True takes a grid of an integer dtype."""
-    if integer:
-        grid = np.asarray(grid)
-        if grid.dtype.kind not in "iu":
-            raise ValidationError(f"integer grid expected, not {grid.dtype}")
-        rows = grid.tolist()
-        fmt = str
-    else:
-        rows = np.asarray(grid, dtype=np.float64).tolist()
-        fmt = _fmt_float
+def serialize_grid(grid: np.ndarray, inventory: PhonemeInventory) -> str:
+    """Write a grid in inventory order. Floats use repr so values round-trip."""
+    rows = np.asarray(grid, dtype=np.float64).tolist()
     out = ["," + ",".join(inventory.symbols)]
     for label, row in zip(inventory.symbols, rows, strict=True):
-        out.append(label + "," + ",".join(map(fmt, row)))
+        out.append(label + "," + ",".join(map(_fmt_float, row)))
     return "\n".join(out) + "\n"
 
 

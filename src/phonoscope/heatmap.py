@@ -21,11 +21,9 @@ FONT = 9
 
 
 # Each cell's line is its position prefix plus one of 256 fills, one per
-# shade level; level 255 is white, 0 black.
-_FILLS = tuple(
-    f'#{level:02x}{level:02x}{level:02x}" stroke="#dddddd" stroke-width="0.5"/>'
-    for level in range(256)
-)
+# shade level; level 255 is white, 0 black. The cells share one stroke,
+# set on the <g> around them.
+_FILLS = tuple(f'#{level:02x}{level:02x}{level:02x}"/>' for level in range(256))
 
 
 @lru_cache(maxsize=8)
@@ -80,9 +78,10 @@ def svg_heatmap(grid, labels, per_row: bool = True) -> str:
             f'<text x="{MARGIN_LEFT - 4}" y="{y}" font-family="monospace" '
             f'font-size="{FONT}" text-anchor="end">{_esc(label)}</text>'
         )
+    out.append('<g stroke="#dddddd" stroke-width="0.5">')
     out += [prefix + _FILLS[level] for prefix, level
             in zip(_cell_prefixes(n), _levels(grid, per_row).ravel().tolist())]
-    out.append("</svg>")
+    out += ["</g>", "</svg>"]
     return "\n".join(out) + "\n"
 
 

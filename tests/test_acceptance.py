@@ -282,8 +282,8 @@ def test_c9_format_roundtrips():
             text = serialize_annotation_csv(aset, INV)
             assert parse_annotation_csv(text, INV, "spk") == aset
 
-        for _ in range(100):  # confusion CSV
+        for _ in range(100):  # speaker profile JSON
             counts = rng.integers(0, 90, size=(40, 40))
             counts[EPS, EPS] = 0
-            m = ConfusionMatrix(INV, counts)
-            assert ConfusionMatrix.from_csv(m.to_csv(), INV) == m
+            profile = SpeakerProfile("spk", ConfusionMatrix(INV, counts), "L1", 3)
+            assert SpeakerProfile.from_json(profile.to_json(), INV) == profile

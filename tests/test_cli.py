@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from phonoscope import (
 )
 from phonoscope import alignment, annotations, clustering, lexicon
 from phonoscope.cli import build_parser, main, run_config
+from phonoscope.gridcsv import serialize_grid
 from phonoscope.manifest import CorpusManifest, RunConfig, load_config
 from phonoscope.writer import Writer
 
@@ -143,13 +145,10 @@ def test_align_single_utterance_profile(tmp_path):
     assert code == 0
     dump = (out / "alignments" / "s1" / "u1.tsv").read_text()
     assert len(dump.splitlines()) == 3  # delete + substitute + match
-    profile = json.loads((out / "profiles" / "s1.json").read_text())
-    assert profile["speaker_id"] == "s1"
-    assert profile["utterance_count"] == 1
-    matrix = ConfusionMatrix.from_csv(
-        (out / "confusions" / "s1.csv").read_text(), INV
-    )
-    assert matrix.mass() == 3
+    profile = SpeakerProfile.from_json((out / "profiles" / "s1.json").read_text(), INV)
+    assert profile.speaker_id == "s1"
+    assert profile.utterance_count == 1
+    assert profile.matrix.mass() == 3
 
 
 def test_align_deterministic_outputs(tmp_path):
@@ -239,7 +238,7 @@ def test_heatmap_command(tmp_path):
     out = tmp_path / "out"
     main(["align", *sample_args(out)])
     svg_path = tmp_path / "m1.svg"
-    code = main(["heatmap", str(out / "confusions" / "spk_m1.csv"),
+    code = main(["heatmap", str(out / "profiles" / "spk_m1.json"),
                  str(svg_path)])
     assert code == 0
     svg = svg_path.read_text()
@@ -252,8 +251,27 @@ def test_heatmap_command(tmp_path):
 def test_heatmap_malformed_csv_exits_2(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("x,y\n1,2\n")
-    code = main(["heatmap", str(bad), str(tmp_path / "o.svg")])
+    code = main(["heatmap", str(bad), str(tmp_path / "o.svg"), "--kind", "costs"])
     assert code == 2
+
+
+def test_heatmap_refuses_a_csv_or_another_inventorys_profile(tmp_path, capsys):
+    """--kind confusion reads only a profile JSON of the given inventory."""
+    out = tmp_path / "out"
+    assert main(["align", *sample_args(out)]) == 0
+    grid = SpeakerProfile.from_json((out / "profiles" / "spk_m1.json").read_text(),
+                                    INV).matrix.counts
+    confusion_csv = tmp_path / "spk_m1.csv"   # counts in the cost-CSV layout
+    confusion_csv.write_text(serialize_grid(grid, INV))
+    (tmp_path / "phones.txt").write_text("T\nD\nAH\n<eps>\n")
+    for matrix, extra in ((confusion_csv, []),
+                          (out / "profiles" / "spk_m1.json",
+                           ["--inventory", str(tmp_path / "phones.txt")])):
+        svg = tmp_path / "o.svg"
+        assert main(["heatmap", str(matrix), str(svg), *extra]) == 2
+        err = capsys.readouterr().err
+        assert str(matrix) in err and "bad profile JSON" in err
+        assert not svg.exists()
 
 
 def test_run_pipeline_conservation(tmp_path):
@@ -261,8 +279,8 @@ def test_run_pipeline_conservation(tmp_path):
     code = main(["run", *sample_args(out, ["--k", "3", "--seed", "1"])])
     assert code == 0
     total_mass = 0
-    for path in (out / "confusions").glob("*.csv"):
-        total_mass += ConfusionMatrix.from_csv(path.read_text(), INV).mass()
+    for path in (out / "profiles").glob("*.json"):
+        total_mass += SpeakerProfile.from_json(path.read_text(), INV).matrix.mass()
     total_ops = 0
     for path in (out / "alignments").rglob("*.tsv"):
         total_ops += len(path.read_text().splitlines())
@@ -277,6 +295,37 @@ def test_run_includes_heatmaps_and_comparisons(tmp_path):
     assert (out / "comparison_Hindi.csv").exists()
     korean = (out / "comparison_Korean.csv").read_text()
     assert "Z," in korean  # the planted Z -> JH pattern surfaces
+
+
+def _readme_output_patterns() -> dict:
+    """Each top-level entry of README's Outputs block, as a regex over the
+    names in --out-dir: <...> stands for any name, {a,b} for a or b."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Outputs", 1)[1].split("```", 2)[1]
+    patterns = {}
+    for line in filter(str.strip, block.splitlines()):
+        path = line.split()[0]
+        entry = path.split("/")[0] + ("/" if "/" in path else "")
+        parts = re.split(r"(<[^>]+>|\{[^}]*\})", entry)
+        patterns[entry] = re.compile("".join(
+            "[^/]+" if p.startswith("<")
+            else "(" + "|".join(map(re.escape, p[1:-1].split(","))) + ")"
+            if p.startswith("{") else re.escape(p)
+            for p in parts))
+    return patterns
+
+
+def test_readme_outputs_are_what_run_writes(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", *sample_args(out, ["--k", "3", "--min-occurrences", "2"])]) == 0
+    written = {p.name + ("/" if p.is_dir() else "") for p in out.iterdir()}
+    patterns = _readme_output_patterns()
+    matched = {entry for entry, regex in patterns.items()
+               for name in written if regex.fullmatch(name)}
+    assert all(any(regex.fullmatch(name) for regex in patterns.values())
+               for name in written), written
+    # phonemes/ is written by `phonemize` only
+    assert set(patterns) - matched == {"phonemes/"}
 
 
 def test_variant_rule_all_pipeline(tmp_path):
@@ -414,9 +463,12 @@ def test_custom_inventory_file(tmp_path):
                  "--inventory", str(tmp_path / "phones.txt"),
                  "--out-dir", str(out)])
     assert code == 0
-    csv_lines = (out / "confusions" / "s1.csv").read_text().splitlines()
-    assert csv_lines[0] == ",T,D,AH,<eps>"
-    assert len(csv_lines) == 5  # header + 4 rows
+    inventory = PhonemeInventory(["T", "D", "AH", "<eps>"])
+    profile = (out / "profiles" / "s1.json").read_text()
+    assert len(profile.splitlines()) == 4 + 7  # one line per count row
+    counts = SpeakerProfile.from_json(profile, inventory).matrix.counts
+    assert counts.tolist() == [[0, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                               [0, 0, 0, 0]]
 
 
 def test_compare_without_annotations_marks_ha_absent(tmp_path):
@@ -434,6 +486,19 @@ def test_compare_without_annotations_marks_ha_absent(tmp_path):
         cells = line.split(",")
         assert cells[2] == "NA" and cells[4] == "NA" and cells[6] == "NA"
         assert cells[1] != "NA"
+
+
+def test_compare_refuses_a_profile_of_another_speaker(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["align", *sample_args(out)]) == 0
+    shutil.copyfile(out / "profiles" / "spk_k1.json", out / "profiles" / "spk_h1.json")
+    code = main(["compare", str(SAMPLE / "manifest.json"), "--profiles-dir",
+                 str(out / "profiles"), "--out-dir", str(tmp_path / "cmp"),
+                 "--min-occurrences", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(out / "profiles" / "spk_h1.json") in err and "'spk_k1'" in err
+    assert not (tmp_path / "cmp").exists()
 
 
 def make_24_speaker_manifest(tmp_path):
@@ -880,11 +945,11 @@ def test_main_leaves_no_writer_running(tmp_path, writer_processes, expected_code
 
 
 # sha256 of the sample corpus's `run` output tree (see tree_sha256) since
-# t-SNE's descent sums in one fixed order; only embedding.csv differs from
-# the tree of the BLAS-summed descent. Under --variant-rule all the sample
-# prompts' cheapest variants are their first ones, so both rules write
-# this same tree.
-SAMPLE_TREE_SHA256 = "8a7bf8b4f5fa1dd8756ece886bb331485d7fe40bf75e375ddea5e39e500869fd"
+# profiles/ became the only per-speaker count files, one count row per
+# line, and each heatmap's cells share one stroke on a <g>. Under
+# --variant-rule all the sample prompts' cheapest variants are their first
+# ones, so both rules write this same tree.
+SAMPLE_TREE_SHA256 = "78ab24e9e2279445314b42237bc6b32c61962a0debeee4c5793df42e60d82c99"
 
 
 def tree_sha256(root: Path) -> str:
@@ -939,7 +1004,7 @@ def test_run_equals_its_stage_subcommands(tmp_path, policy):
     assert main(["compare", manifest, "--profiles-dir", str(stages / "profiles"),
                  *compare_flags, "--out-dir", str(stages)]) == 0
     for sid in speaker_ids:
-        assert main(["heatmap", str(stages / "confusions" / f"{sid}.csv"),
+        assert main(["heatmap", str(stages / "profiles" / f"{sid}.json"),
                      str(stages / "heatmaps" / f"{sid}.svg")]) == 0
 
     assert tree_files(run_out) == tree_files(stages)

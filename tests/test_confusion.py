@@ -308,12 +308,6 @@ def test_insertion_stats_from_example_pair():
     assert inserted.get(INV.index("AH"), 0) >= 1
 
 
-def test_matrix_csv_roundtrip():
-    m = th_row_fixture()
-    m.counts[EPS, INV.index("AH")] = 2
-    assert ConfusionMatrix.from_csv(m.to_csv(), INV) == m
-
-
 def test_profile_json_roundtrip():
     profile = accumulate(fresh_profile("spk_9"), table2_alignment())
     profile.l1_label = "Hindi"
@@ -360,11 +354,15 @@ def profiles(draw):
 @given(profiles())
 @example(SpeakerProfile("日本-spk", ConfusionMatrix(INV), None, 0))
 @example(SpeakerProfile("s", ConfusionMatrix(INV), "Mandarin/普通话 \"q\"", 3))
-def test_profile_json_matches_stdlib_encoder(profile):
+def test_profile_json_has_sorted_keys_and_one_line_per_count_row(profile):
     doc = {
         "speaker_id": profile.speaker_id,
         "l1_label": profile.l1_label,
         "utterance_count": profile.utterance_count,
         "counts": profile.matrix.counts.tolist(),
     }
-    assert profile.to_json() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = profile.to_json()
+    assert json.loads(text) == doc
+    assert list(json.loads(text)) == sorted(doc)
+    rows = [line for line in text.splitlines() if line.lstrip().startswith("[")]
+    assert [json.loads(row.strip().rstrip(",")) for row in rows] == doc["counts"]

@@ -118,7 +118,8 @@ def _shade(value: float, denom: float) -> str:
 
 
 def reference_svg_heatmap(grid, labels, per_row=True):
-    """svg_heatmap as first written: _shade and one f-string per cell."""
+    """svg_heatmap as first written: _shade and one f-string per cell, the
+    cells inside one <g> that carries their stroke."""
     grid = np.asarray(grid, dtype=np.float64)
     n = len(labels)
     width = MARGIN_LEFT + n * CELL + 1
@@ -142,6 +143,7 @@ def reference_svg_heatmap(grid, labels, per_row=True):
             f'<text x="{MARGIN_LEFT - 4}" y="{y}" font-family="monospace" '
             f'font-size="{FONT}" text-anchor="end">{_esc(label)}</text>'
         )
+    out.append('<g stroke="#dddddd" stroke-width="0.5">')
     for r in range(n):
         denom = float(grid[r].max()) if per_row else global_max
         for c in range(n):
@@ -150,8 +152,9 @@ def reference_svg_heatmap(grid, labels, per_row=True):
             fill = _shade(float(grid[r, c]), denom)
             out.append(
                 f'<rect x="{x}" y="{y}" width="{CELL}" height="{CELL}" '
-                f'fill="{fill}" stroke="#dddddd" stroke-width="0.5"/>'
+                f'fill="{fill}"/>'
             )
+    out.append("</g>")
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
