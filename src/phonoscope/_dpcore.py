@@ -1,14 +1,16 @@
 """Compiled kernels: _dpkernel.c through ctypes.
 
 The library is the compile of _dpkernel.c cached as
-__pycache__/_dpkernel-<sha256 of the compile command and the source>.so,
+__pycache__/_dpkernel-<hash of the compile command and the source>.so,
 made with ``cc`` on the first import that misses it, so an edited source
 or a changed compile flag is always rebuilt. Any failure to build or load
-raises ImportError, so phonoscope.alignment falls back to _dppy.
+raises ImportError, so phonoscope.alignment falls back to _dppy. The hash
+is importlib.util.source_hash, the interpreter's own key for hash-based
+.pyc files, so naming the file loads no OpenSSL.
 """
 
 import ctypes
-import hashlib
+import importlib.util
 import os
 from pathlib import Path
 
@@ -29,7 +31,7 @@ def _cached_build() -> Path:
     place, so concurrent first imports never load a partial library.
     """
     key = "\0".join(_COMPILE).encode() + b"\0" + _SOURCE.read_bytes()
-    digest = hashlib.sha256(key).hexdigest()
+    digest = importlib.util.source_hash(key).hex()
     target = _HERE / "__pycache__" / f"_dpkernel-{digest}.so"
     if target.is_file():
         return target

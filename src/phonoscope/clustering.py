@@ -1,8 +1,9 @@
 """The shared speaker matrix, k-means clustering, and a 2-D t-SNE embedding.
 
-Everything here is deterministic given (inputs, seed): numpy Generators
-are seeded explicitly and no step depends on iteration order of sets or
-dicts. Distances are squared Euclidean throughout.
+Everything here is deterministic given (inputs, seed): every random draw
+comes from _uniforms, a counter-based SplitMix64 on uint64 arrays, and no
+step depends on iteration order of sets or dicts. Distances are squared
+Euclidean throughout.
 """
 
 from __future__ import annotations
@@ -166,27 +167,82 @@ def _sq_dists(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return out
 
 
-def _init_kmeanspp(data: np.ndarray, centers: np.ndarray,
-                   rng: np.random.Generator) -> None:
+# The draw streams: one per consumer of a seed, so each draws its own values.
+KMEANSPP_STREAM = 0
+FORGY_STREAM = 1
+TSNE_STREAM = 2
+
+_SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _uniforms(seed: int, stream: int, count: int) -> np.ndarray:
+    """count doubles in [0, 1): outputs 1..count of SplitMix64 from the
+    state (seed * 0x100000001B3 + stream) mod 2**64, each shifted to its
+    top 53 bits and scaled by 2**-53. Output i depends on i alone, so the
+    whole batch is a handful of uint64 array operations."""
+    key = np.uint64((seed * 0x100000001B3 + stream) % 2**64)
+    with np.errstate(over="ignore"):   # uint64 arithmetic wraps mod 2**64
+        z = np.arange(1, count + 1, dtype=np.uint64) * _SPLITMIX_GAMMA + key
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0**-53
+
+
+def _d2_picks(closest: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """One row index per draw u, with probability proportional to closest:
+    the first index whose left-to-right running sum exceeds u * total.
+    When every distance is 0, floor(u * n) instead. Both are clamped to
+    n - 1."""
+    n = len(closest)
+    running = np.add.accumulate(closest)
+    total = running[-1]
+    if total == 0.0:
+        picks = (draws * n).astype(np.int64)
+    else:
+        picks = np.searchsorted(running, draws * total, side="right")
+    return np.minimum(picks, n - 1)
+
+
+def _init_kmeanspp(data: np.ndarray, centers: np.ndarray, seed: int) -> None:
+    """Greedy k-means++ (Arthur & Vassilvitskii, 2007): the first center is a
+    uniform pick; each later one is the best of 2 + floor(ln k) D² picks,
+    the one that leaves the smallest summed squared distance to the nearest
+    center, the first of them on a tie."""
     n, k = data.shape[0], centers.shape[0]
-    first = rng.integers(n)
-    centers[0] = data[first]
+    trials = 2 + int(math.log(k))
+    draws = _uniforms(seed, KMEANSPP_STREAM, 1 + (k - 1) * trials)
+    centers[0] = data[min(int(draws[0] * n), n - 1)]
     closest = _sq_dists(data, centers[:1])[:, 0]
     for c in range(1, k):
-        total = closest.sum()
-        if total == 0.0:
-            # all remaining points coincide with a center; any pick works
-            idx = rng.integers(n)
-        else:
-            idx = rng.choice(n, p=closest / total)
-        centers[c] = data[idx]
-        closest = np.minimum(closest, _sq_dists(data, centers[c:c + 1])[:, 0])
+        picks = _d2_picks(closest, draws[1 + (c - 1) * trials:1 + c * trials])
+        candidates = _sq_dists(data, data[picks])
+        sums = [np.minimum(closest, column).sum() for column in candidates.T]
+        best = int(np.argmin(sums))
+        centers[c] = data[picks[best]]
+        closest = np.minimum(closest, candidates[:, best])
+
+
+def _init_forgy(data: np.ndarray, centers: np.ndarray, seed: int) -> None:
+    """k distinct rows: the first k steps of a Fisher-Yates shuffle of the
+    row indices, step i swapping in index i + floor(u * (n - i))."""
+    n, k = data.shape[0], centers.shape[0]
+    order = np.arange(n)
+    for i, u in enumerate(_uniforms(seed, FORGY_STREAM, k)):
+        j = i + int(u * (n - i))
+        order[i], order[j] = order[j], order[i]
+    centers[...] = data[order[:k]]
 
 
 def kmeans(speakers: SpeakerMatrix, k: int, seed: int = DEFAULT_SEED,
            init: str = DEFAULT_INIT) -> ClusterResult:
     """Lloyd iterations until assignment fixpoint, inertia plateau, or
     KMEANS_MAX_ITER.
+
+    The start is drawn from the seed's own SplitMix64 stream: greedy
+    k-means++ (init "kmeanspp") or k distinct rows (init "forgy").
 
     Empty clusters are re-seeded with the point farthest from its
     assigned centroid. Inertia is checked to be non-increasing on every
@@ -199,11 +255,10 @@ def kmeans(speakers: SpeakerMatrix, k: int, seed: int = DEFAULT_SEED,
     if len(centers) != k:
         raise ValidationError(f"k={k} needs {k} centroid rows, "
                               f"the matrix has {len(centers)}")
-    rng = np.random.default_rng(seed)
     if init == "kmeanspp":
-        _init_kmeanspp(data, centers, rng)
+        _init_kmeanspp(data, centers, seed)
     elif init == "forgy":
-        centers[...] = data[rng.choice(n, size=k, replace=False)]
+        _init_forgy(data, centers, seed)
     else:
         raise ValidationError(f"unknown init {init!r}")
 
@@ -375,6 +430,14 @@ def _kl(P: np.ndarray, Y: np.ndarray) -> float:
     return float(terms.sum())
 
 
+def initial_embedding(seed: int, n: int) -> np.ndarray:
+    """t-SNE's n x 2 start: each coordinate is 1e-4 * (the sum of twelve
+    uniforms, added left to right, - 6), an Irwin-Hall variate with mean 0
+    and variance 1, close to a standard normal."""
+    draws = _uniforms(seed, TSNE_STREAM, 24 * n).reshape(n, 2, 12)
+    return 1e-4 * (np.add.accumulate(draws, axis=2)[..., -1] - 6.0)
+
+
 @np.errstate(over="ignore", invalid="ignore")   # divergence is checked at the end
 def tsne(speakers: SpeakerMatrix, perplexity: float = DEFAULT_PERPLEXITY,
          learning_rate: float = DEFAULT_LEARNING_RATE,
@@ -383,7 +446,8 @@ def tsne(speakers: SpeakerMatrix, perplexity: float = DEFAULT_PERPLEXITY,
     """Exact (non-approximated) t-SNE to 2 dimensions.
 
     Gradient descent with momentum (0.5 for the exaggerated phase, 0.8
-    after); the input set is tiny so no tree approximation is warranted.
+    after) from initial_embedding(seed, n); the input set is tiny so no
+    tree approximation is warranted.
     The descent runs in the kernel that alignment.backend() names, with
     every sum in one fixed order, so both backends give the same bytes.
     Every row of speakers, centroid rows included, is embedded.
@@ -398,8 +462,7 @@ def tsne(speakers: SpeakerMatrix, perplexity: float = DEFAULT_PERPLEXITY,
     P = symmetrized_affinities(cond)
     del cond
 
-    rng = np.random.default_rng(seed)
-    Y = rng.normal(0.0, 1e-4, size=(n, 2))
+    Y = initial_embedding(seed, n)
     initial_kl = _kl(P, Y)
     Y = alignment._kernel.tsne_descend(P, Y, learning_rate, iterations,
                                        early_exaggeration, EXAGGERATION_ITERS)

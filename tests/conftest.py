@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 from contextlib import contextmanager
 
 import numpy as np
@@ -168,6 +170,9 @@ def speaker_matrix(rows, k=0):
     return SpeakerMatrix([sid for sid, _ in rows], data)
 
 
+fold = functools.partial(functools.reduce, operator.add)   # left to right
+
+
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
@@ -205,21 +210,78 @@ def self_sq_dists_full(data):
     return out
 
 
+# The library's draws, one Python int at a time: SplitMix64 as published
+# (Steele, Lea and Flood 2014), sharing nothing with its uint64 array code.
+
+MASK64 = 2**64 - 1
+
+
+def splitmix64(state, count):
+    """The next count outputs of SplitMix64 from state, as Python ints."""
+    out = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def reference_uniforms(seed, stream, count):
+    """clustering._uniforms(seed, stream, count) as a list of floats."""
+    state = (seed * 0x100000001B3 + stream) & MASK64
+    return [(z >> 11) / 2**53 for z in splitmix64(state, count)]
+
+
+def reference_initial_embedding(seed, n):
+    """clustering.initial_embedding: each coordinate 1e-4 * (twelve uniforms
+    summed left to right - 6)."""
+    draws = reference_uniforms(seed, 2, 24 * n)
+    coords = [1e-4 * (fold(draws[12 * c:12 * c + 12]) - 6.0) for c in range(2 * n)]
+    return np.array(coords).reshape(n, 2)
+
+
+def numpy_initial_embedding(seed, n):
+    """t-SNE's start before its draws were SplitMix64: numpy's normal draws."""
+    return np.random.default_rng(seed).normal(0.0, 1e-4, size=(n, 2))
+
+
+def d2_pick(closest, u):
+    """A row with probability proportional to closest: the first whose
+    running sum exceeds u * total, or floor(u * n) if every entry is 0."""
+    running = list(itertools.accumulate(closest.tolist()))
+    total = running[-1]
+    if total == 0.0:
+        return min(int(u * len(running)), len(running) - 1)
+    target = u * total
+    return next((i for i, r in enumerate(running) if r > target), len(running) - 1)
+
+
 def kmeans_full(data, k, seed, init, max_iter=300, rel_tol=1e-9):
     """k-means on the rows of data; returns (labels, centers, inertia_history)."""
     n = data.shape[0]
-    rng = np.random.default_rng(seed)
     if init == "kmeanspp":
+        trials = 2 + int(math.log(k))
+        draws = reference_uniforms(seed, 0, 1 + (k - 1) * trials)
         centers = np.empty((k, data.shape[1]))
-        centers[0] = data[rng.integers(n)]
+        centers[0] = data[min(int(draws.pop(0) * n), n - 1)]
         closest = sq_dists_full(data, centers[:1])[:, 0]
         for c in range(1, k):
-            total = closest.sum()
-            idx = rng.integers(n) if total == 0.0 else rng.choice(n, p=closest / total)
-            centers[c] = data[idx]
-            closest = np.minimum(closest, sq_dists_full(data, centers[c:c + 1])[:, 0])
+            best = None
+            for _ in range(trials):
+                pick = d2_pick(closest, draws.pop(0))
+                candidate = np.minimum(closest, sq_dists_full(data, data[pick:pick + 1])[:, 0])
+                if best is None or candidate.sum() < best[1].sum():
+                    best = pick, candidate
+            centers[c] = data[best[0]]
+            closest = best[1]
     else:
-        centers = data[rng.choice(n, size=k, replace=False)].copy()
+        order = list(range(n))
+        for i, u in enumerate(reference_uniforms(seed, 1, k)):
+            j = i + int(u * (n - i))
+            order[i], order[j] = order[j], order[i]
+        centers = data[order[:k]].copy()
     dists = sq_dists_full(data, centers)
     labels = dists.argmin(axis=1)
     inertia = float(dists[np.arange(n), labels].sum())
@@ -263,12 +325,14 @@ def kl_full(P, Y):
 
 
 def tsne_full(data, perplexity, iterations, seed, learning_rate=200.0,
-              early_exaggeration=12.0, exaggeration_iters=250):
+              early_exaggeration=12.0, exaggeration_iters=250,
+              start=reference_initial_embedding):
     """tsne on the rows of data with the oracles above and the active
-    kernel's descent; returns (embedding, final KL, initial KL)."""
+    kernel's descent from start(seed, n); returns (embedding, final KL,
+    initial KL)."""
     cond, _ = conditional_affinities(self_sq_dists_full(data), perplexity)
     P = symmetrized_affinities_full(cond)
-    Y = np.random.default_rng(seed).normal(0.0, 1e-4, size=(data.shape[0], 2))
+    Y = start(seed, data.shape[0])
     initial_kl = kl_full(P, Y)
     Y = alignment._kernel.tsne_descend(P, Y, learning_rate, iterations,
                                        early_exaggeration, exaggeration_iters)

@@ -945,11 +945,11 @@ def test_main_leaves_no_writer_running(tmp_path, writer_processes, expected_code
 
 
 # sha256 of the sample corpus's `run` output tree (see tree_sha256) since
-# profiles/ became the only per-speaker count files, one count row per
-# line, and each heatmap's cells share one stroke on a <g>. Under
-# --variant-rule all the sample prompts' cheapest variants are their first
-# ones, so both rules write this same tree.
-SAMPLE_TREE_SHA256 = "78ab24e9e2279445314b42237bc6b32c61962a0debeee4c5793df42e60d82c99"
+# k-means and t-SNE draw from SplitMix64 and k-means++ became greedy, which
+# changed clusters.csv, embedding.csv and purity.txt. Under --variant-rule
+# all the sample prompts' cheapest variants are their first ones, so both
+# rules write this same tree.
+SAMPLE_TREE_SHA256 = "6a879f82ed98b2a185b8531c136f659c62c5c95e2940d27d160597f51986dc72"
 
 
 def tree_sha256(root: Path) -> str:
@@ -961,21 +961,57 @@ def tree_sha256(root: Path) -> str:
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("backend", ["default", "pure"])
-@pytest.mark.parametrize("variant_rule", ["first", "all"])
-def test_sample_output_tree_is_pinned(tmp_path, variant_rule, backend):
+def backend_env(backend: str) -> dict:
+    """The environment of a subprocess that imports phonoscope from src/ on
+    the named backend, "default" or "pure"."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
                                                       env.get("PYTHONPATH")]))
     env.pop("PHONOSCOPE_PURE", None)
     if backend == "pure":
         env["PHONOSCOPE_PURE"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("backend", ["default", "pure"])
+@pytest.mark.parametrize("variant_rule", ["first", "all"])
+def test_sample_output_tree_is_pinned(tmp_path, variant_rule, backend):
     out = tmp_path / "out"
     args = sample_args(out, ["--k", "3", "--seed", "42", "--min-occurrences", "2",
                              "--variant-rule", variant_rule])
     subprocess.run([sys.executable, "-m", "phonoscope.cli", "run", *args],
-                   env=env, check=True, timeout=120)
+                   env=backend_env(backend), check=True, timeout=120)
     assert tree_sha256(out) == SAMPLE_TREE_SHA256
+
+
+# Modules a run has no use for: numpy.random pulls in secrets and hmac,
+# and _hashlib is OpenSSL's libcrypto. Together they cost about 6 MB of a
+# run's peak memory.
+UNNEEDED_MODULES = ("numpy.random", "secrets", "hmac", "_hashlib")
+
+_LOADED_AFTER_RUN = """\
+import json, sys
+import phonoscope
+imported = [m for m in {modules!r} if m in sys.modules]
+from phonoscope import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, imported, [m for m in {modules!r} if m in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize("backend", ["default", "pure"])
+def test_run_loads_neither_numpy_random_nor_openssl(tmp_path, backend):
+    """k-means and t-SNE draw from SplitMix64 and the compiled kernel's cache
+    file is named by importlib's source hash, so neither import phonoscope
+    nor a whole run loads any of UNNEEDED_MODULES."""
+    script = _LOADED_AFTER_RUN.format(modules=UNNEEDED_MODULES)
+    args = sample_args(tmp_path / "out", ["--k", "3", "--seed", "42",
+                                          "--min-occurrences", "2"])
+    proc = subprocess.run([sys.executable, "-c", script, "run", *args],
+                          env=backend_env(backend), capture_output=True, text=True,
+                          check=True, timeout=120)
+    code, after_import, after_run = json.loads(proc.stdout.splitlines()[-1])
+    assert (code, after_import, after_run) == (0, [], []), proc.stderr
 
 
 def tree_files(root: Path) -> dict:

@@ -20,17 +20,24 @@ from phonoscope.clustering import (
     RAW_COUNTS,
     ROW_FREQUENCY,
     SpeakerMatrix,
+    _d2_picks,
+    _init_forgy,
     _self_sq_dists,
     _sq_dists,
+    _uniforms,
+    initial_embedding,
 )
 from phonoscope.manifest import RunConfig
 
 from .conftest import (
     kmeans_full,
     make_group_vectors,
+    reference_initial_embedding,
+    reference_uniforms,
     same_bits,
     self_sq_dists_full,
     speaker_matrix,
+    splitmix64,
     sq_dists_full,
     tsne_full,
     vectorize_full,
@@ -132,6 +139,13 @@ def test_kmeans_recovers_groups_across_seeds():
         assert purity(result, labels) == 1.0
 
 
+def test_greedy_kmeanspp_recovers_groups_for_fifty_seeds():
+    vectors, labels = make_group_vectors(seed=0)
+    missed = [seed for seed in range(50)
+              if purity(kmeans(speaker_matrix(vectors, 6), k=6, seed=seed), labels) != 1.0]
+    assert missed == []
+
+
 def test_kmeans_inertia_never_increases():
     vectors, _ = make_group_vectors(seed=1)
     result = kmeans(speaker_matrix(vectors, 6), k=6, seed=0)
@@ -191,6 +205,53 @@ def test_purity_missing_label():
     del labels[vectors[0][0]]
     with pytest.raises(ValidationError):
         purity(result, labels)
+
+
+def test_reference_splitmix64_gives_the_published_outputs():
+    assert splitmix64(0, 3) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
+                                0x06C45D188009454F]
+    assert splitmix64(1234567, 3) == [0x599ED017FB08FC85, 0x2C73F08458540FA5,
+                                      0x883EBCE5A3F27C77]
+
+
+seeds = st.one_of(st.integers(0, 2**64 + 2**20), st.integers(2**63 - 2**20, 2**63 + 2**20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds, st.integers(0, 2), st.integers(0, 80))
+@example(0, 0, 3)
+@example(2**63, 2, 5)
+@example(2**64 - 1, 1, 7)
+def test_uniforms_match_the_reference_bit_for_bit(seed, stream, count):
+    draws = _uniforms(seed, stream, count)
+    assert same_bits(draws, reference_uniforms(seed, stream, count))
+    assert ((0.0 <= draws) & (draws < 1.0)).all()
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds, st.integers(1, 20))
+def test_initial_embedding_matches_the_reference(seed, n):
+    assert same_bits(initial_embedding(seed, n), reference_initial_embedding(seed, n))
+
+
+def test_d2_picks_take_the_first_running_sum_above_the_draw():
+    """Running sums 0, 0, 1, 1, 4: a pick never lands on a row of distance 0,
+    not even for u = 0; with every distance 0 the pick is floor(u * n)."""
+    closest = np.array([0.0, 0.0, 1.0, 0.0, 3.0])
+    assert _d2_picks(closest, np.array([0.0, 0.2, 0.25, 0.999])).tolist() == [2, 2, 4, 4]
+    assert _d2_picks(np.zeros(4), np.array([0.0, 0.5, 0.999])).tolist() == [0, 2, 3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.floats(0.0, 1.0), seeds)
+@example(1, 1.0, 0)
+@example(60, 1.0, 2**63)
+def test_forgy_picks_k_distinct_rows(n, fraction, seed):
+    k = max(1, round(fraction * n))
+    data = np.arange(n, dtype=np.float64)[:, None]
+    centers = np.empty((k, 1))
+    _init_forgy(data, centers, seed)
+    assert len(set(centers[:, 0].tolist())) == k
 
 
 def random_grids(rng, count):
