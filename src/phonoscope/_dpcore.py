@@ -3,12 +3,14 @@
 The library is the compile of _dpkernel.c cached as
 __pycache__/_dpkernel-<hash of the compile command and the source>.so,
 made with ``cc`` on the first import that misses it, so an edited source
-or a changed compile flag is always rebuilt. Any failure to build or load
-raises ImportError, so phonoscope.alignment falls back to _dppy. The hash
+or a changed compile flag is always rebuilt; a build removes the libraries
+of older keys. Any failure to build or load raises ImportError naming its
+cause, so phonoscope.alignment falls back to _dppy and says why. The hash
 is importlib.util.source_hash, the interpreter's own key for hash-based
 .pyc files, so naming the file loads no OpenSSL.
 """
 
+import contextlib
 import ctypes
 import importlib.util
 import os
@@ -28,7 +30,9 @@ def _cached_build() -> Path:
     """The cached compile of _dpkernel.c, compiling it on a cache miss.
 
     The compiler writes a temporary file that os.replace moves into
-    place, so concurrent first imports never load a partial library.
+    place, so concurrent first imports never load a partial library. Then
+    the other _dpkernel-*.so files in the directory are removed; a process
+    that has one of them loaded keeps its mapping.
     """
     key = "\0".join(_COMPILE).encode() + b"\0" + _SOURCE.read_bytes()
     digest = importlib.util.source_hash(key).hex()
@@ -45,11 +49,15 @@ def _cached_build() -> Path:
         proc = subprocess.run([*_COMPILE, "-o", tmp, str(_SOURCE)],
                               capture_output=True, text=True)
         if proc.returncode != 0:
-            raise ImportError(f"cc failed on {_SOURCE}:\n{proc.stderr}")
+            raise ImportError(f"cc failed on {_SOURCE}: {proc.stderr.strip()}")
         os.replace(tmp, target)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    for stale in target.parent.glob("_dpkernel-*.so"):
+        if stale != target:
+            with contextlib.suppress(OSError):   # a stale file is harmless
+                stale.unlink()
     return target
 
 
@@ -58,7 +66,7 @@ def _load():
         library = ctypes.CDLL(str(_cached_build()))
         return library.dp_align, library.dp_lattice, library.tsne_descend
     except (OSError, AttributeError) as exc:
-        raise ImportError(f"compiled kernel unavailable: {exc}") from exc
+        raise ImportError(str(exc)) from exc
 
 
 _dp_align, _dp_lattice, _tsne_descend = _load()

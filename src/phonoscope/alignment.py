@@ -11,8 +11,9 @@ Comparisons are exact float comparisons: a tie means bitwise-equal path
 sums, which keeps alignments reproducible across runs and backends.
 
 The table fill and backtrace run in the compiled C kernel (_dpcore)
-when it builds and loads, otherwise in a pure-Python twin (_dppy). Set
-PHONOSCOPE_PURE=1 to force the fallback. Both produce identical output.
+when it builds and loads, otherwise in a pure-Python twin (_dppy), and
+fallback_reason() says why. Set PHONOSCOPE_PURE=1 to force the fallback.
+Both produce identical output.
 clustering.tsne runs its gradient descent in the same kernel.
 """
 
@@ -26,6 +27,7 @@ import numpy as np
 from .costs import DELETE, INSERT, KINDS, MATCH, SUBSTITUTE, CostMatrix, cell_kinds
 from .errors import ValidationError
 
+_FALLBACK_REASON = None
 if os.environ.get("PHONOSCOPE_PURE"):
     from . import _dppy as _kernel
 
@@ -35,10 +37,11 @@ else:
         from . import _dpcore as _kernel  # type: ignore[no-redef]
 
         _BACKEND = "compiled"
-    except ImportError:
+    except ImportError as exc:
         from . import _dppy as _kernel  # type: ignore[no-redef]
 
         _BACKEND = "pure"
+        _FALLBACK_REASON = str(exc)
 
 _BOOLS = frozenset((bool, np.bool_))  # numpy reads [1, True] as int64
 
@@ -57,6 +60,12 @@ DEFAULT_TIE_BREAK = (SUBSTITUTE, DELETE, INSERT)
 def backend() -> str:
     """Which DP kernel is active: "compiled" or "pure"."""
     return _BACKEND
+
+
+def fallback_reason() -> str | None:
+    """Why the compiled kernel failed to build or load, or None when it did
+    not fail (it is active, or PHONOSCOPE_PURE chose the pure kernel)."""
+    return _FALLBACK_REASON
 
 
 @dataclass(frozen=True)

@@ -439,6 +439,11 @@ def cmd_run(args, loaded: LoadedConfig, files: Writer) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    reason = al.fallback_reason()
+    if reason is not None:
+        first_line = reason.partition("\n")[0]
+        print(f"note: compiled kernel unavailable ({first_line}); using the pure backend",
+              file=sys.stderr)
     try:
         with Writer() as files:
             return args.func(args, load_config(run_config(args)), files)

@@ -3,7 +3,10 @@
 Everything here is deterministic given (inputs, seed): every random draw
 comes from _uniforms, a counter-based SplitMix64 on uint64 arrays, and no
 step depends on iteration order of sets or dicts. Distances are squared
-Euclidean throughout.
+Euclidean throughout. Every float that reaches the t-SNE descent comes
+from IEEE +, -, *, / and the exact rint, ldexp and frexp in one fixed
+order, never from numpy's per-CPU SIMD variants, so the embedding's bytes
+are the same on every CPU.
 """
 
 from __future__ import annotations
@@ -131,40 +134,33 @@ def check_parameters(vectors: int, k: int | None = None,
             raise ValidationError(f"{name} {value} must be finite and above 0")
 
 
-# Most bytes of row differences _sq_dists and _self_sq_dists hold at once:
-# they take the difference of one block of rows at a time, so no temporary
-# is as large as the speaker matrix.
-BLOCK_BYTES = 1 << 18
+# Squared differences sq_dists takes at once: the columns of one block hold
+# at most this many (512 KiB), or one column's worth when that is more, so
+# small inputs do not pay a numpy call per column.
+SQ_DISTS_BLOCK = 1 << 16
 
 
-def _block_buffer(data: np.ndarray) -> np.ndarray:
-    """Scratch for BLOCK_BYTES of data's rows (at least one row, at most all)."""
-    n, dim = data.shape
-    rows = max(1, BLOCK_BYTES // max(1, dim * data.itemsize))
-    return np.empty((min(n, rows), dim))
+def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distance of every row of a to every row of b.
 
-
-def _sq_dists_to(data: np.ndarray, point: np.ndarray, out: np.ndarray,
-                 buffer: np.ndarray) -> None:
-    """out[i] = squared distance of data row i to point, one block of
-    len(buffer) rows at a time."""
-    step = len(buffer)
-    for start in range(0, len(data), step):
-        block = data[start:start + step]
-        diff = buffer[:len(block)]
-        np.subtract(block, point, out=diff)
-        out[start:start + len(block)] = np.einsum("ij,ij->i", diff, diff)
-
-
-def _sq_dists(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distance of every data row to every center, one column per
-    center. The row differences are taken one block of at most
-    BLOCK_BYTES at a time, so no len(data) x dim temporary is built."""
-    out = np.empty((data.shape[0], centers.shape[0]))
-    buffer = _block_buffer(data)
-    for j, center in enumerate(centers):
-        _sq_dists_to(data, center, out[:, j], buffer)
-    return out
+    Each distance sums (a[i, c] - b[j, c])**2 strictly left to right over
+    the columns c, so it is the same float on every CPU. Only the columns
+    nonzero in a or b are visited: adding +0.0 leaves a sum unchanged, so
+    the result is bitwise the sum over all columns.
+    """
+    cols = np.flatnonzero(a.any(axis=0) | b.any(axis=0))
+    step = max(1, SQ_DISTS_BLOCK // max(1, len(a) * len(b)))
+    # b x a, transposed on return, so the subtract runs along a's rows
+    total = np.zeros((len(b), len(a)))
+    block = np.empty((min(step, len(cols)), len(b), len(a)))
+    for start in range(0, len(cols), step):
+        c = cols[start:start + step]
+        terms = block[:len(c)]
+        np.subtract(a.T[c][:, None, :], b.T[c][:, :, None], out=terms)
+        terms *= terms
+        for term in terms:
+            total += term
+    return total.T
 
 
 # The draw streams: one per consumer of a seed, so each draws its own values.
@@ -215,10 +211,10 @@ def _init_kmeanspp(data: np.ndarray, centers: np.ndarray, seed: int) -> None:
     trials = 2 + int(math.log(k))
     draws = _uniforms(seed, KMEANSPP_STREAM, 1 + (k - 1) * trials)
     centers[0] = data[min(int(draws[0] * n), n - 1)]
-    closest = _sq_dists(data, centers[:1])[:, 0]
+    closest = sq_dists(data, centers[:1])[:, 0]
     for c in range(1, k):
         picks = _d2_picks(closest, draws[1 + (c - 1) * trials:1 + c * trials])
-        candidates = _sq_dists(data, data[picks])
+        candidates = sq_dists(data, data[picks])
         sums = [np.minimum(closest, column).sum() for column in candidates.T]
         best = int(np.argmin(sums))
         centers[c] = data[picks[best]]
@@ -262,7 +258,7 @@ def kmeans(speakers: SpeakerMatrix, k: int, seed: int = DEFAULT_SEED,
     else:
         raise ValidationError(f"unknown init {init!r}")
 
-    dists = _sq_dists(data, centers)
+    dists = sq_dists(data, centers)
     labels = dists.argmin(axis=1)
     inertia = float(dists[np.arange(n), labels].sum())
     history = [inertia]
@@ -277,7 +273,7 @@ def kmeans(speakers: SpeakerMatrix, k: int, seed: int = DEFAULT_SEED,
                 farthest = int(np.argmax(dists[np.arange(n), labels]))
                 centers[c] = data[farthest]
                 labels[farthest] = c
-        dists = _sq_dists(data, centers)
+        dists = sq_dists(data, centers)
         new_labels = dists.argmin(axis=1)
         new_inertia = float(dists[np.arange(n), new_labels].sum())
         # Lloyd is monotone; allow only float-noise-level slack
@@ -326,75 +322,119 @@ class TsneResult:
     iterations: int
 
 
-def pairwise_sq_dists(data: np.ndarray) -> np.ndarray:
-    """Squared distance between every two rows, summed one coordinate at a
-    time, so no n x n x dim temporary is built (t-SNE's 2-D embedding
-    needs it once per iteration)."""
-    out = np.zeros((data.shape[0], data.shape[0]))
-    for column in data.T:
-        diff = column[:, None] - column[None, :]
-        diff *= diff
-        out += diff
-    return out
+# exp and log built from +, -, *, / and the exact rint, ldexp and frexp,
+# which round alike on every CPU; numpy's own exp and log pick a SIMD
+# variant per CPU, and the variants differ in the last bit.
+_LN2 = 6.93147180559945286227e-01
+_LN2_HI = 6.93147180369123816490e-01   # 32 bits of ln 2: k * _LN2_HI is exact
+_LN2_LO = 1.90821492927058770002e-10   # ln 2 - _LN2_HI
+_INV_LN2 = 1.44269504088896338700e+00
+_EXP_MIN, _EXP_MAX = -746.0, 710.0      # exp rounds to 0 below, to inf above
+# Taylor coefficients of exp, 1/13! first, for Horner's rule
+_EXP_TAYLOR = tuple(1.0 / math.factorial(j) for j in range(13, -1, -1))
+_SQRT_HALF = 7.07106781186547524401e-01
+# Lg1..Lg7 of fdlibm's e_log.c: log(1 + f) = 2s + 2s**3/3 + ... = 2s + s*R(s*s)
+_LG = (6.666666666666735130e-01, 3.999999999940941908e-01, 2.857142874366239149e-01,
+       2.222219843214978396e-01, 1.818357216161805012e-01, 1.531383769920937332e-01,
+       1.479819860511658591e-01)
 
 
-def _self_sq_dists(data: np.ndarray) -> np.ndarray:
-    """_sq_dists(data, data) with each pair computed once: (a - b)**2 equals
-    (b - a)**2 exactly, so the lower triangle is mirrored."""
-    n = data.shape[0]
-    out = np.empty((n, n))
-    buffer = _block_buffer(data)
-    for j in range(n):
-        _sq_dists_to(data[j:], data[j], out[j:, j], buffer)
-        out[j, j:] = out[j:, j]
-    return out
+def fixed_exp(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """e**x elementwise for x without NaN, within 1 ULP of math.exp.
+
+    Cody-Waite: x = k ln 2 + r with k = rint(x / ln 2) and |r| <= ln 2 / 2,
+    ln 2 split in two so that x - k * _LN2_HI is exact; then e**r by a
+    degree-13 Taylor polynomial and ldexp by k. out may be x itself; the
+    only other scratch is one float and one int32 array of x's size.
+    """
+    r = np.clip(x, _EXP_MIN, _EXP_MAX, out=out)
+    k = np.multiply(r, _INV_LN2)
+    np.rint(k, out=k)
+    exponent = k.astype(np.int32)
+    np.multiply(k, _LN2_HI, out=k)
+    r -= k
+    np.multiply(exponent, _LN2_LO, out=k)
+    r -= k
+    poly = k
+    poly[...] = _EXP_TAYLOR[0]
+    for coefficient in _EXP_TAYLOR[1:]:
+        poly *= r
+        poly += coefficient
+    return np.ldexp(poly, exponent, out=r)
 
 
-def conditional_affinities(sq_dists: np.ndarray,
+def fixed_log(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The natural log elementwise for finite x > 0, within 1 ULP of math.log.
+
+    fdlibm's e_log.c: frexp gives x = m * 2**k with sqrt(2)/2 <= m <
+    sqrt(2), and log(m) = log(1 + f) comes from s = f / (2 + f) as
+    f - (f*f/2 - s * (f*f/2 + R(s*s))).
+    """
+    m, k = np.frexp(x)
+    low = m < _SQRT_HALF
+    f = np.where(low, m * 2.0, m) - 1.0
+    k = np.where(low, k - 1, k).astype(np.float64)
+    s = f / (2.0 + f)
+    z = s * s
+    w = z * z
+    lg1, lg2, lg3, lg4, lg5, lg6, lg7 = _LG
+    R = z * (lg1 + w * (lg3 + w * (lg5 + w * lg7))) + w * (lg2 + w * (lg4 + w * lg6))
+    half_f2 = 0.5 * f * f
+    return np.subtract(k * _LN2_HI, (half_f2 - (s * (half_f2 + R) + k * _LN2_LO)) - f,
+                       out=out)
+
+
+def conditional_affinities(distances: np.ndarray,
                            perplexity: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-point Gaussian affinities with entropy matched to log2(perplexity).
 
-    Binary search over each point's precision beta, for at most
-    AFFINITY_MAX_STEPS steps to within ENTROPY_TOL bits; returns the row-wise
-    conditional distribution matrix (zero diagonal, rows sum to 1) and
-    the achieved entropies in bits. When the target entropy is
-    unreachable (e.g. all neighbors equidistant) the closest achievable
-    distribution is kept.
+    The perplexity calibration of van der Maaten & Hinton (JMLR 2008): a
+    binary search over each point's precision beta, for at most
+    AFFINITY_MAX_STEPS steps to within ENTROPY_TOL bits. Every row that
+    has not converged takes its step at once, on one (n, n - 1) array.
+    Returns the row-wise conditional distribution matrix (zero diagonal,
+    rows sum to 1) and the achieved entropies in bits. When the target
+    entropy is unreachable (e.g. all neighbors equidistant) the closest
+    achievable distribution is kept.
 
-    When every weight exp(-d * beta) of a row underflows to zero, beta is
-    far too large: the search lowers it, as it does when the entropy is
-    below the target. Only a row that underflows at every step is uniform.
+    Each row's smallest distance is subtracted first, so its nearest
+    weight is exp(0) = 1 and no row's weights all underflow. The entropy
+    is then log W + beta * sum(d * w) / W with W = sum(w), the form of van
+    der Maaten's reference Hbeta. The sums run strictly left to right and
+    exp and log are fixed_exp and fixed_log, so the result is the same
+    float on every CPU. The n x n squared distances are released once
+    their off-diagonal is copied, unless the caller holds them.
     """
-    n = sq_dists.shape[0]
-    target = math.log2(perplexity)
+    n = distances.shape[0]
+    off_diagonal = ~np.eye(n, dtype=bool)
+    d = distances[off_diagonal].reshape(n, n - 1)
+    del distances
+    d -= d.min(axis=1, keepdims=True)
+    target = fixed_log(np.float64(perplexity)) / _LN2
+    beta = np.ones(n)
+    beta_min, beta_max = np.full(n, -np.inf), np.full(n, np.inf)
+    w, scratch = np.empty_like(d), np.empty_like(d)
+    for _ in range(AFFINITY_MAX_STEPS):
+        np.multiply(d, -beta[:, None], out=w)
+        fixed_exp(w, out=w)
+        total = np.add.accumulate(w, axis=1, out=scratch)[:, -1].copy()
+        np.multiply(d, w, out=scratch)
+        weighted = np.add.accumulate(scratch, axis=1, out=scratch)[:, -1]
+        entropies = (fixed_log(total) + beta * weighted / total) / _LN2
+        diff = entropies - target
+        open_ = np.abs(diff) > ENTROPY_TOL
+        if not open_.any():
+            break
+        up, down = open_ & (diff > 0), open_ & (diff <= 0)
+        beta_min[up], beta_max[down] = beta[up], beta[down]
+        beta = np.where(up, np.where(beta_max == np.inf, beta * 2.0,
+                                     (beta + beta_max) / 2.0), beta)
+        beta = np.where(down, np.where(beta_min == -np.inf, beta / 2.0,
+                                       (beta + beta_min) / 2.0), beta)
+    del d, scratch
+    w /= total[:, None]
     P = np.zeros((n, n))
-    entropies = np.zeros(n)
-    for i in range(n):
-        d = np.delete(sq_dists[i], i)
-        beta = 1.0
-        beta_min, beta_max = -np.inf, np.inf
-        row = np.full_like(d, 1.0 / len(d))
-        entropy = math.log2(len(d))
-        for _ in range(AFFINITY_MAX_STEPS):
-            w = np.exp(-d * beta)
-            total = w.sum()
-            if total <= 0.0:
-                diff = -np.inf
-            else:
-                row = w / total
-                nz = row > 0
-                entropy = float(-(row[nz] * np.log2(row[nz])).sum())
-                diff = entropy - target
-            if abs(diff) <= ENTROPY_TOL:
-                break
-            if diff > 0:
-                beta_min = beta
-                beta = beta * 2.0 if beta_max == np.inf else (beta + beta_max) / 2.0
-            else:
-                beta_max = beta
-                beta = beta / 2.0 if beta_min == -np.inf else (beta + beta_min) / 2.0
-        entropies[i] = entropy
-        P[i, np.arange(n) != i] = row
+    P[off_diagonal] = w.reshape(-1)
     return P, entropies
 
 
@@ -411,7 +451,7 @@ def _kl(P: np.ndarray, Y: np.ndarray) -> float:
     At most three n x n arrays are alive at once: P, Q (built in the
     buffer of the kernel's weights) and one array of P's nonzero entries
     that the terms are computed in."""
-    Q = pairwise_sq_dists(Y)
+    Q = sq_dists(Y, Y)
     Q += 1.0
     np.divide(1.0, Q, out=Q)
     np.fill_diagonal(Q, 0.0)
@@ -448,8 +488,11 @@ def tsne(speakers: SpeakerMatrix, perplexity: float = DEFAULT_PERPLEXITY,
     Gradient descent with momentum (0.5 for the exaggerated phase, 0.8
     after) from initial_embedding(seed, n); the input set is tiny so no
     tree approximation is warranted.
-    The descent runs in the kernel that alignment.backend() names, with
-    every sum in one fixed order, so both backends give the same bytes.
+    The input distances (sq_dists) and affinities (conditional_affinities)
+    are strict-order IEEE arithmetic, and the descent runs in the kernel
+    that alignment.backend() names, with every sum in one fixed order, so
+    both backends and every CPU give the same bytes. Only the reported KL
+    divergences use numpy's own log.
     Every row of speakers, centroid rows included, is embedded.
     """
     data = speakers.data
@@ -458,7 +501,7 @@ def tsne(speakers: SpeakerMatrix, perplexity: float = DEFAULT_PERPLEXITY,
                      learning_rate=learning_rate, iterations=iterations,
                      early_exaggeration=early_exaggeration)
 
-    cond, _ = conditional_affinities(_self_sq_dists(data), perplexity)
+    cond, _ = conditional_affinities(sq_dists(data, data), perplexity)
     P = symmetrized_affinities(cond)
     del cond
 

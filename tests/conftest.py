@@ -10,7 +10,21 @@ from hypothesis import settings
 
 from phonoscope import CostMatrix, PhonemeInventory, ValidationError, align, alignment
 from phonoscope.alignment import DEFAULT_TIE_BREAK, VariantAlignment, _check_sequence
-from phonoscope.clustering import SpeakerMatrix, conditional_affinities, pairwise_sq_dists
+from phonoscope.clustering import (
+    _EXP_MAX,
+    _EXP_MIN,
+    _EXP_TAYLOR,
+    _INV_LN2,
+    _LG,
+    _LN2,
+    _LN2_HI,
+    _LN2_LO,
+    _SQRT_HALF,
+    AFFINITY_MAX_STEPS,
+    ENTROPY_TOL,
+    SpeakerMatrix,
+    conditional_affinities,
+)
 
 ORACLE_MAX_COMBINATIONS = 4096
 BRUTEFORCE_MAX = 12
@@ -182,6 +196,10 @@ def same_bits(a, b) -> bool:
 # built full-size temporaries (an n x d difference per center or point, a
 # data[members] copy, six n x n arrays in the KL). The rewrite does the same
 # float operations in the same order, so results must match bit for bit.
+# The distances are the exception: the library sums each one strictly left
+# to right, as strict_sq_dists_full does, and the einsum formulations
+# sq_dists_full and self_sq_dists_full, which sum in a build-dependent
+# order, are references for its results within rounding.
 
 def vectorize_full(counts, normalization):
     counts = counts.astype(np.float64)
@@ -190,6 +208,17 @@ def vectorize_full(counts, normalization):
         nonzero = sums[:, 0] > 0
         counts[nonzero] /= sums[nonzero]
     return counts.reshape(-1)
+
+
+def strict_sq_dists_full(data, centers):
+    """Squared distances over every column, each a left-to-right running
+    sum of one full n x d array of squared differences per center."""
+    out = np.empty((data.shape[0], centers.shape[0]))
+    for j, center in enumerate(centers):
+        diff = data - center
+        diff *= diff
+        out[:, j] = np.add.accumulate(diff, axis=1)[:, -1] if diff.shape[1] else 0.0
+    return out
 
 
 def sq_dists_full(data, centers):
@@ -208,6 +237,66 @@ def self_sq_dists_full(data):
         out[j:, j] = np.einsum("ij,ij->i", diff, diff)
         out[j, j:] = out[j:, j]
     return out
+
+
+# The affinity search one row and one Python float at a time, with exp and
+# log written on math.ldexp and math.frexp: the same float operations as
+# the library's fixed_exp, fixed_log and lockstep search, in the same order.
+
+def scalar_exp(x):
+    """clustering.fixed_exp of one float."""
+    x = min(max(x, _EXP_MIN), _EXP_MAX)
+    k = round(x * _INV_LN2)            # round half to even, as rint
+    r = (x - k * _LN2_HI) - k * _LN2_LO
+    poly = _EXP_TAYLOR[0]
+    for coefficient in _EXP_TAYLOR[1:]:
+        poly = poly * r + coefficient
+    return math.ldexp(poly, k)
+
+
+def scalar_log(x):
+    """clustering.fixed_log of one float."""
+    m, k = math.frexp(x)
+    if m < _SQRT_HALF:
+        m, k = m * 2.0, k - 1
+    f = m - 1.0
+    s = f / (2.0 + f)
+    z = s * s
+    w = z * z
+    lg1, lg2, lg3, lg4, lg5, lg6, lg7 = _LG
+    R = z * (lg1 + w * (lg3 + w * (lg5 + w * lg7))) + w * (lg2 + w * (lg4 + w * lg6))
+    half_f2 = 0.5 * f * f
+    return k * _LN2_HI - ((half_f2 - (s * (half_f2 + R) + k * _LN2_LO)) - f)
+
+
+def reference_conditional_affinities(sq_dists, perplexity):
+    """clustering.conditional_affinities one row at a time: bisection on
+    beta until the entropy is within ENTROPY_TOL bits of the target."""
+    n = len(sq_dists)
+    target = scalar_log(perplexity) / _LN2
+    P, entropies = np.zeros((n, n)), []
+    for i, row in enumerate(sq_dists.tolist()):
+        d = row[:i] + row[i + 1:]
+        low = min(d)
+        d = [x - low for x in d]
+        beta, beta_min, beta_max = 1.0, -math.inf, math.inf
+        for _ in range(AFFINITY_MAX_STEPS):
+            w = [scalar_exp(x * -beta) for x in d]
+            total = fold(w)
+            entropy = (scalar_log(total) + beta * fold([x * y for x, y in zip(d, w)])
+                       / total) / _LN2
+            diff = entropy - target
+            if abs(diff) <= ENTROPY_TOL:
+                break
+            if diff > 0:
+                beta_min = beta
+                beta = beta * 2.0 if beta_max == math.inf else (beta + beta_max) / 2.0
+            else:
+                beta_max = beta
+                beta = beta / 2.0 if beta_min == -math.inf else (beta + beta_min) / 2.0
+        P[i, [j for j in range(n) if j != i]] = [x / total for x in w]
+        entropies.append(entropy)
+    return P, np.array(entropies)
 
 
 # The library's draws, one Python int at a time: SplitMix64 as published
@@ -266,12 +355,13 @@ def kmeans_full(data, k, seed, init, max_iter=300, rel_tol=1e-9):
         draws = reference_uniforms(seed, 0, 1 + (k - 1) * trials)
         centers = np.empty((k, data.shape[1]))
         centers[0] = data[min(int(draws.pop(0) * n), n - 1)]
-        closest = sq_dists_full(data, centers[:1])[:, 0]
+        closest = strict_sq_dists_full(data, centers[:1])[:, 0]
         for c in range(1, k):
             best = None
             for _ in range(trials):
                 pick = d2_pick(closest, draws.pop(0))
-                candidate = np.minimum(closest, sq_dists_full(data, data[pick:pick + 1])[:, 0])
+                candidate = np.minimum(closest,
+                                       strict_sq_dists_full(data, data[pick:pick + 1])[:, 0])
                 if best is None or candidate.sum() < best[1].sum():
                     best = pick, candidate
             centers[c] = data[best[0]]
@@ -282,7 +372,7 @@ def kmeans_full(data, k, seed, init, max_iter=300, rel_tol=1e-9):
             j = i + int(u * (n - i))
             order[i], order[j] = order[j], order[i]
         centers = data[order[:k]].copy()
-    dists = sq_dists_full(data, centers)
+    dists = strict_sq_dists_full(data, centers)
     labels = dists.argmin(axis=1)
     inertia = float(dists[np.arange(n), labels].sum())
     history = [inertia]
@@ -295,7 +385,7 @@ def kmeans_full(data, k, seed, init, max_iter=300, rel_tol=1e-9):
                 farthest = int(np.argmax(dists[np.arange(n), labels]))
                 centers[c] = data[farthest]
                 labels[farthest] = c
-        dists = sq_dists_full(data, centers)
+        dists = strict_sq_dists_full(data, centers)
         new_labels = dists.argmin(axis=1)
         new_inertia = float(dists[np.arange(n), new_labels].sum())
         history.append(new_inertia)
@@ -313,7 +403,7 @@ def symmetrized_affinities_full(conditional):
 
 
 def kl_full(P, Y):
-    num = pairwise_sq_dists(Y)
+    num = strict_sq_dists_full(Y, Y)
     num += 1.0
     np.divide(1.0, num, out=num)
     np.fill_diagonal(num, 0.0)
@@ -330,7 +420,7 @@ def tsne_full(data, perplexity, iterations, seed, learning_rate=200.0,
     """tsne on the rows of data with the oracles above and the active
     kernel's descent from start(seed, n); returns (embedding, final KL,
     initial KL)."""
-    cond, _ = conditional_affinities(self_sq_dists_full(data), perplexity)
+    cond, _ = conditional_affinities(strict_sq_dists_full(data, data), perplexity)
     P = symmetrized_affinities_full(cond)
     Y = start(seed, data.shape[0])
     initial_kl = kl_full(P, Y)

@@ -35,7 +35,7 @@ from phonoscope import (
 from phonoscope.cli import main
 from phonoscope.clustering import (
     conditional_affinities,
-    pairwise_sq_dists,
+    sq_dists,
     symmetrized_affinities,
 )
 
@@ -197,7 +197,7 @@ def test_c7_tsne_properties():
     with budget(60.0):
         vectors, labels = make_group_vectors(seed=0)
         data = np.stack([v for _, v in vectors])
-        cond, entropies = conditional_affinities(pairwise_sq_dists(data), 5.0)
+        cond, entropies = conditional_affinities(sq_dists(data, data), 5.0)
         np.testing.assert_allclose(entropies, math.log2(5.0), atol=1e-5)
         sym = symmetrized_affinities(cond)
         assert (sym >= 0).all()

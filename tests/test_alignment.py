@@ -642,7 +642,26 @@ def test_changed_compile_flags_rebuild_the_kernel(tmp_path):
     assert source.count('"-O2"') == 1
     core.write_text(source.replace('"-O2"', '"-O1"'))
     after = cached()
-    assert len(before) == 1 and len(after) == 2 and before < after, (before, after)
+    assert len(before) == 1 and len(after) == 1 and before != after, (before, after)
+
+
+def test_rebuild_removes_stale_kernel_libraries(tmp_path):
+    # a build removes the libraries of older keys in its directory, and
+    # leaves everything else there alone
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    package = _package_copy(tmp_path)
+    cache = package / "__pycache__"
+    cache.mkdir()
+    stale = ["_dpkernel-0123456789abcdef.so", "_dpkernel-old.so"]
+    kept = ["_dpkernel-inflight.tmp", "_dpkernel.so", "other-0123.so", "alignment.pyc"]
+    for name in stale + kept:
+        (cache / name).write_text("not a library\n")
+    out, err = _start_import(tmp_path).communicate(timeout=60)
+    assert out.strip() == "compiled", err
+    libraries = [p.name for p in cache.glob("_dpkernel-*.so")]
+    assert len(libraries) == 1 and libraries[0] not in stale, libraries
+    assert all((cache / name).is_file() for name in kept)
 
 
 def test_pure_env_flag_selects_fallback():

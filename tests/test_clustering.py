@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from phonoscope import (
     ConfusionMatrix,
@@ -16,20 +17,20 @@ from phonoscope import (
     tsne,
 )
 from phonoscope.clustering import (
-    BLOCK_BYTES,
     RAW_COUNTS,
     ROW_FREQUENCY,
+    SQ_DISTS_BLOCK,
     SpeakerMatrix,
     _d2_picks,
     _init_forgy,
-    _self_sq_dists,
-    _sq_dists,
     _uniforms,
     initial_embedding,
+    sq_dists,
 )
 from phonoscope.manifest import RunConfig
 
 from .conftest import (
+    fold,
     kmeans_full,
     make_group_vectors,
     reference_initial_embedding,
@@ -39,6 +40,7 @@ from .conftest import (
     speaker_matrix,
     splitmix64,
     sq_dists_full,
+    strict_sq_dists_full,
     tsne_full,
     vectorize_full,
 )
@@ -262,14 +264,55 @@ def random_grids(rng, count):
 
 
 def test_blocked_distances_cross_block_boundaries():
-    """70 rows of 1681 floats span more than three blocks."""
-    rows_per_block = BLOCK_BYTES // (8 * len(INV) ** 2)
-    assert 2 * rows_per_block < 70
+    """70 rows of 1681 floats are summed SQ_DISTS_BLOCK // (70 * 3) = 312
+    columns at a time against 3 centers and SQ_DISTS_BLOCK // 70**2 = 13
+    against themselves, so each sum crosses blocks. The strict full sums
+    agree bit for bit; the einsum formulations, which sum in another order,
+    agree within the rounding of one addition per column."""
     rng = np.random.default_rng(3)
     data = random_grids(rng, 70).reshape(70, -1).astype(np.float64)
     centers = data[[0, 25, 69]] + 0.5
-    assert same_bits(_sq_dists(data, centers), sq_dists_full(data, centers))
-    assert same_bits(_self_sq_dists(data), self_sq_dists_full(data))
+    columns = data.shape[1]
+    assert columns > 2 * (SQ_DISTS_BLOCK // (70 * 3))
+    got = sq_dists(data, centers)
+    assert same_bits(got, strict_sq_dists_full(data, centers))
+    np.testing.assert_allclose(got, sq_dists_full(data, centers),
+                               rtol=columns * 2.3e-16, atol=0)
+    got = sq_dists(data, data)
+    assert same_bits(got, strict_sq_dists_full(data, data))
+    np.testing.assert_allclose(got, self_sq_dists_full(data),
+                               rtol=columns * 2.3e-16, atol=0)
+
+
+def matrices_with_zero_columns(rows):
+    """A (rows, dim) float matrix, zeros frequent, some columns all zero."""
+    element = st.one_of(st.just(0.0), st.floats(-1e3, 1e3, allow_nan=False))
+    return st.integers(0, 30).flatmap(
+        lambda dim: st.tuples(hnp.arrays(np.float64, (rows, dim), elements=element),
+                              st.lists(st.booleans(), min_size=dim, max_size=dim)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.data())
+@example(1, 1, None)
+def test_sq_dists_is_a_strict_left_to_right_sum(na, nb, data):
+    """Every distance equals the left-to-right sum of (a[i, c] - b[j, c])**2
+    over every column c, one Python float at a time: visiting only the
+    columns nonzero in a or b changes no bit."""
+    if data is None:   # n = 1 against an all-zero matrix
+        a, b = np.zeros((1, 5)), np.zeros((1, 5))
+    else:
+        a, zero = data.draw(matrices_with_zero_columns(na))
+        b = data.draw(hnp.arrays(np.float64, (nb, a.shape[1]),
+                                 elements=st.floats(-1e3, 1e3, allow_nan=False)))
+        a[:, zero] = 0.0
+        b[:, zero] = 0.0
+    want = [[fold([0.0] + [(x - y) * (x - y) for x, y in zip(row_a, row_b)])
+             for row_b in b.tolist()] for row_a in a.tolist()]
+    assert same_bits(sq_dists(a, b), want)
+    want_self = [[fold([0.0] + [(x - y) * (x - y) for x, y in zip(row_a, row_b)])
+                  for row_b in a.tolist()] for row_a in a.tolist()]
+    assert same_bits(sq_dists(a, a), want_self)
 
 
 @settings(max_examples=60, deadline=None)

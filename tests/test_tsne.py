@@ -8,10 +8,10 @@ from hypothesis.extra import numpy as hnp
 
 from phonoscope import ValidationError, tsne
 from phonoscope.clustering import (
-    _self_sq_dists,
-    _sq_dists,
     conditional_affinities,
-    pairwise_sq_dists,
+    fixed_exp,
+    fixed_log,
+    sq_dists,
     symmetrized_affinities,
 )
 
@@ -20,9 +20,13 @@ from .conftest import (
     kernel_backend,
     make_group_vectors,
     numpy_initial_embedding,
+    reference_conditional_affinities,
     reference_initial_embedding,
     same_bits,
+    scalar_exp,
+    scalar_log,
     speaker_matrix,
+    strict_sq_dists_full,
     tsne_full,
 )
 
@@ -38,7 +42,8 @@ def test_three_equidistant_points():
     assert len(result.points) == 3
     for p in result.points:
         assert math.isfinite(p.x) and math.isfinite(p.y)
-    D = pairwise_sq_dists(np.stack([v for _, v in simplex_vectors(3)]))
+    X = np.stack([v for _, v in simplex_vectors(3)])
+    D = sq_dists(X, X)
     P, _ = conditional_affinities(D, 1.5)
     off = P[P > 0]
     np.testing.assert_allclose(off, off[0])  # symmetry forces equal affinities
@@ -49,14 +54,16 @@ def test_three_equidistant_points():
 def test_equidistant_entropy_is_uniform_limit():
     """With all neighbors equidistant the conditional is uniform: H = log2(n-1)."""
     n = 6
-    D = pairwise_sq_dists(np.stack([v for _, v in simplex_vectors(n)]))
+    X = np.stack([v for _, v in simplex_vectors(n)])
+    D = sq_dists(X, X)
     _, entropies = conditional_affinities(D, perplexity=2.0)
     np.testing.assert_allclose(entropies, math.log2(n - 1), atol=1e-12)
 
 
 def test_affinity_search_hits_target_entropy():
     vectors, _ = make_group_vectors(seed=0)
-    D = pairwise_sq_dists(np.stack([v for _, v in vectors]))
+    X = np.stack([v for _, v in vectors])
+    D = sq_dists(X, X)
     P, entropies = conditional_affinities(D, perplexity=5.0)
     np.testing.assert_allclose(entropies, math.log2(5.0), atol=1e-5)
     assert (P >= 0).all()
@@ -65,7 +72,8 @@ def test_affinity_search_hits_target_entropy():
 
 def test_symmetrized_affinities_properties():
     vectors, _ = make_group_vectors(seed=1)
-    D = pairwise_sq_dists(np.stack([v for _, v in vectors]))
+    X = np.stack([v for _, v in vectors])
+    D = sq_dists(X, X)
     P, _ = conditional_affinities(D, perplexity=5.0)
     S = symmetrized_affinities(P)
     assert (S >= 0).all()
@@ -124,7 +132,7 @@ def test_affinity_search_recovers_from_underflow():
     row at maximum entropy."""
     rng = np.random.default_rng(0)
     data = rng.poisson(0.5, size=(60, 1600)).astype(np.float64)
-    D = _self_sq_dists(data)
+    D = sq_dists(data, data)
     off_diagonal = D[~np.eye(60, dtype=bool)]
     assert off_diagonal.min() > 745.2   # exp(-745.2) rounds to 0.0
     P, entropies = conditional_affinities(D, perplexity=5.0)
@@ -134,9 +142,11 @@ def test_affinity_search_recovers_from_underflow():
 
 # Oracles: the formulations the library used before it was made faster.
 # Each rewrite does the same float operations in the same order, so the
-# results must match bit for bit. The t-SNE descent is the exception: it
-# now sums in one fixed order, so its bitwise oracle is loop_descend and
-# the first numpy loop, reference_tsne, is the reference for its quality.
+# results must match bit for bit. The t-SNE descent and the distances are
+# the exceptions: both now sum in one fixed order, so their bitwise oracles
+# are loop_descend and strict left-to-right sums, and the einsum distances
+# and the first numpy loop, reference_tsne, are the references for their
+# results and quality.
 
 def einsum_pairwise_sq_dists(data):
     diff = data[:, None, :] - data[None, :, :]
@@ -154,12 +164,12 @@ def reference_kl(P, Y):
 
 def reference_tsne(data, perplexity, iterations, seed, learning_rate=200.0,
                    early_exaggeration=12.0, exaggeration_iters=250):
-    """The t-SNE loop as first written: einsum distances, every pair's input
-    distance computed twice, P * early_exaggeration and an n x n np.diag
-    temporary in every iteration, numpy's pairwise sums and a BLAS product
-    for the gradient. Returns the embedding and the final KL."""
+    """The t-SNE loop as first written, from the library's input distances
+    and affinities: P * early_exaggeration and an n x n np.diag temporary
+    in every iteration, numpy's pairwise sums and a BLAS product for the
+    gradient. Returns the embedding and the final KL."""
     n = data.shape[0]
-    cond, _ = conditional_affinities(_sq_dists(data, data), perplexity)
+    cond, _ = conditional_affinities(sq_dists(data, data), perplexity)
     P = symmetrized_affinities(cond)
     Y = numpy_initial_embedding(seed, n)
     update = np.zeros_like(Y)
@@ -228,7 +238,7 @@ def loop_descend(P, Y, learning_rate, iterations, early_exaggeration=12.0,
 def fixed_order_tsne(data, perplexity, iterations, seed):
     """tsne's steps around the descent as first written, with loop_descend.
     Returns the embedding and the final KL."""
-    cond, _ = conditional_affinities(_sq_dists(data, data), perplexity)
+    cond, _ = conditional_affinities(sq_dists(data, data), perplexity)
     P = symmetrized_affinities(cond)
     Y = reference_initial_embedding(seed, data.shape[0])
     Y = loop_descend(P, Y, 200.0, iterations)
@@ -245,7 +255,7 @@ finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 @example(np.zeros((3, 2)), 1.0)
 def test_pairwise_sq_dists_matches_einsum_in_two_dimensions(Y, scale):
     Y = Y * scale
-    assert same_bits(pairwise_sq_dists(Y), einsum_pairwise_sq_dists(Y))
+    assert same_bits(sq_dists(Y, Y), einsum_pairwise_sq_dists(Y))
 
 
 @settings(max_examples=100, deadline=None)
@@ -254,7 +264,7 @@ def test_pairwise_sq_dists_matches_einsum_in_two_dimensions(Y, scale):
 def test_pairwise_sq_dists_any_dimension(data):
     """Beyond two coordinates the sum runs in another order than einsum's,
     so it may differ by the rounding of one addition per coordinate."""
-    got, want = pairwise_sq_dists(data), einsum_pairwise_sq_dists(data)
+    got, want = sq_dists(data, data), einsum_pairwise_sq_dists(data)
     if data.shape[1] <= 2:
         assert same_bits(got, want)
     np.testing.assert_allclose(got, want, rtol=data.shape[1] * 2.3e-16, atol=0)
@@ -264,13 +274,83 @@ def test_pairwise_sq_dists_any_dimension(data):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 25), st.integers(1, 1700),
        st.booleans())
-def test_input_distances_computed_once_per_pair(seed, n, dim, counts):
+def test_input_distances_are_symmetric(seed, n, dim, counts):
+    """t-SNE's input distances, data against itself: (a - b)**2 equals
+    (b - a)**2 exactly, so the matrix is symmetric with a zero diagonal,
+    and each entry is the strict left-to-right sum over every column."""
     rng = np.random.default_rng(seed)
     if counts:
         data = rng.poisson(0.5, size=(n, dim)).astype(np.float64)
     else:
         data = rng.normal(0.0, 10.0 ** rng.uniform(-5, 3), size=(n, dim))
-    assert same_bits(_self_sq_dists(data), _sq_dists(data, data))
+    D = sq_dists(data, data)
+    assert same_bits(D, D.T) and not np.diagonal(D).any()
+    assert same_bits(D, strict_sq_dists_full(data, data))
+
+
+def float_keys(values):
+    """Integers that order float64 values as the floats do, one step per
+    float, so the difference of two keys is a distance in ULPs."""
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)
+    return np.where(bits < 0, np.int64(-2**63) - bits, bits)
+
+
+def test_fixed_exp_is_within_one_ulp_of_math_exp():
+    """Over every finite result, subnormal ones included (x below
+    -708.4), and bitwise the scalar oracle's."""
+    rng = np.random.default_rng(0)
+    x = np.concatenate([np.linspace(-745.2, 709.7, 100_001),
+                        rng.uniform(-745.2, -708.0, 20_000),
+                        rng.uniform(-1.0, 1.0, 20_000), [-0.0, 0.0, -745.1, -746.0]])
+    got = fixed_exp(x)
+    want = np.array([math.exp(v) for v in x.tolist()])
+    assert np.abs(float_keys(got) - float_keys(want)).max() <= 1
+    assert (got[x < -708.4] < 2.0**-1022).all() and got[x < -708.4].any()
+    assert same_bits(got, [scalar_exp(v) for v in x.tolist()])
+    buffer = x.copy()
+    assert fixed_exp(buffer, out=buffer) is buffer and same_bits(buffer, got)
+
+
+def test_fixed_log_is_within_one_ulp_of_math_log():
+    """Over every binade, subnormal inputs included, and close to 1,
+    and bitwise the scalar oracle's."""
+    rng = np.random.default_rng(1)
+    x = np.concatenate([np.ldexp(rng.uniform(0.5, 1.0, 100_000),
+                                 rng.integers(-1073, 1025, 100_000)),
+                        1.0 + rng.uniform(-0.3, 0.42, 20_000),
+                        rng.uniform(1.0, 500.0, 20_000),
+                        [5e-324, 2.0**-1022, 0.5, 1.0, 2.0, 5.0, 1.7976931348623157e308]])
+    got = fixed_log(x)
+    want = np.array([math.log(v) for v in x.tolist()])
+    assert np.abs(float_keys(got) - float_keys(want)).max() <= 1
+    assert same_bits(got, [scalar_log(v) for v in x.tolist()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 12), st.integers(1, 40),
+       st.sampled_from(["counts", "normal", "huge", "equidistant"]),
+       st.floats(0.0, 0.999))
+@example(0, 12, 40, "huge", 0.5)
+@example(0, 6, 6, "equidistant", 0.3)
+def test_lockstep_search_matches_one_row_at_a_time(seed, n, dim, kind, fraction):
+    """Every row stepping at once gives the bits of the search run one row
+    and one Python float at a time, converged rows, rows that reach
+    AFFINITY_MAX_STEPS and far-apart rows alike."""
+    rng = np.random.default_rng(seed)
+    if kind == "counts":
+        data = rng.poisson(0.5, size=(n, dim)).astype(np.float64)
+    elif kind == "normal":
+        data = rng.normal(0.0, 10.0 ** rng.uniform(-3, 2), size=(n, dim))
+    elif kind == "huge":
+        data = rng.poisson(30.0, size=(n, dim)).astype(np.float64)
+    else:
+        data = np.eye(n, max(n, dim))
+    D = sq_dists(data, data)
+    perplexity = 1.0 + fraction * (n - 2)
+    P, entropies = conditional_affinities(D, perplexity)
+    want_P, want_entropies = reference_conditional_affinities(D, perplexity)
+    assert same_bits(P, want_P)
+    assert same_bits(entropies, want_entropies)
 
 
 @pytest.mark.parametrize("n, perplexity, iterations, examples", [
