@@ -1,19 +1,22 @@
 """Compiled kernels: _dpkernel.c through ctypes.
 
 The library is the compile of _dpkernel.c cached as
-__pycache__/_dpkernel-<hash of the compile command and the source>.so,
-made with ``cc`` on the first import that misses it, so an edited source
-or a changed compile flag is always rebuilt; a build removes the libraries
-of older keys. Any failure to build or load raises ImportError naming its
-cause, so phonoscope.alignment falls back to _dppy and says why. The hash
-is importlib.util.source_hash, the interpreter's own key for hash-based
-.pyc files, so naming the file loads no OpenSSL.
+_dpkernel-<hash of the compile command and the source>.so, made with
+``cc`` on the first import that misses it, so an edited source or a
+changed compile flag is always rebuilt; a build removes the libraries of
+older keys in its directory. The cache directories are tried in the order
+of _cache_dirs, and the first one that can hold a build gets it. Any
+failure to build or load raises ImportError naming its cause, so
+phonoscope.alignment falls back to _dppy and says why. The hash is
+importlib.util.source_hash, the interpreter's own key for hash-based .pyc
+files, so naming the file loads no OpenSSL.
 """
 
 import contextlib
 import ctypes
 import importlib.util
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,39 +29,64 @@ _FLOAT64 = np.dtype(np.float64)
 _COMPILE = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
+def _cache_dirs() -> list[Path]:
+    """The package's __pycache__, then sys.pycache_prefix if it is set,
+    then $XDG_CACHE_HOME/phonoscope (default ~/.cache/phonoscope).
+
+    Under the last two the package's own path is repeated, as Python
+    places .pyc files under sys.pycache_prefix, so two installs never
+    remove each other's library. A relative or unknown base is skipped.
+    """
+    cache_home = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(cache_home):
+        cache_home = os.path.join(os.path.expanduser("~"), ".cache")
+    bases = [sys.pycache_prefix or "", os.path.join(cache_home, "phonoscope")]
+    return [_HERE / "__pycache__",
+            *(Path(base, *_HERE.parts[1:]) for base in bases if os.path.isabs(base))]
+
+
 def _cached_build() -> Path:
     """The cached compile of _dpkernel.c, compiling it on a cache miss.
 
-    The compiler writes a temporary file that os.replace moves into
-    place, so concurrent first imports never load a partial library. Then
-    the other _dpkernel-*.so files in the directory are removed; a process
-    that has one of them loaded keeps its mapping.
+    A directory is unusable when it cannot be created or cannot take a
+    temporary file; the next one is tried. The compiler writes that
+    temporary file and os.replace moves it into place, so concurrent
+    first imports never load a partial library. Then the other
+    _dpkernel-*.so files in the directory are removed; a process that has
+    one of them loaded keeps its mapping.
     """
     key = "\0".join(_COMPILE).encode() + b"\0" + _SOURCE.read_bytes()
-    digest = importlib.util.source_hash(key).hex()
-    target = _HERE / "__pycache__" / f"_dpkernel-{digest}.so"
-    if target.is_file():
-        return target
-    import subprocess
-    import tempfile
+    name = f"_dpkernel-{importlib.util.source_hash(key).hex()}.so"
+    unusable = []
+    for directory in _cache_dirs():
+        target = directory / name
+        if target.is_file():
+            return target
+        import subprocess
+        import tempfile
 
-    target.parent.mkdir(exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix="_dpkernel-", suffix=".tmp", dir=target.parent)
-    os.close(fd)
-    try:
-        proc = subprocess.run([*_COMPILE, "-o", tmp, str(_SOURCE)],
-                              capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise ImportError(f"cc failed on {_SOURCE}: {proc.stderr.strip()}")
-        os.replace(tmp, target)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    for stale in target.parent.glob("_dpkernel-*.so"):
-        if stale != target:
-            with contextlib.suppress(OSError):   # a stale file is harmless
-                stale.unlink()
-    return target
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(prefix="_dpkernel-", suffix=".tmp", dir=directory)
+        except OSError as exc:
+            unusable.append(str(exc))
+            continue
+        os.close(fd)
+        try:
+            proc = subprocess.run([*_COMPILE, "-o", tmp, str(_SOURCE)],
+                                  capture_output=True, text=True)
+            if proc.returncode != 0:
+                raise ImportError(f"cc failed on {_SOURCE}: {proc.stderr.strip()}")
+            os.replace(tmp, target)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        for stale in directory.glob("_dpkernel-*.so"):
+            if stale != target:
+                with contextlib.suppress(OSError):   # a stale file is harmless
+                    stale.unlink()
+        return target
+    raise ImportError("no usable kernel cache directory: " + "; ".join(unusable))
 
 
 def _load():

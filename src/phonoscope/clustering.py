@@ -339,18 +339,23 @@ _LG = (6.666666666666735130e-01, 3.999999999940941908e-01, 2.857142874366239149e
        1.479819860511658591e-01)
 
 
-def fixed_exp(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def fixed_exp(x: np.ndarray, out: np.ndarray | None = None,
+              scratch: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """e**x elementwise for x without NaN, within 1 ULP of math.exp.
 
     Cody-Waite: x = k ln 2 + r with k = rint(x / ln 2) and |r| <= ln 2 / 2,
     ln 2 split in two so that x - k * _LN2_HI is exact; then e**r by a
     degree-13 Taylor polynomial and ldexp by k. out may be x itself; the
-    only other scratch is one float and one int32 array of x's size.
+    only other scratch is one float64 and one int32 array of x's shape,
+    allocated here unless the caller passes them as scratch.
     """
     r = np.clip(x, _EXP_MIN, _EXP_MAX, out=out)
-    k = np.multiply(r, _INV_LN2)
+    if scratch is None:
+        scratch = np.empty_like(r), np.empty(r.shape, np.int32)
+    k, exponent = scratch
+    np.multiply(r, _INV_LN2, out=k)
     np.rint(k, out=k)
-    exponent = k.astype(np.int32)
+    np.copyto(exponent, k, casting="unsafe")
     np.multiply(k, _LN2_HI, out=k)
     r -= k
     np.multiply(exponent, _LN2_LO, out=k)
@@ -403,7 +408,9 @@ def conditional_affinities(distances: np.ndarray,
     der Maaten's reference Hbeta. The sums run strictly left to right and
     exp and log are fixed_exp and fixed_log, so the result is the same
     float on every CPU. The n x n squared distances are released once
-    their off-diagonal is copied, unless the caller holds them.
+    their off-diagonal is copied, unless the caller holds them, and
+    fixed_exp works in the search's own float scratch and one int32 array,
+    both allocated before the first step.
     """
     n = distances.shape[0]
     off_diagonal = ~np.eye(n, dtype=bool)
@@ -414,9 +421,10 @@ def conditional_affinities(distances: np.ndarray,
     beta = np.ones(n)
     beta_min, beta_max = np.full(n, -np.inf), np.full(n, np.inf)
     w, scratch = np.empty_like(d), np.empty_like(d)
+    exponents = np.empty(d.shape, np.int32)
     for _ in range(AFFINITY_MAX_STEPS):
         np.multiply(d, -beta[:, None], out=w)
-        fixed_exp(w, out=w)
+        fixed_exp(w, out=w, scratch=(scratch, exponents))
         total = np.add.accumulate(w, axis=1, out=scratch)[:, -1].copy()
         np.multiply(d, w, out=scratch)
         weighted = np.add.accumulate(scratch, axis=1, out=scratch)[:, -1]
@@ -431,7 +439,7 @@ def conditional_affinities(distances: np.ndarray,
                                      (beta + beta_max) / 2.0), beta)
         beta = np.where(down, np.where(beta_min == -np.inf, beta / 2.0,
                                        (beta + beta_min) / 2.0), beta)
-    del d, scratch
+    del d, scratch, exponents
     w /= total[:, None]
     P = np.zeros((n, n))
     P[off_diagonal] = w.reshape(-1)

@@ -595,9 +595,65 @@ def test_kernel_build_failure_falls_back_to_pure(tmp_path, breakage):
     elif breakage == "compile_error":
         (package / "_dpkernel.c").write_text("this is not C\n")
     else:
-        (package / "__pycache__").write_text("a file where the cache directory goes\n")
+        env = _unusable_caches(tmp_path, package)
     out, err = _start_import(tmp_path, **env).communicate(timeout=60)
     assert out.strip() == "pure", err
+
+
+def _unusable_caches(tmp_path, package) -> dict:
+    """Regular files in place of every kernel cache directory: the
+    package's __pycache__ and the bases of the other two; returns the
+    environment that points the other two there."""
+    blocked = tmp_path / "blocked"
+    for path in (package / "__pycache__", blocked):
+        path.write_text("a file where a cache directory goes\n")
+    return {"PYTHONPYCACHEPREFIX": str(blocked), "XDG_CACHE_HOME": str(blocked)}
+
+
+def _mirrored(base, package):
+    """Where a cache base holds the library of package, as .pyc files sit
+    under sys.pycache_prefix."""
+    return base.joinpath(*package.resolve().parts[1:])
+
+
+def test_unusable_caches_fall_through_to_the_user_cache(tmp_path):
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    package = _package_copy(tmp_path)
+    env = _unusable_caches(tmp_path, package)
+    env["XDG_CACHE_HOME"] = str(tmp_path / "cache")
+    out, err = _start_import(tmp_path, **env).communicate(timeout=60)
+    assert out.strip() == "compiled", err
+    [library] = (tmp_path / "cache").rglob("_dpkernel-*.so")
+    assert library.parent == _mirrored(tmp_path / "cache" / "phonoscope", package)
+
+
+def test_pycache_prefix_comes_before_the_user_cache(tmp_path):
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    package = _package_copy(tmp_path)
+    (package / "__pycache__").write_text("a file where a cache directory goes\n")
+    out, err = _start_import(tmp_path, PYTHONPYCACHEPREFIX=str(tmp_path / "prefix"),
+                             XDG_CACHE_HOME=str(tmp_path / "cache")).communicate(timeout=60)
+    assert out.strip() == "compiled", err
+    [library] = (tmp_path / "prefix").rglob("_dpkernel-*.so")
+    assert library.parent == _mirrored(tmp_path / "prefix", package)
+    assert not (tmp_path / "cache").exists()
+
+
+def test_every_unusable_cache_directory_is_named(tmp_path):
+    package = _package_copy(tmp_path)
+    env = {k: v for k, v in os.environ.items() if k != "PHONOSCOPE_PURE"}
+    env.update(_unusable_caches(tmp_path, package), PYTHONPATH=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import phonoscope; from phonoscope import alignment; "
+                               "print(phonoscope.backend()); print(alignment.fallback_reason())"],
+        capture_output=True, text=True, env=env, timeout=60)
+    backend, reason = proc.stdout.splitlines()
+    assert backend == "pure", proc.stderr
+    assert reason.startswith("no usable kernel cache directory: ")
+    assert str(package / "__pycache__") in reason
+    assert reason.count(str(tmp_path / "blocked")) == 2
 
 
 def test_library_beside_the_source_is_not_loaded(tmp_path):

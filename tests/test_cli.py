@@ -985,16 +985,19 @@ def test_sample_output_tree_is_pinned(tmp_path, variant_rule, backend):
 
 
 def test_kernel_fallback_is_noted_and_changes_no_byte(tmp_path):
-    """When the compiled kernel cannot be built (here its cache directory
-    is a regular file), a run says so in one line on stderr, exits 0 and
-    writes the pinned tree on the pure kernel."""
+    """When the compiled kernel cannot be built (here each of its cache
+    directories is a regular file or lies under one), a run says so in one
+    line on stderr, exits 0 and writes the pinned tree on the pure kernel."""
     package = tmp_path / "src" / "phonoscope"
     shutil.copytree(REPO / "src" / "phonoscope", package,
                     ignore=shutil.ignore_patterns("__pycache__", "*.so"))
-    (package / "__pycache__").write_text("a file where the cache directory goes\n")
+    blocked = tmp_path / "blocked"
+    for path in (package / "__pycache__", blocked):
+        path.write_text("a file where a cache directory goes\n")
     out = tmp_path / "out"
     env = backend_env("default")
-    env["PYTHONPATH"] = str(tmp_path / "src")
+    env.update(PYTHONPATH=str(tmp_path / "src"), PYTHONPYCACHEPREFIX=str(blocked),
+               XDG_CACHE_HOME=str(blocked))
     proc = subprocess.run([sys.executable, "-m", "phonoscope.cli", "run",
                            *sample_args(out, ["--k", "3", "--seed", "42",
                                               "--min-occurrences", "2"])],

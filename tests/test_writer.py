@@ -1,10 +1,12 @@
 import errno
 import os
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
-from phonoscope.writer import BACKLOG_BYTES, Writer
+from phonoscope.writer import BACKLOG_BYTES, CREATORS, Writer
 
 
 def fifo(tmp_path):
@@ -80,3 +82,89 @@ def test_read_ahead_stops_at_the_budget(tmp_path):
     assert first == b"first"
     for path, text in requests:
         assert path.read_text() == text
+
+
+def eventually(predicate, timeout=10.0) -> bool:
+    """Whether predicate() turns true within timeout seconds."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def test_a_blocked_directory_holds_back_only_itself(tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    pipe = fifo(tmp_path / "a")
+    later_in_a, in_b = tmp_path / "a" / "later.txt", tmp_path / "b" / "b.txt"
+    with Writer() as files:
+        files.write(pipe, "first")
+        files.write(in_b, "b")
+        files.write(later_in_a, "a")
+        # with two creators b/ has its own; with one it waits behind the FIFO
+        if CREATORS == 2:
+            b_before_drain = eventually(in_b.exists)
+        else:
+            b_before_drain = not eventually(in_b.exists, timeout=0.5)
+        a_before_drain = later_in_a.exists()
+        first = drain(pipe)
+    assert b_before_drain and not a_before_drain
+    assert first == b"first"
+    assert in_b.read_text() == "b" and later_in_a.read_text() == "a"
+
+
+def test_the_first_failed_request_in_send_order_is_raised(tmp_path):
+    for name in ("a", "b", "b/dir"):
+        (tmp_path / name).mkdir()
+    pipe = fifo(tmp_path / "a")
+    too_long = tmp_path / "a" / ("x" * 300)
+    marker = tmp_path / "b" / "marker.txt"
+    with pytest.raises(OSError) as raised:
+        with Writer() as files:
+            files.write(pipe, "first")
+            files.write(too_long, "")                      # fails second
+            files.write(marker, "")
+            files.write(tmp_path / "b" / "dir", "")        # fails first
+            files.write(tmp_path / "a" / "after.txt", "")
+            # b/ has its own creator when there are two: let its request fail
+            marker_first = CREATORS == 1 or eventually(marker.exists)
+            time.sleep(0.1)
+            drain(pipe)
+    assert marker_first
+    assert raised.value.errno == errno.ENAMETOOLONG
+    assert raised.value.filename == str(too_long)
+    assert not (tmp_path / "a" / "after.txt").exists()
+
+
+def test_a_file_with_no_directory_part(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with Writer() as files:
+        files.mkdir(Path("."))
+        files.write(Path("x.svg"), "<svg/>")
+    assert (tmp_path / "x.svg").read_text() == "<svg/>"
+
+
+def test_an_error_other_than_oserror_ends_the_helper(tmp_path):
+    # open() refuses a path with a NUL byte with ValueError, which has no
+    # errno to report: the helper exits 1 instead of dropping the file
+    with pytest.raises(RuntimeError, match="status 1"):
+        with Writer() as files:
+            files.write(tmp_path / "a\0b.txt", "x")
+
+
+def test_interleaved_directories_are_all_filled(tmp_path):
+    # requests alternate over 40 directories, so both creators take turns
+    # on the shared budget and failure state all the way through
+    dirs = [tmp_path / f"d{i}" for i in range(40)]
+    requests = [(dirs[i % 40] / f"{i}.txt", f"{i}\n" * (i % 7)) for i in range(800)]
+    with Writer() as files:
+        for directory in dirs:
+            files.mkdir(directory)
+        sender = Sender(files, requests)
+        sender.join(60)
+        sent = sender.done()
+    assert sent
+    assert all(path.read_text() == text for path, text in requests)
+    assert sum(len(list(d.iterdir())) for d in dirs) == len(requests)
