@@ -39,12 +39,13 @@ def _cell_prefixes(n: int) -> tuple[str, ...]:
 def _levels(grid: np.ndarray, per_row: bool) -> np.ndarray:
     """Shade level of every cell: 255 - round(255 * value / denom), the
     fraction clamped to [0, 1] and 0 where denom <= 0. np.rint rounds half
-    to even, as round() does. A NaN or +inf in a cell's scale has no shade."""
+    to even, as round() does. A NaN or +inf in a cell's scale has no shade;
+    a quotient past the float range is +-inf, which the clamp handles."""
     if per_row:
         denom = grid.max(axis=1, initial=-np.inf)[:, None]
     else:
         denom = grid.max() if grid.size else 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         frac = np.where(denom <= 0, 0.0, np.clip(grid / denom, 0.0, 1.0))
     if np.isnan(frac).any():
         raise ValidationError("cannot shade a grid with NaN or infinite values")

@@ -18,7 +18,9 @@ that key to the next creator in turn. Two threads creating in one
 directory would wait on its lock, while two sibling directories fill in
 parallel. So one directory's entries are created in request order and a
 file never runs ahead of its own directory's request; ``os.makedirs``
-tolerates a parent made by the other creator.
+tolerates a parent made by the other creator. A parent made on the way
+has no such order: a file may go only into a directory that was itself
+requested, or that existed before.
 
 A creator skips a request if one sent before it has failed, though the
 child still reads every request. Leaving the ``with`` block waits for the
@@ -43,9 +45,9 @@ _HEADER = struct.Struct("<cII")
 # stops reading; a larger single request is still taken when they are empty.
 BACKLOG_BYTES = 8 << 20
 
-# Threads that create files in the child: two, or one on a single CPU.
-CREATORS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count() or 1)
+# Threads that create files in the child. Pinned to one CPU, two still
+# did no worse than one on the corpus workload, so the count is fixed.
+CREATORS = 2
 
 # Runs under -I -S, so it imports only the standard library. The main
 # thread queues each record for its key's creator; failed holds the
@@ -125,11 +127,17 @@ class Writer:
         self._proc = None
 
     def mkdir(self, path: Path) -> Path:
-        """Requests ``path`` and its parents as directories; returns ``path``."""
+        """Requests ``path`` and its parents as directories; returns ``path``.
+
+        A later file in ``path`` is created after it. A parent made on the
+        way has no such order, so request a parent too before writing
+        into it.
+        """
         self._send(b"d", path, b"")
         return path
 
     def write(self, path: Path, text: str) -> None:
+        """Requests a file; its directory must exist or have been requested."""
         self._send(b"f", path, text.encode("utf-8"))
 
     def _send(self, op: bytes, path: Path, data: bytes) -> None:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from phonoscope.writer import BACKLOG_BYTES, CREATORS, Writer
+from phonoscope.writer import BACKLOG_BYTES, Writer
 
 
 def fifo(tmp_path):
@@ -103,11 +103,8 @@ def test_a_blocked_directory_holds_back_only_itself(tmp_path):
         files.write(pipe, "first")
         files.write(in_b, "b")
         files.write(later_in_a, "a")
-        # with two creators b/ has its own; with one it waits behind the FIFO
-        if CREATORS == 2:
-            b_before_drain = eventually(in_b.exists)
-        else:
-            b_before_drain = not eventually(in_b.exists, timeout=0.5)
+        # b/ has its own creator, which the FIFO in a/ does not hold
+        b_before_drain = eventually(in_b.exists)
         a_before_drain = later_in_a.exists()
         first = drain(pipe)
     assert b_before_drain and not a_before_drain
@@ -128,8 +125,8 @@ def test_the_first_failed_request_in_send_order_is_raised(tmp_path):
             files.write(marker, "")
             files.write(tmp_path / "b" / "dir", "")        # fails first
             files.write(tmp_path / "a" / "after.txt", "")
-            # b/ has its own creator when there are two: let its request fail
-            marker_first = CREATORS == 1 or eventually(marker.exists)
+            # b/ has its own creator: let its request fail first
+            marker_first = eventually(marker.exists)
             time.sleep(0.1)
             drain(pipe)
     assert marker_first
