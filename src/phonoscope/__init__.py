@@ -9,8 +9,10 @@ clusters speakers by their error patterns.
 from .alignment import (
     Alignment,
     EditOp,
+    SpeakerAlignment,
     align,
     align_min_variant,
+    align_speaker,
     backend,
     dump_alignment,
 )
@@ -85,6 +87,7 @@ __all__ = [
     "PhonoscopeError",
     "PronunciationVariant",
     "RunConfig",
+    "SpeakerAlignment",
     "SpeakerMatrix",
     "SpeakerProfile",
     "UndefinedRateError",
@@ -92,6 +95,7 @@ __all__ = [
     "accumulate",
     "align",
     "align_min_variant",
+    "align_speaker",
     "annotations_to_confusion",
     "backend",
     "compare",

@@ -25,6 +25,7 @@ _HERE = Path(__file__).resolve().parent
 _SOURCE = _HERE / "_dpkernel.c"
 _INT64 = np.dtype(np.int64)
 _FLOAT64 = np.dtype(np.float64)
+_ONE = np.array([0, 1], dtype=np.int64)   # the offsets of one word, or of one utterance
 # -ffp-contract=off: a fused multiply-add would round differently from _dppy
 _COMPILE = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
@@ -92,24 +93,20 @@ def _cached_build() -> Path:
 def _load():
     try:
         library = ctypes.CDLL(str(_cached_build()))
-        return library.dp_align, library.dp_lattice, library.tsne_descend
+        return library.dp_align_batch, library.tsne_descend
     except (OSError, AttributeError) as exc:
         raise ImportError(str(exc)) from exc
 
 
-_dp_align, _dp_lattice, _tsne_descend = _load()
+_dp_align_batch, _tsne_descend = _load()
 _POINTER = ctypes.c_void_p  # of every array and of each kernel's out values
-_dp_align.argtypes = [
-    _POINTER, ctypes.c_int64, _POINTER, ctypes.c_int64,
-    _POINTER, ctypes.c_int64, ctypes.c_int64,
-    ctypes.c_int, ctypes.c_int, ctypes.c_int, _POINTER, _POINTER,
+_dp_align_batch.argtypes = [
+    _POINTER, ctypes.c_int64, _POINTER, ctypes.c_int64, _POINTER, ctypes.c_int64,
+    _POINTER, ctypes.c_int64, _POINTER, ctypes.c_int64, _POINTER,
+    _POINTER, ctypes.c_int64, ctypes.c_int64, ctypes.c_int, ctypes.c_int, ctypes.c_int,
+    _POINTER, _POINTER, _POINTER, _POINTER, _POINTER,
 ]
-_dp_align.restype = ctypes.c_int64
-_dp_lattice.argtypes = [
-    _POINTER, _POINTER, _POINTER, ctypes.c_int64,
-    _POINTER, ctypes.c_int64, _POINTER, ctypes.c_int64, ctypes.c_int64, _POINTER,
-]
-_dp_lattice.restype = ctypes.c_int64
+_dp_align_batch.restype = ctypes.c_int64
 _tsne_descend.argtypes = [
     _POINTER, _POINTER, ctypes.c_int64,
     ctypes.c_double, ctypes.c_int64, ctypes.c_double, ctypes.c_int64, _POINTER,
@@ -134,11 +131,48 @@ def _checked_grid(cost_rows) -> np.ndarray:
 
 def _raise_for(status: int) -> None:
     if status == -1:
-        raise IndexError("phoneme index outside the cost grid")
+        raise IndexError("symbol outside the cost grid, or epsilon")
     if status == -2:
         raise MemoryError()
     if status == -3:
         raise RuntimeError("backtrace failed to reproduce DP cell")
+    if status == -4:
+        raise ValueError("offsets must rise from 0 to the length of what they "
+                         "index, and every word needs a variant")
+
+
+def dp_align_batch(phonemes, variant_offsets, word_offsets, utterance_offsets,
+                   observed, observed_offsets, cost_rows, eps, pref0, pref1, pref2):
+    """Same contract as _dppy.dp_align_batch, on int64 arrays and a float64
+    grid; returns the totals and the chosen variants, op offsets and op
+    symbols as numpy arrays.
+    """
+    (phonemes, variant_offsets, word_offsets, utterance_offsets, observed,
+     observed_offsets) = [_checked(array, _INT64, 1, name) for array, name in (
+        (phonemes, "phonemes"), (variant_offsets, "variant offsets"),
+        (word_offsets, "word offsets"), (utterance_offsets, "utterance offsets"),
+        (observed, "observed"), (observed_offsets, "observed offsets"))]
+    cost_rows = _checked_grid(cost_rows)
+    if not (len(variant_offsets) and len(word_offsets)
+            and len(utterance_offsets) == len(observed_offsets) >= 1):
+        raise ValueError("offsets arrays need a first entry, and one utterance "
+                         "offset per observed offset")
+    utterances = len(utterance_offsets) - 1
+    totals = np.empty(utterances)
+    chosen = np.empty(len(word_offsets) - 1, dtype=np.int64)
+    op_offsets = np.empty(utterances + 1, dtype=np.int64)
+    # no utterance has more ops than its variants' phonemes and observed symbols
+    expected_ops = np.empty(len(phonemes) + len(observed), dtype=np.int64)
+    observed_ops = np.empty_like(expected_ops)
+    count = _dp_align_batch(
+        phonemes.ctypes.data, len(phonemes), variant_offsets.ctypes.data,
+        len(variant_offsets) - 1, word_offsets.ctypes.data, len(word_offsets) - 1,
+        utterance_offsets.ctypes.data, utterances, observed.ctypes.data, len(observed),
+        observed_offsets.ctypes.data, cost_rows.ctypes.data, len(cost_rows), eps,
+        pref0, pref1, pref2, totals.ctypes.data, chosen.ctypes.data,
+        op_offsets.ctypes.data, expected_ops.ctypes.data, observed_ops.ctypes.data)
+    _raise_for(count)
+    return totals, chosen, op_offsets, expected_ops[:count], observed_ops[:count]
 
 
 def dp_align(expected, observed, cost_rows, eps, pref0, pref1, pref2):
@@ -149,40 +183,12 @@ def dp_align(expected, observed, cost_rows, eps, pref0, pref1, pref2):
     """
     expected = _checked(expected, _INT64, 1, "expected")
     observed = _checked(observed, _INT64, 1, "observed")
-    cost_rows = _checked_grid(cost_rows)
-    n, m = len(expected), len(observed)
-    total = ctypes.c_double()
-    moves = (ctypes.c_int8 * (n + m))()
-    count = _dp_align(expected.ctypes.data, n, observed.ctypes.data, m,
-                      cost_rows.ctypes.data, len(cost_rows), eps, pref0, pref1, pref2,
-                      ctypes.byref(total), moves)
-    _raise_for(count)
-    return total.value, moves[:count]
-
-
-def dp_lattice(phonemes, variant_offsets, word_offsets, observed, cost_rows, eps):
-    """Same contract as _dppy.dp_lattice, on int64 arrays and a float64 grid.
-
-    Each offsets array must rise from 0 to the length of what it indexes:
-    variant_offsets to len(phonemes), word_offsets to the variant count.
-    """
-    phonemes, variant_offsets, word_offsets, observed = (
-        _checked(array, _INT64, 1, name) for array, name in (
-            (phonemes, "phonemes"), (variant_offsets, "variant offsets"),
-            (word_offsets, "word offsets"), (observed, "observed")))
-    cost_rows = _checked_grid(cost_rows)
-    for offsets, end, name in ((variant_offsets, len(phonemes), "variant offsets"),
-                               (word_offsets, len(variant_offsets) - 1, "word offsets")):
-        if not (len(offsets) and offsets[0] == 0 and offsets[-1] == end
-                and (offsets[1:] >= offsets[:-1]).all()):
-            raise ValueError(f"{name} must rise from 0 to {end}")
-    total = ctypes.c_double()
-    status = _dp_lattice(phonemes.ctypes.data, variant_offsets.ctypes.data,
-                         word_offsets.ctypes.data, len(word_offsets) - 1,
-                         observed.ctypes.data, len(observed), cost_rows.ctypes.data,
-                         len(cost_rows), eps, ctypes.byref(total))
-    _raise_for(status)
-    return total.value
+    totals, _, _, expected_ops, observed_ops = dp_align_batch(
+        expected, np.array([0, len(expected)], dtype=np.int64), _ONE, _ONE,
+        observed, np.array([0, len(observed)], dtype=np.int64),
+        cost_rows, eps, pref0, pref1, pref2)
+    moves = np.where(expected_ops == eps, 2, np.where(observed_ops == eps, 1, 0))
+    return float(totals[0]), moves.tolist()
 
 
 def tsne_descend(P, Y, learning_rate, iterations, early_exaggeration,

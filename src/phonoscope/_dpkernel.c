@@ -1,12 +1,13 @@
-/* Compiled kernels, loaded by _dpcore.py: the weighted edit distance and
-   t-SNE's gradient descent.
+/* Compiled kernels, loaded by _dpcore.py: a speaker's weighted edit
+   distances in one call, and t-SNE's gradient descent.
 
    Must stay behaviorally identical to _dppy.py: same addition order in
    the table fill, same exact-equality backtrace, same tie preferences,
-   same element-wise minimum at lattice word boundaries, and in the
-   descent the same float operations in the same order. The test suite
-   asserts bitwise parity between the two backends. _dpcore compiles
-   this file with -ffp-contract=off, so no multiply and add are fused.
+   same element-wise minimum at lattice word boundaries, the same
+   variant choice, and in the descent the same float operations in the
+   same order. The test suite asserts bitwise parity between the two
+   backends. _dpcore compiles this file with -ffp-contract=off, so no
+   multiply and add are fused.
 
    grid is a size x size row-major cost matrix and eps its epsilon index;
    every table has width m + 1 for the m observed symbols. */
@@ -18,10 +19,22 @@
 
 enum { DIAG = 0, DELETE = 1, INSERT = 2 };
 
-static int outside_grid(const int64_t *seq, int64_t len, int64_t size)
+/* 1 if an index lies outside the grid or is epsilon. */
+static int bad_symbols(const int64_t *seq, int64_t len, int64_t size, int64_t eps)
 {
     int64_t i;
-    for (i = 0; i < len; i++) if (seq[i] < 0 || seq[i] >= size) return 1;
+    for (i = 0; i < len; i++) if (seq[i] < 0 || seq[i] >= size || seq[i] == eps) return 1;
+    return 0;
+}
+
+/* 1 unless offsets[0 .. count] rises from 0 to end, each step at least
+   min_step. */
+static int bad_offsets(const int64_t *offsets, int64_t count, int64_t end,
+                       int64_t min_step)
+{
+    int64_t i;
+    if (offsets[0] != 0 || offsets[count] != end) return 1;
+    for (i = 0; i < count; i++) if (offsets[i + 1] - offsets[i] < min_step) return 1;
     return 0;
 }
 
@@ -36,7 +49,7 @@ static void insertion_row(const int64_t *observed, int64_t m,
 }
 
 /* Fills rows 1..n of the table dp from its row 0, one expected symbol per
-   row. The only table fill: dp_align and dp_lattice both call it. */
+   row. The only table fill. */
 static void fill_rows(const int64_t *expected, int64_t n,
                       const int64_t *observed, int64_t m,
                       const double *grid, int64_t size, int64_t eps, double *dp)
@@ -60,30 +73,45 @@ static void fill_rows(const int64_t *expected, int64_t n,
     }
 }
 
-/* Writes the total cost and the forward-order move codes (at most n + m)
-   and returns the number of moves; -1 if an index lies outside the grid,
-   -2 if the table cannot be allocated, -3 if the backtrace fails to
-   reproduce a cell. */
-int64_t dp_align(const int64_t *expected, int64_t n,
-                 const int64_t *observed, int64_t m,
-                 const double *grid, int64_t size, int64_t eps,
-                 int pref0, int pref1, int pref2,
-                 double *total, int8_t *moves)
+/* Carries the boundary row in dp's row 0 through words first .. last - 1
+   of the lattice, score only. Every variant of a word is filled from the
+   same boundary row, and the next boundary row is the element-wise
+   minimum of the variants' last rows (an empty variant's last row is the
+   boundary itself). dp has room for the longest variant's rows; next is
+   one scratch row. */
+static void lattice_rows(const int64_t *phonemes, const int64_t *variant_offsets,
+                         const int64_t *word_offsets, int64_t first, int64_t last,
+                         const int64_t *observed, int64_t m,
+                         const double *grid, int64_t size, int64_t eps,
+                         double *dp, double *next)
 {
-    const int prefs[3] = {pref0, pref1, pref2};
+    const int64_t width = m + 1;
+    int64_t w, v, j;
+    for (w = first; w < last; w++) {
+        for (j = 0; j <= m; j++) next[j] = INFINITY;
+        for (v = word_offsets[w]; v < word_offsets[w + 1]; v++) {
+            const int64_t n = variant_offsets[v + 1] - variant_offsets[v];
+            const double *end = dp + n * width;
+            fill_rows(phonemes + variant_offsets[v], n, observed, m, grid, size, eps, dp);
+            for (j = 0; j <= m; j++) if (end[j] < next[j]) next[j] = end[j];
+        }
+        memcpy(dp, next, (size_t)width * sizeof *dp);
+    }
+}
+
+/* Backtraces the filled table dp of expected[0 .. n) against
+   observed[0 .. m), writing each op's expected and observed symbol
+   (epsilon on the side an insertion or a deletion leaves empty) in
+   forward order. Returns the number of ops, or -3 if a cell cannot be
+   reproduced. */
+static int64_t backtrace(const double *dp, const int64_t *expected, int64_t n,
+                         const int64_t *observed, int64_t m,
+                         const double *grid, int64_t size, int64_t eps,
+                         const int prefs[3], int64_t *expected_ops, int64_t *observed_ops)
+{
     const int64_t width = m + 1;
     const double *ins_row = grid + eps * size;
     int64_t i, j, count = 0;
-    double *dp;
-
-    if (eps < 0 || eps >= size || outside_grid(expected, n, size)
-            || outside_grid(observed, m, size))
-        return -1;
-    dp = malloc((size_t)((n + 1) * width) * sizeof *dp);
-    if (dp == NULL) return -2;
-    insertion_row(observed, m, grid, size, eps, dp);
-    fill_rows(expected, n, observed, m, grid, size, eps, dp);
-
     for (i = n, j = m; i > 0 || j > 0; count++) {
         const double cur = dp[i * width + j];
         int k, chosen = -1;
@@ -99,63 +127,160 @@ int64_t dp_align(const int64_t *expected, int64_t n,
                 chosen = INSERT;
             }
         }
-        if (chosen < 0) { free(dp); return -3; }
-        moves[count] = (int8_t)chosen;
-        if (chosen != INSERT) i--;
-        if (chosen != DELETE) j--;
+        if (chosen < 0) return -3;
+        expected_ops[count] = chosen == INSERT ? eps : expected[--i];
+        observed_ops[count] = chosen == DELETE ? eps : observed[--j];
     }
-    *total = dp[n * width + m];
-    free(dp);
     for (i = 0, j = count - 1; i < j; i++, j--) {
-        const int8_t move = moves[i];
-        moves[i] = moves[j];
-        moves[j] = move;
+        int64_t op = expected_ops[i];
+        expected_ops[i] = expected_ops[j];
+        expected_ops[j] = op;
+        op = observed_ops[i];
+        observed_ops[i] = observed_ops[j];
+        observed_ops[j] = op;
     }
     return count;
 }
 
-/* Minimum total cost over every path through a pronunciation lattice,
-   score only. Word w's variants are variants word_offsets[w] up to
-   word_offsets[w + 1]; variant v is phonemes[variant_offsets[v] ..
-   variant_offsets[v + 1]). Each variant of a word is filled from the same
-   boundary row, and the next boundary row is the element-wise minimum of
-   the variants' last rows (an empty variant's last row is the boundary
-   itself). Offsets are checked by the caller. Writes the total and
-   returns 0; -1 if an index lies outside the grid, -2 if the scratch rows
-   cannot be allocated. */
-int64_t dp_lattice(const int64_t *phonemes, const int64_t *variant_offsets,
-                   const int64_t *word_offsets, int64_t words,
-                   const int64_t *observed, int64_t m,
-                   const double *grid, int64_t size, int64_t eps, double *total)
+/* Aligns each of a speaker's utterances, in one call.
+
+   The expected side is a lattice per utterance, in CSR arrays: utterance
+   u's words are words utterance_offsets[u] up to utterance_offsets[u + 1];
+   word w's variants are variants word_offsets[w] up to word_offsets[w + 1];
+   variant v is phonemes[variant_offsets[v] .. variant_offsets[v + 1]). A
+   plain prompt is one word of one variant. Utterance u's observed side is
+   observed[observed_offsets[u] .. observed_offsets[u + 1]).
+
+   Variant choice, where a word has more than one: one forward lattice
+   pass gives the minimum total, best. Then words are fixed left to right
+   from the fixed prefix's boundary row: each candidate variant but the
+   last is filled from that row, the unrestricted suffix is carried on
+   from its last row, and the first candidate whose total equals best is
+   chosen; when none does, the last variant is. A fixed word's boundary
+   row is its variant's last row, the minimum of one row, so each
+   candidate's total is that of the lattice restricted to the fixed
+   prefix and the candidate.
+
+   The chosen variants, concatenated, are then filled and backtraced
+   against the observed side with ties broken in the order pref0, pref1,
+   pref2 (0 diagonal, 1 delete, 2 insert). Writes utterance u's total to
+   totals[u], each word's chosen variant (counted from the word's first)
+   to chosen[w], and the utterance's ops to expected_ops and observed_ops
+   from op_offsets[u] up to op_offsets[u + 1]; op_offsets[0] is 0. The op
+   arrays need room for variants' phonemes plus observed symbols, which
+   bounds every utterance's op count. Returns the total op count; -1 if a
+   symbol lies outside the grid or is epsilon, or eps outside the grid;
+   -2 if scratch cannot be allocated; -3 if a backtrace fails to
+   reproduce a cell; -4 if an offsets array does not rise from 0 to the
+   length of what it indexes, or a word has no variant. */
+int64_t dp_align_batch(const int64_t *phonemes, int64_t phoneme_count,
+                       const int64_t *variant_offsets, int64_t variants,
+                       const int64_t *word_offsets, int64_t words,
+                       const int64_t *utterance_offsets, int64_t utterances,
+                       const int64_t *observed, int64_t observed_count,
+                       const int64_t *observed_offsets,
+                       const double *grid, int64_t size, int64_t eps,
+                       int pref0, int pref1, int pref2,
+                       double *totals, int64_t *chosen, int64_t *op_offsets,
+                       int64_t *expected_ops, int64_t *observed_ops)
 {
-    const int64_t width = m + 1, variants = word_offsets[words];
-    int64_t v, w, j, longest = 0;
-    double *dp, *next;
+    const int prefs[3] = {pref0, pref1, pref2};
+    int64_t u, w, v, rows = 1, longest_sequence = 0;
+    double *work;
+    int64_t *sequence;
 
-    if (eps < 0 || eps >= size || outside_grid(phonemes, variant_offsets[variants], size)
-            || outside_grid(observed, m, size))
+    if (bad_offsets(variant_offsets, variants, phoneme_count, 0)
+            || bad_offsets(word_offsets, words, variants, 1)
+            || bad_offsets(utterance_offsets, utterances, words, 0)
+            || bad_offsets(observed_offsets, utterances, observed_count, 0))
+        return -4;
+    if (eps < 0 || eps >= size || bad_symbols(phonemes, phoneme_count, size, eps)
+            || bad_symbols(observed, observed_count, size, eps))
         return -1;
-    for (v = 0; v < variants; v++)
-        if (variant_offsets[v + 1] - variant_offsets[v] > longest)
-            longest = variant_offsets[v + 1] - variant_offsets[v];
-    dp = malloc((size_t)((longest + 2) * width) * sizeof *dp);
-    if (dp == NULL) return -2;
-    next = dp + (longest + 1) * width;
-
-    insertion_row(observed, m, grid, size, eps, dp);
-    for (w = 0; w < words; w++) {
-        for (j = 0; j <= m; j++) next[j] = INFINITY;
-        for (v = word_offsets[w]; v < word_offsets[w + 1]; v++) {
-            const int64_t n = variant_offsets[v + 1] - variant_offsets[v];
-            const double *last = dp + n * width;
-            fill_rows(phonemes + variant_offsets[v], n, observed, m, grid, size, eps, dp);
-            for (j = 0; j <= m; j++) if (last[j] < next[j]) next[j] = last[j];
+    /* scratch for the largest utterance: the table of its longest
+       possible chosen sequence, or the prefix and next rows plus the rows
+       of its longest variant */
+    for (u = 0; u < utterances; u++) {
+        const int64_t width = observed_offsets[u + 1] - observed_offsets[u] + 1;
+        int64_t longest = 0, upper = 0;
+        for (w = utterance_offsets[u]; w < utterance_offsets[u + 1]; w++) {
+            int64_t word_longest = 0;
+            for (v = word_offsets[w]; v < word_offsets[w + 1]; v++)
+                if (variant_offsets[v + 1] - variant_offsets[v] > word_longest)
+                    word_longest = variant_offsets[v + 1] - variant_offsets[v];
+            if (word_longest > longest) longest = word_longest;
+            upper += word_longest;
         }
-        memcpy(dp, next, (size_t)width * sizeof *dp);
+        if (upper > longest_sequence) longest_sequence = upper;
+        if ((upper + 1) * width > rows) rows = (upper + 1) * width;
+        if ((longest + 3) * width > rows) rows = (longest + 3) * width;
     }
-    *total = dp[m];
-    free(dp);
-    return 0;
+    work = malloc((size_t)rows * sizeof *work);
+    sequence = malloc((size_t)(longest_sequence + 1) * sizeof *sequence);
+    if (work == NULL || sequence == NULL) {
+        free(work);
+        free(sequence);
+        return -2;
+    }
+
+    op_offsets[0] = 0;
+    for (u = 0; u < utterances; u++) {
+        const int64_t first = utterance_offsets[u], last = utterance_offsets[u + 1];
+        const int64_t *obs = observed + observed_offsets[u];
+        const int64_t m = observed_offsets[u + 1] - observed_offsets[u], width = m + 1;
+        double *prefix = work, *next = prefix + width;
+        double *dp = next + width, best = 0.0;
+        int64_t n = 0, count, last_choice = first - 1;
+
+        for (w = first; w < last; w++)
+            if (word_offsets[w + 1] - word_offsets[w] > 1) last_choice = w;
+        if (last_choice >= first) {
+            insertion_row(obs, m, grid, size, eps, prefix);
+            memcpy(dp, prefix, (size_t)width * sizeof *dp);
+            lattice_rows(phonemes, variant_offsets, word_offsets, first, last,
+                         obs, m, grid, size, eps, dp, next);
+            best = dp[m];
+        }
+        for (w = first; w < last; w++) {
+            int64_t length;
+            v = word_offsets[w];
+            if (w <= last_choice) {
+                for (; v < word_offsets[w + 1] - 1; v++) {
+                    length = variant_offsets[v + 1] - variant_offsets[v];
+                    memcpy(dp, prefix, (size_t)width * sizeof *dp);
+                    fill_rows(phonemes + variant_offsets[v], length, obs, m,
+                              grid, size, eps, dp);
+                    memmove(dp, dp + length * width, (size_t)width * sizeof *dp);
+                    lattice_rows(phonemes, variant_offsets, word_offsets, w + 1, last,
+                                 obs, m, grid, size, eps, dp, next);
+                    if (dp[m] == best) break;
+                }
+                if (w < last_choice) {   /* the next prefix: the chosen variant's last row */
+                    length = variant_offsets[v + 1] - variant_offsets[v];
+                    memcpy(dp, prefix, (size_t)width * sizeof *dp);
+                    fill_rows(phonemes + variant_offsets[v], length, obs, m,
+                              grid, size, eps, dp);
+                    memcpy(prefix, dp + length * width, (size_t)width * sizeof *dp);
+                }
+            }
+            chosen[w] = v - word_offsets[w];
+            length = variant_offsets[v + 1] - variant_offsets[v];
+            memcpy(sequence + n, phonemes + variant_offsets[v],
+                   (size_t)length * sizeof *sequence);
+            n += length;
+        }
+
+        insertion_row(obs, m, grid, size, eps, work);
+        fill_rows(sequence, n, obs, m, grid, size, eps, work);
+        count = backtrace(work, sequence, n, obs, m, grid, size, eps, prefs,
+                          expected_ops + op_offsets[u], observed_ops + op_offsets[u]);
+        if (count < 0) break;
+        totals[u] = work[n * width + m];
+        op_offsets[u + 1] = op_offsets[u] + count;
+    }
+    free(work);
+    free(sequence);
+    return u < utterances ? -3 : op_offsets[utterances];
 }
 
 /* Left-to-right sum of each row of the n x n matrix m, starting from the

@@ -1,12 +1,13 @@
-"""Pure-Python kernels (fallback backend): the weighted edit distance and,
-in numpy, t-SNE's gradient descent.
+"""Pure-Python kernels (fallback backend): a speaker's weighted edit
+distances in one call and, in numpy, t-SNE's gradient descent.
 
 Mirrors _dpkernel.c operation for operation: both fill the DP table with
-the same additions in the same order, backtrace with the same exact
-float comparisons and take the same element-wise minimum at lattice word
-boundaries, so the two backends return bitwise-identical costs and
-identical move sequences. The descent does the same float operations as
-the C loop in the same order, so the embeddings match bit for bit too.
+the same additions in the same order, take the same element-wise minimum
+at lattice word boundaries, choose variants by the same comparisons and
+backtrace with the same exact float comparisons, so the two backends
+return bitwise-identical costs, choices and ops. The descent does the
+same float operations as the C loop in the same order, so the embeddings
+match bit for bit too.
 """
 
 import numpy as np
@@ -27,7 +28,7 @@ def _insertion_row(observed, eps_row):
 def _fill_rows(dp, expected, observed, cost_rows, eps):
     """Fill rows 1..len(expected) of the flat table dp from its row 0.
 
-    The only table fill: dp_align and dp_lattice both call it.
+    The only table fill.
     """
     width = len(observed) + 1
     eps_row = cost_rows[eps]
@@ -49,24 +50,36 @@ def _fill_rows(dp, expected, observed, cost_rows, eps):
             dp[base + j] = best
 
 
-def dp_align(expected, observed, cost_rows, eps, pref0, pref1, pref2):
-    """Fill the DP table and backtrace.
+def _lattice_rows(dp, phonemes, variant_offsets, word_offsets, first, last,
+                  observed, cost_rows, eps):
+    """Carry the boundary row in dp[:width] through words first..last - 1
+    of the lattice, score only.
 
-    Returns (total_cost, moves) where moves is the forward-order list of
-    move codes (DIAG consumes one symbol from each side, DELETE one from
-    expected, INSERT one from observed).
+    Every variant of a word is filled from the same boundary row, and the
+    next boundary row is the element-wise minimum of the variants' last
+    rows (an empty variant's last row is the boundary itself). dp has room
+    for the longest variant's rows.
     """
-    n = len(expected)
-    m = len(observed)
-    width = m + 1
+    width = len(observed) + 1
+    for w in range(first, last):
+        boundary = [float("inf")] * width
+        for v in range(word_offsets[w], word_offsets[w + 1]):
+            expected = phonemes[variant_offsets[v]:variant_offsets[v + 1]]
+            _fill_rows(dp, expected, observed, cost_rows, eps)
+            end = len(expected) * width
+            boundary = [x if x < b else b
+                        for x, b in zip(dp[end:end + width], boundary)]
+        dp[:width] = boundary
+
+
+def _backtrace(dp, expected, observed, cost_rows, eps, prefs):
+    """Each op's expected and observed symbol in forward order, epsilon on
+    the side an insertion or a deletion leaves empty, from the filled
+    table dp."""
+    width = len(observed) + 1
     eps_row = cost_rows[eps]
-
-    dp = _insertion_row(observed, eps_row) + [0.0] * (n * width)
-    _fill_rows(dp, expected, observed, cost_rows, eps)
-
-    prefs = (pref0, pref1, pref2)
-    moves = []
-    i, j = n, m
+    expected_ops, observed_ops = [], []
+    i, j = len(expected), len(observed)
     while i > 0 or j > 0:
         cur = dp[i * width + j]
         chosen = -1
@@ -91,43 +104,112 @@ def dp_align(expected, observed, cost_rows, eps, pref0, pref1, pref2):
                     break
         if chosen == -1:  # unreachable: the forward pass stored one of these sums
             raise RuntimeError("backtrace failed to reproduce DP cell")
-        moves.append(chosen)
-        if chosen == DIAG:
+        if chosen == INSERT:
+            expected_ops.append(eps)
+        else:
             i -= 1
-            j -= 1
-        elif chosen == DELETE:
-            i -= 1
+            expected_ops.append(expected[i])
+        if chosen == DELETE:
+            observed_ops.append(eps)
         else:
             j -= 1
+            observed_ops.append(observed[j])
+    expected_ops.reverse()
+    observed_ops.reverse()
+    return expected_ops, observed_ops
 
-    moves.reverse()
-    return dp[n * width + m], moves
 
+def dp_align_batch(phonemes, variant_offsets, word_offsets, utterance_offsets,
+                   observed, observed_offsets, cost_rows, eps, pref0, pref1, pref2):
+    """Align each of a speaker's utterances, in one call.
 
-def dp_lattice(phonemes, variant_offsets, word_offsets, observed, cost_rows, eps):
-    """Minimum total cost over every path through a pronunciation lattice.
-
-    Score only, no backtrace. Word w's variants are variants
+    Utterance u's words are words utterance_offsets[u] up to
+    utterance_offsets[u + 1]; word w's variants are variants
     word_offsets[w] up to word_offsets[w + 1]; variant v is
-    phonemes[variant_offsets[v]:variant_offsets[v + 1]]. Each variant of
-    a word is filled from the same boundary row, and the next boundary row
-    is the element-wise minimum of the variants' last rows (an empty
-    variant's last row is the boundary itself).
+    phonemes[variant_offsets[v]:variant_offsets[v + 1]]; the observed
+    side is observed[observed_offsets[u]:observed_offsets[u + 1]]. A plain
+    prompt is one word of one variant. Every symbol is an epsilon-free
+    index into cost_rows.
+
+    Where a word has more than one variant, one forward lattice pass gives
+    the minimum total, best. Words are then fixed left to right from the
+    fixed prefix's boundary row: each candidate variant but the last is
+    filled from that row, the unrestricted suffix is carried on from its
+    last row, and the first candidate whose total equals best is chosen;
+    when none does, the last variant is. The chosen variants, concatenated,
+    are filled and backtraced with ties broken in the order pref0, pref1,
+    pref2 (DIAG, DELETE, INSERT).
+
+    Returns (totals, chosen, op_offsets, expected_ops, observed_ops):
+    each utterance's total, each word's chosen variant counted from the
+    word's first, and the ops' expected and observed symbols, utterance u's
+    from op_offsets[u] up to op_offsets[u + 1].
     """
-    width = len(observed) + 1
-    longest = max([b - a for a, b in zip(variant_offsets, variant_offsets[1:])],
-                  default=0)
-    dp = _insertion_row(observed, cost_rows[eps]) + [0.0] * (longest * width)
-    for w in range(len(word_offsets) - 1):
-        boundary = [float("inf")] * width
-        for v in range(word_offsets[w], word_offsets[w + 1]):
-            expected = phonemes[variant_offsets[v]:variant_offsets[v + 1]]
-            _fill_rows(dp, expected, observed, cost_rows, eps)
-            last = len(expected) * width
-            boundary = [x if x < b else b
-                        for x, b in zip(dp[last:last + width], boundary)]
-        dp[:width] = boundary
-    return dp[width - 1]
+    prefs = (pref0, pref1, pref2)
+    eps_row = cost_rows[eps]
+    totals, chosen, op_offsets, expected_ops, observed_ops = [], [], [0], [], []
+    for u in range(len(utterance_offsets) - 1):
+        first, last = utterance_offsets[u], utterance_offsets[u + 1]
+        obs = observed[observed_offsets[u]:observed_offsets[u + 1]]
+        width = len(obs) + 1
+        last_choice = max((w for w in range(first, last)
+                           if word_offsets[w + 1] - word_offsets[w] > 1),
+                          default=first - 1)
+        if last_choice >= first:
+            longest = max(variant_offsets[v + 1] - variant_offsets[v]
+                          for v in range(word_offsets[first], word_offsets[last]))
+            prefix = _insertion_row(obs, eps_row)
+            dp = prefix + [0.0] * (longest * width)
+            _lattice_rows(dp, phonemes, variant_offsets, word_offsets, first, last,
+                          obs, cost_rows, eps)
+            best = dp[width - 1]
+        sequence = []
+        for w in range(first, last):
+            v = word_offsets[w]
+            if w <= last_choice:
+                while v < word_offsets[w + 1] - 1:
+                    variant = phonemes[variant_offsets[v]:variant_offsets[v + 1]]
+                    dp[:width] = prefix
+                    _fill_rows(dp, variant, obs, cost_rows, eps)
+                    end = len(variant) * width
+                    dp[:width] = dp[end:end + width]
+                    _lattice_rows(dp, phonemes, variant_offsets, word_offsets,
+                                  w + 1, last, obs, cost_rows, eps)
+                    if dp[width - 1] == best:
+                        break
+                    v += 1
+                if w < last_choice:   # the next prefix: the chosen variant's last row
+                    variant = phonemes[variant_offsets[v]:variant_offsets[v + 1]]
+                    dp[:width] = prefix
+                    _fill_rows(dp, variant, obs, cost_rows, eps)
+                    end = len(variant) * width
+                    prefix = dp[end:end + width]
+            chosen.append(v - word_offsets[w])
+            sequence += phonemes[variant_offsets[v]:variant_offsets[v + 1]]
+
+        dp = _insertion_row(obs, eps_row) + [0.0] * (len(sequence) * width)
+        _fill_rows(dp, sequence, obs, cost_rows, eps)
+        ops = _backtrace(dp, sequence, obs, cost_rows, eps, prefs)
+        totals.append(dp[len(sequence) * width + width - 1])
+        expected_ops += ops[0]
+        observed_ops += ops[1]
+        op_offsets.append(len(expected_ops))
+    return totals, chosen, op_offsets, expected_ops, observed_ops
+
+
+def dp_align(expected, observed, cost_rows, eps, pref0, pref1, pref2):
+    """One pair through dp_align_batch, as one word of one variant.
+
+    Returns (total_cost, moves) where moves is the forward-order list of
+    move codes (DIAG consumes one symbol from each side, DELETE one from
+    expected, INSERT one from observed).
+    """
+    expected, observed = list(expected), list(observed)
+    totals, _, _, expected_ops, observed_ops = dp_align_batch(
+        expected, [0, len(expected)], [0, 1], [0, 1], observed, [0, len(observed)],
+        cost_rows, eps, pref0, pref1, pref2)
+    return totals[0], [INSERT if a == eps else DELETE if b == eps else DIAG
+                       for a, b in zip(expected_ops, observed_ops)]
 
 
 def _sum(a, axis, out=None):

@@ -10,10 +10,13 @@ with backtrace ties broken by a configurable op-preference order.
 Comparisons are exact float comparisons: a tie means bitwise-equal path
 sums, which keeps alignments reproducible across runs and backends.
 
-The table fill and backtrace run in the compiled C kernel (_dpcore)
-when it builds and loads, otherwise in a pure-Python twin (_dppy), and
-fallback_reason() says why. Set PHONOSCOPE_PURE=1 to force the fallback.
-Both produce identical output.
+align_speaker aligns a speaker's utterances in one kernel call; align
+and align_min_variant are batches of one. An expected side is a
+pronunciation lattice (a plain prompt is one word of one variant), and
+the kernel chooses each word's variant itself. The kernel is compiled C
+(_dpcore) when it builds and loads, otherwise a pure-Python twin
+(_dppy), and fallback_reason() says why. Set PHONOSCOPE_PURE=1 to force
+the fallback. Both produce identical output.
 clustering.tsne runs its gradient descent in the same kernel.
 """
 
@@ -94,15 +97,17 @@ class Alignment:
     total_cost: float
 
     def __post_init__(self):
-        sides, inv = (self.expected, self.observed), self.cost_matrix.inventory
-        if not all(isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind in "iu"
-                   for a in sides) or len(sides[0]) != len(sides[1]):
+        e, o, inv = self.expected, self.observed, self.cost_matrix.inventory
+        if not (isinstance(e, np.ndarray) and isinstance(o, np.ndarray)
+                and e.ndim == o.ndim == 1 and len(e) == len(o)
+                and e.dtype.kind in "iu" and o.dtype.kind in "iu"):
             raise ValidationError("alignment sides must be equal-length 1-d integer arrays")
+        n = len(inv)
         try:
-            cells = self.cells
+            cells = np.ravel_multi_index((e, o), (n, n))
         except ValueError:
             raise ValidationError("alignment cell outside the cost grid") from None
-        if inv.epsilon_index * (len(inv) + 1) in cells:
+        if np.count_nonzero(cells == inv.epsilon_index * (n + 1)):
             raise ValidationError("(eps, eps) is no op")
 
     @property
@@ -196,6 +201,106 @@ def _kernel_args(costs: CostMatrix, *sequences) -> list:
     return [costs.rows(), *[a.tolist() for a in arrays]]
 
 
+def _extend(flat: list, seq, side: str) -> None:
+    """Appends seq's items to flat for one _check_sequence over the whole
+    side; rejects what that check cannot see once items are pooled: a
+    non-sequence, and an array that is not 1-d integer (or empty)."""
+    if isinstance(seq, np.ndarray):
+        if seq.ndim != 1 or seq.size and seq.dtype.kind not in "iu":
+            raise ValidationError(f"{side} must be a 1-d sequence of integer indices")
+        seq = seq.tolist()
+    try:
+        flat.extend(seq)
+    except TypeError:
+        raise ValidationError(f"{side} must be a 1-d sequence of integer indices") from None
+
+
+@dataclass(frozen=True, eq=False)
+class SpeakerAlignment:
+    """A speaker's alignments from one kernel call, as flat arrays.
+
+    Utterance u's ops are ``expected`` and ``observed`` from
+    ``op_offsets[u]`` up to ``op_offsets[u + 1]`` (inventory indices,
+    epsilon on the side an insertion or a deletion leaves empty) and its
+    total is ``totals[u]``. ``choices`` holds each word's chosen variant,
+    utterance u's words from ``word_offsets[u]`` up to
+    ``word_offsets[u + 1]``.
+    """
+
+    cost_matrix: CostMatrix
+    totals: np.ndarray
+    op_offsets: np.ndarray
+    expected: np.ndarray
+    observed: np.ndarray
+    choices: np.ndarray
+    word_offsets: np.ndarray
+
+    @property
+    def cells(self) -> np.ndarray:
+        """Each op's row-major cell in the cost grid."""
+        return self.expected * len(self.cost_matrix.inventory) + self.observed
+
+    def counts(self) -> np.ndarray:
+        """How often each (expected, observed) cell occurs among the ops."""
+        n = len(self.cost_matrix.inventory)
+        return np.bincount(self.cells, minlength=n * n).reshape(n, n)
+
+    def alignment(self, u: int) -> Alignment:
+        """Utterance u's alignment."""
+        a, b = self.op_offsets[u], self.op_offsets[u + 1]
+        return Alignment(self.expected[a:b], self.observed[a:b], self.cost_matrix,
+                         float(self.totals[u]))
+
+    def chosen(self, u: int) -> tuple[int, ...]:
+        """Utterance u's chosen variant index per word."""
+        return tuple(self.choices[self.word_offsets[u]:self.word_offsets[u + 1]].tolist())
+
+
+def align_speaker(pairs, costs: CostMatrix,
+                  tie_break=DEFAULT_TIE_BREAK) -> SpeakerAlignment:
+    """Aligns each (expected lattice, observed) pair in one kernel call.
+
+    Each lattice entry is the variant list for one word (every variant a
+    phoneme index sequence, or a PronunciationVariant); a plain prompt is
+    ``[[indices]]``. Each utterance is aligned to its combination of
+    variants with the lowest total cost, found exactly by one DP over the
+    word-level lattice: float addition is monotone, so each lattice cell
+    equals bitwise the minimum of that cell over the combinations, with no
+    cap on their number. Ties keep the lowest variant indices: words are
+    fixed left to right, each to its first variant that still reaches the
+    minimum when the words after it keep all of theirs.
+
+    Each side is checked once, over all of its utterances. Pure function:
+    safe to run speakers concurrently against one shared CostMatrix.
+    """
+    phonemes, variant_offsets, word_offsets, utterance_offsets = [], [0], [0], [0]
+    observed, observed_offsets = [], [0]
+    for lattice, observed_side in pairs:
+        for word in lattice:
+            for variant in word:
+                _extend(phonemes, getattr(variant, "phonemes", variant), "expected")
+                variant_offsets.append(len(phonemes))
+            if len(variant_offsets) - 1 == word_offsets[-1]:
+                raise ValidationError("every word needs at least one variant")
+            word_offsets.append(len(variant_offsets) - 1)
+        utterance_offsets.append(len(word_offsets) - 1)
+        _extend(observed, observed_side, "observed")
+        observed_offsets.append(len(observed))
+    inv = costs.inventory
+    e = _check_sequence(phonemes, inv, "expected")
+    o = _check_sequence(observed, inv, "observed")
+    prefs = tie_codes(tie_break)
+    grid, *arrays = _kernel_args(costs, e, variant_offsets, word_offsets,
+                                 utterance_offsets, o, observed_offsets)
+    totals, choices, op_offsets, expected_ops, observed_ops = _kernel.dp_align_batch(
+        *arrays, grid, inv.epsilon_index, *prefs)
+    return SpeakerAlignment(
+        costs, np.asarray(totals, dtype=np.float64),
+        np.asarray(op_offsets, dtype=np.int64), np.asarray(expected_ops, dtype=np.int64),
+        np.asarray(observed_ops, dtype=np.int64), np.asarray(choices, dtype=np.int64),
+        np.asarray(utterance_offsets, dtype=np.int64))
+
+
 def align(expected, observed, costs: CostMatrix,
           tie_break=DEFAULT_TIE_BREAK) -> Alignment:
     """Optimal alignment of two epsilon-free phoneme index sequences.
@@ -203,81 +308,16 @@ def align(expected, observed, costs: CostMatrix,
     Pure function: safe to run utterances concurrently against one shared
     CostMatrix.
     """
-    inv = costs.inventory
-    e = _check_sequence(expected, inv, "expected")
-    o = _check_sequence(observed, inv, "observed")
-    prefs = tie_codes(tie_break)
-    eps = inv.epsilon_index
-    grid, kernel_e, kernel_o = _kernel_args(costs, e, o)
-    total, moves = _kernel.dp_align(kernel_e, kernel_o, grid, eps, *prefs)
-
-    moves = np.array(moves, dtype=np.int8)
-    expected_ops = np.full(len(moves), eps, dtype=np.int64)
-    expected_ops[moves != _INSERT_CODE] = e
-    observed_ops = np.full(len(moves), eps, dtype=np.int64)
-    observed_ops[moves != _DELETE_CODE] = o
-    return Alignment(expected_ops, observed_ops, costs, float(total))
-
-
-def _variant_lattice(expected_lattice) -> list[list[tuple]]:
-    """Per-word variant lists as tuples of phoneme indices."""
-    lattice = []
-    for word_variants in expected_lattice:
-        variants = [
-            tuple(v.phonemes) if hasattr(v, "phonemes") else tuple(v)
-            for v in word_variants
-        ]
-        if not variants:
-            raise ValidationError("every word needs at least one variant")
-        lattice.append(variants)
-    return lattice
-
-
-def _offsets(parts) -> np.ndarray:
-    """CSR offsets: 0, then the running total of the parts' lengths."""
-    return np.array([0, *map(len, parts)], dtype=np.int64).cumsum()
-
-
-def _lattice_total(lattice, observed, costs: CostMatrix) -> float:
-    """The kernel's minimum total over every path through the lattice."""
-    variants = [v for word in lattice for v in word]
-    grid, *args = _kernel_args(costs, [p for v in variants for p in v],
-                               _offsets(variants), _offsets(lattice), observed)
-    return _kernel.dp_lattice(*args, grid, costs.inventory.epsilon_index)
+    return align_speaker([([[expected]], observed)], costs, tie_break).alignment(0)
 
 
 def align_min_variant(
     expected_lattice, observed, costs: CostMatrix, tie_break=DEFAULT_TIE_BREAK,
 ) -> VariantAlignment:
-    """Minimize alignment cost over the cross-product of per-word variants.
-
-    Each lattice entry is the variant list for one word (every variant a
-    phoneme index sequence, or a PronunciationVariant). One lattice DP
-    finds the minimum over every combination exactly: float addition is
-    monotone, so each lattice cell equals bitwise the minimum of that cell
-    over the combinations. Ties keep the lowest variant indices: word by
-    word, the first variant whose restricted lattice still reaches the
-    minimum is fixed. Only the winning combination is turned into an
-    Alignment.
-    """
-    lattice = _variant_lattice(expected_lattice)
-    inv = costs.inventory
-    # one check over every variant: numpy's per-call cost dwarfs short words
-    _check_sequence([p for variants in lattice for v in variants for p in v],
-                    inv, "expected")
-    o = _check_sequence(observed, inv, "observed")
-    best = _lattice_total(lattice, o, costs)
-    chosen: list[int] = []
-    for w, variants in enumerate(lattice):
-        fixed = [[word[v]] for word, v in zip(lattice, chosen)]
-        v = 0
-        while (v < len(variants) - 1
-               and _lattice_total(fixed + [[variants[v]]] + lattice[w + 1:], o,
-                                  costs) != best):
-            v += 1
-        chosen.append(v)
-    expected = [p for word, v in zip(lattice, chosen) for p in word[v]]
-    return VariantAlignment(align(expected, o, costs, tie_break), tuple(chosen))
+    """Minimize alignment cost over the cross-product of per-word variants:
+    align_speaker of one utterance, with its chosen variant per word."""
+    batch = align_speaker([(expected_lattice, observed)], costs, tie_break)
+    return VariantAlignment(batch.alignment(0), batch.chosen(0))
 
 
 def dump_alignment(alignment: Alignment) -> str:

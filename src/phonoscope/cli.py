@@ -32,7 +32,9 @@ from .annotations import (
     load_annotation_csv,
     parse_textgrid,
 )
-from .confusion import ConfusionMatrix, SpeakerProfile, accumulate, merge
+# accumulate is the per-utterance form of the per-speaker counts that
+# _align_corpus takes; perfbench's tracer wraps it as cli.accumulate
+from .confusion import ConfusionMatrix, SpeakerProfile, accumulate, merge  # noqa: F401
 from .errors import OovError, ParseError, ValidationError, read_input
 from .heatmap import svg_heatmap
 from .lexicon import OovPolicy, PhonemizeResult, phonemize, tokenize
@@ -254,28 +256,31 @@ def cmd_phonemize(args, loaded: LoadedConfig, files: Writer) -> int:
 
 def _align_corpus(manifest, loaded: LoadedConfig, files: Writer):
     """Align every utterance and write alignments/, profiles/ (each
-    speaker's counts) and oov_report.json; returns (speaker, profile) pairs."""
+    speaker's counts) and oov_report.json; returns (speaker, profile) pairs.
+
+    Each speaker's utterances are aligned in one align_speaker call, and
+    its counts and alignment dumps are taken from that call's op cells."""
     cfg, inv, out = loaded.config, loaded.inventory, loaded.config.out_dir
     corpus = _phonemize_corpus(manifest, loaded, files)
     alignments_dir = files.mkdir(out / "alignments")
     profiles_dir = files.mkdir(out / "profiles")
+    lines = loaded.costs.lines
     profiles = []
     for speaker, produced in corpus.by_speaker:
-        profile = SpeakerProfile(
-            speaker.speaker_id, ConfusionMatrix(inv), speaker.l1_label
-        )
+        matrix = ConfusionMatrix(inv)
         if produced:
             speaker_dir = files.mkdir(alignments_dir / speaker.speaker_id)
-        for utt, prompt, observed in produced:
-            if prompt.lattice is not None:
-                ali = al.align_min_variant(prompt.lattice, observed.indices,
-                                           loaded.costs, cfg.tie_break).alignment
-            else:
-                ali = al.align(prompt.indices, observed.indices, loaded.costs,
-                               cfg.tie_break)
-            accumulate(profile, ali)
-            files.write(speaker_dir / f"{utt.utterance_id}.tsv",
-                        al.dump_alignment(ali))
+            batch = al.align_speaker(
+                [([[prompt.indices]] if prompt.lattice is None else prompt.lattice,
+                  observed.indices) for _, prompt, observed in produced],
+                loaded.costs, cfg.tie_break)
+            matrix = ConfusionMatrix(inv, batch.counts())
+            cells, offsets = batch.cells.tolist(), batch.op_offsets.tolist()
+            for (utt, _, _), start, end in zip(produced, offsets, offsets[1:]):
+                files.write(speaker_dir / f"{utt.utterance_id}.tsv",
+                            "".join(map(lines.__getitem__, cells[start:end])))
+        profile = SpeakerProfile(speaker.speaker_id, matrix, speaker.l1_label,
+                                 len(produced))
         files.write(profiles_dir / f"{speaker.speaker_id}.json", profile.to_json())
         profiles.append((speaker, profile))
     _oov_report(files, out, corpus)

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import os
 import random
 import shutil
@@ -19,6 +21,7 @@ from phonoscope import (
     ValidationError,
     align,
     align_min_variant,
+    align_speaker,
     alignment,
     backend,
     dump_alignment,
@@ -277,6 +280,40 @@ def test_min_variant_matches_enumeration_oracle(kernel, lattice, observed,
     assert result.alignment.ops == oracle.alignment.ops
 
 
+variant_seqs = st.lists(st.sampled_from([INV.index(s) for s in ("T", "D", "AH", "IY")]),
+                       max_size=2)
+speakers = st.lists(
+    st.tuples(st.lists(st.lists(variant_seqs, min_size=1, max_size=3), max_size=3),
+              st.lists(st.sampled_from([INV.index(s) for s in ("T", "D", "AH", "S")]),
+                       max_size=6)),
+    max_size=6)
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "pure"])
+@settings(max_examples=100, deadline=None)
+@given(speakers, st.sampled_from(TIE_BREAKS), st.none() | st.integers(0, 2**31))
+def test_align_speaker_matches_the_bruteforce_oracles(kernel, speaker, tie_break, seed):
+    # seed None: tie-heavy uniform costs; otherwise random weighted costs
+    costs = UNIFORM if seed is None else random_cost_matrix(INV, np.random.default_rng(seed))
+    eps = INV.epsilon_index
+    with kernel_backend(kernel):
+        batch = align_speaker(speaker, costs, tie_break)
+        oracles = [align_min_variant_bruteforce(lattice, observed, costs, tie_break)
+                   for lattice, observed in speaker]
+    assert len(batch.totals) == len(speaker)
+    for u, ((lattice, observed), oracle) in enumerate(zip(speaker, oracles)):
+        expected = [p for word, v in zip(lattice, oracle.chosen) for p in word[v]]
+        total = batch.totals[u]
+        assert batch.chosen(u) == oracle.chosen
+        assert total.hex() == align_bruteforce(expected, observed, costs).hex()
+        a = batch.alignment(u)
+        assert a.ops == oracle.alignment.ops
+        # the ops spell out both sides, and their costs fold to the total
+        assert [x for x in a.expected.tolist() if x != eps] == expected
+        assert [y for y in a.observed.tolist() if y != eps] == observed
+        assert functools.reduce(operator.add, a.costs.tolist(), 0.0).hex() == total.hex()
+
+
 def test_dump_format(weighted):
     a = align(idx(INV, "HH IH Z"), idx(INV, "IY Z"), weighted)
     lines = dump_alignment(a).splitlines()
@@ -439,12 +476,26 @@ def test_align_accepts_any_integer_dtype_and_empty_sequences(kernel):
             assert align(empty, [], UNIFORM).ops == ()
 
 
-def _lattice_csr(lattice):
-    """(phonemes, variant offsets, word offsets) of a list of variant lists."""
-    variants = [v for word in lattice for v in word]
+def _speaker_csr(speaker):
+    """(phonemes, variant offsets, word offsets, utterance offsets, observed,
+    observed offsets) of a list of (lattice, observed) pairs."""
+    lattices = [lattice for lattice, _ in speaker]
+    words = [word for lattice in lattices for word in lattice]
+    variants = [v for word in words for v in word]
+    observed = [o for _, o in speaker]
     return ([p for v in variants for p in v],
             np.cumsum([0, *map(len, variants)]).tolist(),
-            np.cumsum([0, *map(len, lattice)]).tolist())
+            np.cumsum([0, *map(len, words)]).tolist(),
+            np.cumsum([0, *map(len, lattices)]).tolist(),
+            [b for o in observed for b in o],
+            np.cumsum([0, *map(len, observed)]).tolist())
+
+
+def _batch_args(speaker, kernel):
+    csr = _speaker_csr(speaker)
+    if kernel.__name__.endswith("_dppy"):
+        return csr
+    return [np.asarray(a, dtype=np.int64) for a in csr]
 
 
 def test_backend_parity_on_random_instances():
@@ -466,12 +517,12 @@ def test_backend_parity_on_random_instances():
         assert pure[0].hex() == compiled[0].hex()
         assert pure == compiled
 
-    def check_lattice(lattice, o, costs):
-        csr = _lattice_csr(lattice)
-        pure = _dppy.dp_lattice(*csr, o, costs.rows(), eps)
-        compiled = _dpcore.dp_lattice(*[np.asarray(a, dtype=np.int64) for a in csr],
-                                      np.asarray(o, dtype=np.int64), costs.costs, eps)
-        assert pure.hex() == compiled.hex()
+    def check_batch(speaker, costs, prefs=(0, 1, 2)):
+        pure = _dppy.dp_align_batch(*_batch_args(speaker, _dppy), costs.rows(), eps, *prefs)
+        compiled = _dpcore.dp_align_batch(*_batch_args(speaker, _dpcore), costs.costs,
+                                          eps, *prefs)
+        assert [t.hex() for t in pure[0]] == [float(t).hex() for t in compiled[0]]
+        assert list(pure[1:]) == [a.tolist() for a in compiled[1:]]
 
     def random_lattice(symbols, words, max_len):
         # a variant may be empty and a word may have a single variant
@@ -479,19 +530,24 @@ def test_backend_parity_on_random_instances():
                  for _ in range(pyrng.randint(1, 3))]
                 for _ in range(words)]
 
+    def random_speaker(symbols):
+        return [(random_lattice(symbols, pyrng.randint(0, 4), 4),
+                 [pyrng.choice(symbols) for _ in range(pyrng.randint(0, 10))])
+                for _ in range(pyrng.randint(0, 4))]
+
     for _ in range(200):
         costs = random_cost_matrix(INV, rng)
         e = [pyrng.choice(non_eps) for _ in range(pyrng.randint(0, 10))]
         o = [pyrng.choice(non_eps) for _ in range(pyrng.randint(0, 10))]
         check(e, o, costs, (0, 1, 2))
-        check_lattice(random_lattice(non_eps, pyrng.randint(0, 4), 4), o, costs)
+        check_batch(random_speaker(non_eps), costs)
     # uniform costs over three symbols: many equal-cost scripts per pair
     for prefs in itertools.permutations((0, 1, 2)):
         for _ in range(100):
             e = [pyrng.choice(tie_heavy) for _ in range(pyrng.randint(0, 10))]
             o = [pyrng.choice(tie_heavy) for _ in range(pyrng.randint(0, 10))]
             check(e, o, UNIFORM, prefs)
-            check_lattice(random_lattice(tie_heavy, pyrng.randint(0, 4), 4), o, UNIFORM)
+            check_batch(random_speaker(tie_heavy), UNIFORM, prefs)
     # empty observed side, empty lattice, and +inf rows: T only matches T,
     # and inserting D costs +inf, so some totals are +inf
     t, d = INV.index("T"), INV.index("D")
@@ -500,11 +556,15 @@ def test_backend_parity_on_random_instances():
     grid[t, t] = 0.0
     grid[eps, d] = np.inf
     blocked = CostMatrix(INV, grid)
+    pairs = [([[[t], [d]], [[]]], []), ([], [t, d]), ([], []),
+             ([[[t, t], [d]], [[t]]], [d, d]), ([[[t], [t, t]]], [d]),
+             ([[[d], [t]], [[t], [d]]], [t, d])]
     for costs in (UNIFORM, blocked):
-        for lattice, o in (([[[t], [d]], [[]]], []), ([], [t, d]), ([], []),
-                           ([[[t, t], [d]], [[t]]], [d, d]),
-                           ([[[t], [t, t]]], [d])):
-            check_lattice(lattice, o, costs)
+        for prefs in itertools.permutations((0, 1, 2)):
+            check_batch(pairs, costs, prefs)
+            for pair in pairs:
+                check_batch([pair], costs, prefs)
+        check_batch([], costs)
 
 
 def test_compiled_kernel_reads_strided_and_transposed_arrays():
@@ -519,11 +579,17 @@ def test_compiled_kernel_reads_strided_and_transposed_arrays():
     plain = [np.array(a, order="C") for a in (e, o, grid)]
     assert (_dpcore.dp_align(e, o, grid, eps, 0, 1, 2)
             == _dpcore.dp_align(*plain, eps, 0, 1, 2))
-    # one word of two variants, e[:4] and e[4:], every array a strided view
-    csr = [e, np.array([0, 9, 4, 9, 12])[::2], np.array([0, 9, 2])[::2]]
-    assert not any(a.flags.c_contiguous for a in csr)
-    assert (_dpcore.dp_lattice(*csr, o, grid, eps)
-            == _dpcore.dp_lattice(*[np.array(a, order="C") for a in (*csr, o, grid)], eps))
+    # two utterances: one word of two variants, e[:4] and e[4:], against
+    # o[:4], then a plain e[:3] against o[4:]; every array a strided view
+    phonemes = np.concatenate([e, e[:3]]).repeat(2)[::2]
+    args = [phonemes, np.array([0, 9, 4, 9, 12, 9, 15])[::2], np.array([0, 9, 2, 9, 3])[::2],
+            np.array([0, 9, 1, 9, 2])[::2], o, np.array([0, 9, 4, 9, 10])[::2]]
+    assert not any(a.flags.c_contiguous for a in args)
+    strided = _dpcore.dp_align_batch(*args, grid, eps, 0, 1, 2)
+    contiguous = _dpcore.dp_align_batch(*[np.array(a, order="C") for a in args],
+                                        np.array(grid, order="C"), eps, 0, 1, 2)
+    assert all(np.array_equal(a, b) for a, b in zip(strided, contiguous))
+    assert len(strided[0]) == 2 and len(strided[1]) == 2
 
 
 def test_compiled_kernel_rejects_bad_arguments():
@@ -541,23 +607,37 @@ def test_compiled_kernel_rejects_bad_arguments():
                          UNIFORM.costs, eps, 0, 1, 2)
     with pytest.raises(IndexError):
         _dpcore.dp_align(e, e, UNIFORM.costs, -1, 0, 1, 2)
-
-    def lattice(phonemes, variant_offsets, word_offsets):
-        return _dpcore.dp_lattice(*[np.asarray(a, dtype=np.int64) for a in
-                                    (phonemes, variant_offsets, word_offsets)],
-                                  e, UNIFORM.costs, eps)
+    with pytest.raises(IndexError):   # epsilon is no symbol
+        _dpcore.dp_align(e, np.asarray([eps], dtype=np.int64), UNIFORM.costs, eps, 0, 1, 2)
 
     t = INV.index("T")
-    for bad_offsets in (([0, 2], [0, 1]), ([1, 1], [0, 1]), ([0, 1], [0, 2]),
-                        ([], [0]), ([0, 1], [1, 1])):
+
+    def batch(phonemes, variant_offsets, word_offsets, utterance_offsets=(0, 1),
+              observed=(t,), observed_offsets=(0, 1)):
+        return _dpcore.dp_align_batch(
+            *[np.asarray(a, dtype=np.int64) for a in (
+                phonemes, variant_offsets, word_offsets, utterance_offsets,
+                observed, observed_offsets)],
+            UNIFORM.costs, eps, 0, 1, 2)
+
+    assert batch([t], [0, 1], [0, 1])[0].tolist() == [0.0]
+    for bad in (([t], [0, 2], [0, 1]), ([t], [1, 1], [0, 1]), ([t], [0, 1], [0, 2]),
+                ([t], [], [0]), ([t], [0, 1], [1, 1]),
+                ([t, t], [0, 2, 1, 2], [0, 3]),   # variant offsets fall
+                ([t], [0, 1], [0, 1, 1]),          # a word without a variant
+                ([t], [0, 1], [0, 1], [0, 2]), ([t], [0, 1], [0, 1], [1, 1]),
+                ([t], [0, 1], [0, 1], [0, 1], [t], [0, 2]),
+                ([t], [0, 1], [0, 1], [0, 1], [t], [0, 1, 1]),
+                ([t], [0, 1], [0, 1], [0, 1], [t], [])):
         with pytest.raises(ValueError):
-            lattice([t], *bad_offsets)
+            batch(*bad)
+    for outside in (len(INV), -1, eps):
+        with pytest.raises(IndexError):
+            batch([outside], [0, 1], [0, 1])
+        with pytest.raises(IndexError):
+            batch([t], [0, 1], [0, 1], observed=[outside])
     with pytest.raises(ValueError):
-        lattice([t, t], [0, 2, 1, 2], [0, 3])
-    with pytest.raises(IndexError):
-        lattice([len(INV)], [0, 1], [0, 1])
-    with pytest.raises(ValueError):
-        _dpcore.dp_lattice([t], e, e, e, UNIFORM.costs, eps)
+        _dpcore.dp_align_batch([t], e, e, e, e, e, UNIFORM.costs, eps, 0, 1, 2)
 
 
 def test_compiled_backend_active_when_cc_available():

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import gc
 import hashlib
+import importlib.util
 import inspect
 import json
 import os
@@ -1150,3 +1151,41 @@ def test_readme_library_snippet_runs(monkeypatch, capsys):
     rate, mcs = capsys.readouterr().out.splitlines()
     assert rate == "0.5"
     assert mcs == f"Substitute(symbol={INV.index('S')}, count=1, occurrences=2)"
+
+
+def load_perfbench_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  REPO / "perfbench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_tracer_finds_every_name_it_wraps(tmp_path):
+    """perfbench/spans.py wraps module attributes by name; each must still
+    exist, and a traced run must leave every one of them as it was."""
+    from phonoscope import cli
+
+    owners = {"alignment": alignment, "kernel": alignment._kernel, "cli": cli}
+    names = [("alignment", "align"), ("alignment", "align_min_variant"),
+             ("kernel", "dp_align"), ("alignment", "dump_alignment"),
+             ("cli", "accumulate")]
+    before = {name: inspect.getattr_static(owners[owner], name) for owner, name in names}
+    tracer = load_perfbench_spans().Tracer()
+    tracer.install()
+    try:
+        assert all(getattr(owners[owner], name) is not before[name]
+                   for owner, name in names)
+        assert main(["run", *sample_args(tmp_path / "out", ["--k", "3",
+                                                              "--min-occurrences", "2"])]) == 0
+        alignment.align([INV.index("T")], [INV.index("D")], CostMatrix.uniform(INV))
+    finally:
+        tracer.uninstall()
+    assert {name: inspect.getattr_static(owners[owner], name)
+            for owner, name in names} == before
+    calls = {name: row[0] for name, row in tracer.layer_times()[0].items()}
+    # the run aligns each speaker in one align_speaker call, outside the
+    # wrapped per-utterance functions; only the direct align() is traced
+    assert calls["alignment.align"] == 1 and "confusion.accumulate" not in calls
+    assert calls["lexicon.phonemize"] > 0
+    assert tracer.summary(1.0)["metrics"]["alignment.aligns_per_utterance"] == 0.0
