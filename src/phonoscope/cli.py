@@ -8,7 +8,7 @@ manifest order, floats via repr, JSON with sorted keys).
 main builds every subcommand's RunConfig with run_config and loads it
 with load_config before the subcommand runs. Subcommands create their
 directories and files through the Writer that main passes them, which
-creates them in one helper process; the tree is complete when main
+creates them in two helper processes; the tree is complete when main
 returns.
 
 Exit codes: 0 success, 1 internal error, 2 input/validation error

@@ -1,7 +1,11 @@
 import functools
+import gc
 import itertools
 import math
 import operator
+import os
+import subprocess
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -48,6 +52,41 @@ def uniform(inv):
 def weighted(inv):
     """A cost matrix where HH deletes cheaply and IH/IY are near neighbors."""
     return make_weighted_costs(inv)
+
+
+@pytest.fixture
+def writer_processes(monkeypatch):
+    """Every process started through subprocess.Popen while the test runs."""
+    started = []
+    popen = subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", recording_popen)
+    return started
+
+
+def reaped(proc) -> bool:
+    """Whether proc has been waited for and both its pipes are closed."""
+    try:
+        os.waitpid(proc.pid, os.WNOHANG)
+    except ChildProcessError:
+        return proc.returncode is not None and proc.stdin.closed and proc.stdout.closed
+    return False
+
+
+@contextmanager
+def no_resource_warning(processes):
+    """Fails if the block, or dropping the processes it started, warns
+    ResourceWarning (an unclosed pipe or a child still running)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        processes.clear()
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def make_weighted_costs(inv):

@@ -1,6 +1,5 @@
 import argparse
 import dataclasses
-import gc
 import hashlib
 import importlib.util
 import inspect
@@ -10,7 +9,6 @@ import re
 import shutil
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -30,9 +28,9 @@ from phonoscope import alignment, annotations, clustering, lexicon
 from phonoscope.cli import build_parser, main, run_config
 from phonoscope.gridcsv import serialize_grid
 from phonoscope.manifest import CorpusManifest, RunConfig, load_config
-from phonoscope.writer import Writer
+from phonoscope.writer import CREATORS, Writer
 
-from .conftest import align_min_variant_bruteforce
+from .conftest import align_min_variant_bruteforce, no_resource_warning, reaped
 
 INV = PhonemeInventory.default()
 REPO = Path(__file__).resolve().parent.parent
@@ -688,20 +686,6 @@ def test_lone_surrogate_l1_label_rejected(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.fixture
-def writer_processes(monkeypatch):
-    """Every process started through subprocess.Popen while the test runs."""
-    started = []
-    popen = subprocess.Popen
-
-    def recording_popen(*args, **kwargs):
-        started.append(popen(*args, **kwargs))
-        return started[-1]
-
-    monkeypatch.setattr(subprocess, "Popen", recording_popen)
-    return started
-
-
 @pytest.mark.parametrize("k", ["1", "5"])
 def test_infeasible_clustering_exits_2_before_writing(tmp_path, k, capsys,
                                                       writer_processes):
@@ -719,12 +703,14 @@ def test_infeasible_clustering_exits_2_before_writing(tmp_path, k, capsys,
     code = main(["align", str(manifest), "--lexicon", str(tmp_path / "lex.dict"),
                  "--out-dir", str(tmp_path / "aligned")])
     assert code == 0
-    assert len(writer_processes) == 1
+    started = len(writer_processes)
+    assert 1 <= started <= CREATORS
+    assert all(reaped(proc) and proc.returncode == 0 for proc in writer_processes)
     profiles = sorted(str(p) for p in (tmp_path / "aligned" / "profiles").glob("*.json"))
     code = main(["cluster", *profiles, "--k", k, "--out-dir", str(out)])
     assert code == 2
     assert not out.exists() or not any(out.rglob("*"))
-    assert len(writer_processes) == 1
+    assert len(writer_processes) == started
 
 
 def test_cluster_rejects_a_repeated_speaker(tmp_path, capsys):
@@ -929,18 +915,10 @@ def test_main_leaves_no_writer_running(tmp_path, writer_processes, expected_code
         manifest = write_tiny_corpus(tmp_path, asr="unknownword")
         args = ["align", str(manifest), "--lexicon", str(tmp_path / "lex.dict"),
                 "--out-dir", str(out)]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ResourceWarning)
+    with no_resource_warning(writer_processes):
         assert main(args) == expected_code
-        [proc] = writer_processes
-        assert proc.returncode == 0
-        assert proc.stdin.closed and proc.stdout.closed
-        with pytest.raises(ChildProcessError):
-            os.waitpid(proc.pid, os.WNOHANG)
-        del proc
-        writer_processes.clear()
-        gc.collect()
-    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert 1 <= len(writer_processes) <= CREATORS
+        assert all(reaped(proc) and proc.returncode == 0 for proc in writer_processes)
     if expected_code == 3:
         assert (out / "oov_report.json").is_file()
 

@@ -1,4 +1,5 @@
 import errno
+import fcntl
 import os
 import threading
 import time
@@ -6,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from phonoscope.writer import BACKLOG_BYTES, Writer
+from phonoscope.writer import PIPE_BYTES, Writer
+
+from .conftest import no_resource_warning, reaped
 
 
 def fifo(tmp_path):
@@ -43,42 +46,47 @@ class Sender(threading.Thread):
 
 def test_nothing_is_created_after_a_failed_request(tmp_path):
     pipe = fifo(tmp_path)
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    failed = blocker / "under_a_file.txt"
-    # 300 KB after the failing request, more than the pipe holds
-    later = [(tmp_path / f"later{i}.txt", "x" * 10_000) for i in range(30)]
+    failed = tmp_path / "dir"
+    failed.mkdir()
+    # 30 KB after the failing request, all into the same directory: within
+    # the pipe even where it cannot be grown
+    later = [(tmp_path / f"later{i}.txt", "x" * 1000) for i in range(30)]
     with pytest.raises(OSError) as raised:
         with Writer() as files:
             files.write(pipe, "first")
             sender = Sender(files, [(failed, "y"), *later])
             sender.join(10)
-            read_ahead = sender.done()
+            sent = sender.done()
             first = drain(pipe)
-            # the child keeps reading after the error: more than its backlog holds
-            rest = Sender(files, [(tmp_path / "rest.txt", "z" * (BACKLOG_BYTES // 4))] * 5)
+            # the child keeps reading after the error: more than its pipe holds
+            rest = Sender(files, [(tmp_path / "rest.txt", "z" * (PIPE_BYTES // 4))] * 5)
             rest.join(30)
-    assert read_ahead and rest.done()
+    assert sent and rest.done()
     assert first == b"first"
-    assert raised.value.errno == errno.ENOTDIR
+    assert raised.value.errno == errno.EISDIR
     assert raised.value.filename == str(failed)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "file"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "fifo"]
 
 
-def test_read_ahead_stops_at_the_budget(tmp_path):
+@pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="pipes cannot be grown")
+def test_a_blocked_child_takes_about_pipe_bytes(tmp_path):
     pipe = fifo(tmp_path)
-    chunk = 256 * 1024
-    # BACKLOG_BYTES + 1 MiB: more than the backlog, one request and the pipe hold
+    chunk = 64 * 1024
     requests = [(tmp_path / f"f{i}.txt", chr(ord("a") + i % 26) * chunk)
-                for i in range(BACKLOG_BYTES // chunk + 4)]
+                for i in range(PIPE_BYTES // chunk + 1)]
+    # all but one chunk of PIPE_BYTES fits; two chunks more do not
+    fits, over = requests[:-2], requests[-2:]
     with Writer() as files:
         files.write(pipe, "first")
-        sender = Sender(files, requests)
+        sender = Sender(files, fits)
+        sender.join(10)
+        fitted = sender.done()
+        sender = Sender(files, over)
         sender.join(0.5)
         blocked = sender.is_alive()
         first = drain(pipe)
         sender.join(30)
-    assert blocked and sender.done()
+    assert fitted and blocked and sender.done()
     assert first == b"first"
     for path, text in requests:
         assert path.read_text() == text
@@ -103,7 +111,7 @@ def test_a_blocked_directory_holds_back_only_itself(tmp_path):
         files.write(pipe, "first")
         files.write(in_b, "b")
         files.write(later_in_a, "a")
-        # b/ has its own creator, which the FIFO in a/ does not hold
+        # b/ has its own child, which the FIFO in a/ does not hold
         b_before_drain = eventually(in_b.exists)
         a_before_drain = later_in_a.exists()
         first = drain(pipe)
@@ -125,7 +133,7 @@ def test_the_first_failed_request_in_send_order_is_raised(tmp_path):
             files.write(marker, "")
             files.write(tmp_path / "b" / "dir", "")        # fails first
             files.write(tmp_path / "a" / "after.txt", "")
-            # b/ has its own creator: let its request fail first
+            # b/ has its own child: let its request fail first
             marker_first = eventually(marker.exists)
             time.sleep(0.1)
             drain(pipe)
@@ -152,8 +160,8 @@ def test_an_error_other_than_oserror_ends_the_helper(tmp_path):
 
 
 def test_interleaved_directories_are_all_filled(tmp_path):
-    # requests alternate over 40 directories, so both creators take turns
-    # on the shared budget and failure state all the way through
+    # requests alternate over 40 directories, so both children take
+    # requests all the way through
     dirs = [tmp_path / f"d{i}" for i in range(40)]
     requests = [(dirs[i % 40] / f"{i}.txt", f"{i}\n" * (i % 7)) for i in range(800)]
     with Writer() as files:
@@ -165,3 +173,24 @@ def test_interleaved_directories_are_all_filled(tmp_path):
     assert sent
     assert all(path.read_text() == text for path, text in requests)
     assert sum(len(list(d.iterdir())) for d in dirs) == len(requests)
+
+
+def test_a_child_that_dies_leaves_no_process_running(tmp_path, writer_processes):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    with no_resource_warning(writer_processes):
+        with pytest.raises(RuntimeError, match="status 1"):
+            with Writer() as files:
+                # ends the first child, which owns a/
+                files.write(tmp_path / "a" / "a\0b.txt", "x")
+                for i in range(300):
+                    files.write(tmp_path / "b" / f"{i}.txt", "b")
+                assert len(writer_processes) == 2
+                # waits for the exit without reaping it, which is __exit__'s job
+                assert eventually(lambda: os.waitid(
+                    os.P_PID, writer_processes[0].pid, os.WEXITED | os.WNOHANG | os.WNOWAIT))
+                # leaves this request in the dead child's stdin buffer
+                files.write(tmp_path / "a" / "later.txt", "y")
+        assert [proc.returncode for proc in writer_processes] == [1, 0]
+        assert all(reaped(proc) for proc in writer_processes)
+    assert len(list((tmp_path / "b").iterdir())) == 300
