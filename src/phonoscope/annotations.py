@@ -3,8 +3,9 @@
 The canonical input is a neutral CSV (header
 ``utterance,position,target,observed,kind``, epsilon spelled ``<eps>``).
 Praat TextGrids are ingested through an adapter with one fixed label
-rule (decode_label); labels that do not match it are skipped and surfaced
-in a skip report, never dropped silently.
+rule (decode_label); labels that do not match it are skipped and listed
+in ``parse_textgrid(...).skipped``. The run and compare subcommands do not
+write that list yet.
 """
 
 from __future__ import annotations

@@ -6,10 +6,10 @@ inputs and seed produce byte-identical trees (files are written in
 manifest order, floats via repr, JSON with sorted keys).
 
 main builds every subcommand's RunConfig with run_config and loads it
-with load_config before the subcommand runs. Subcommands create their
-directories and files through the Writer that main passes them, which
-creates them in two helper processes; the tree is complete when main
-returns.
+with load_config before the subcommand runs. Subcommands write their
+files through the Writer that main passes them, which creates each file,
+after its directory, in one of two helper processes; the tree is
+complete when main returns.
 
 Exit codes: 0 success, 1 internal error, 2 input/validation error
 (including a file that cannot be read or written, named in the message),
@@ -214,7 +214,6 @@ def _phonemize_corpus(manifest, loaded: LoadedConfig,
             else:
                 produced.append((utt, *sides))
         result.by_speaker.append((speaker, produced))
-    files.mkdir(loaded.config.out_dir)
     if result.skipped and loaded.config.oov_policy != "skip_utterance":
         _oov_report(files, loaded.config.out_dir, result)
         raise OovError(result.oov_words)
@@ -233,11 +232,8 @@ def _oov_report(files: Writer, out_dir: Path, corpus: _CorpusPhonemes) -> None:
 def cmd_phonemize(args, loaded: LoadedConfig, files: Writer) -> int:
     inv, out = loaded.inventory, loaded.config.out_dir
     corpus = _phonemize_corpus(_load_manifest(args), loaded, files)
-    phonemes_dir = files.mkdir(out / "phonemes")
     for speaker, produced in corpus.by_speaker:
-        if not produced:
-            continue
-        base = files.mkdir(phonemes_dir / speaker.speaker_id)
+        base = out / "phonemes" / speaker.speaker_id
         for utt, prompt, observed in produced:
             if prompt.lattice is not None:
                 lines = [
@@ -262,14 +258,12 @@ def _align_corpus(manifest, loaded: LoadedConfig, files: Writer):
     its counts and alignment dumps are taken from that call's op cells."""
     cfg, inv, out = loaded.config, loaded.inventory, loaded.config.out_dir
     corpus = _phonemize_corpus(manifest, loaded, files)
-    alignments_dir = files.mkdir(out / "alignments")
-    profiles_dir = files.mkdir(out / "profiles")
     lines = loaded.costs.lines
     profiles = []
     for speaker, produced in corpus.by_speaker:
         matrix = ConfusionMatrix(inv)
         if produced:
-            speaker_dir = files.mkdir(alignments_dir / speaker.speaker_id)
+            speaker_dir = out / "alignments" / speaker.speaker_id
             batch = al.align_speaker(
                 [([[prompt.indices]] if prompt.lattice is None else prompt.lattice,
                   observed.indices) for _, prompt, observed in produced],
@@ -281,7 +275,7 @@ def _align_corpus(manifest, loaded: LoadedConfig, files: Writer):
                             "".join(map(lines.__getitem__, cells[start:end])))
         profile = SpeakerProfile(speaker.speaker_id, matrix, speaker.l1_label,
                                  len(produced))
-        files.write(profiles_dir / f"{speaker.speaker_id}.json", profile.to_json())
+        files.write(out / "profiles" / f"{speaker.speaker_id}.json", profile.to_json())
         profiles.append((speaker, profile))
     _oov_report(files, out, corpus)
     return profiles
@@ -346,7 +340,6 @@ def cmd_cluster(args, loaded: LoadedConfig, files: Writer) -> int:
         sources[profile.speaker_id] = path
         profiles.append(profile)
     _check_clustering(len(profiles), cfg)
-    files.mkdir(cfg.out_dir)
     _cluster_outputs(profiles, cfg, files)
     return EXIT_OK
 
@@ -409,7 +402,6 @@ def cmd_compare(args, loaded: LoadedConfig, files: Writer) -> int:
                                   f"not the manifest's {speaker.speaker_id!r}")
         profiles.append((speaker, profile))
     annotated = _annotation_matrices(manifest, loaded)
-    files.mkdir(loaded.config.out_dir)
     _comparison_outputs(profiles, annotated, loaded, files)
     return EXIT_OK
 
@@ -421,7 +413,6 @@ def cmd_heatmap(args, loaded: LoadedConfig, files: Writer) -> int:
     else:
         grid = gridcsv.parse_grid(text, inv, source=args.matrix)
     svg = svg_heatmap(grid, inv.symbols, per_row=(args.kind == "confusion"))
-    files.mkdir(args.out.parent)
     files.write(args.out, svg)
     return EXIT_OK
 
@@ -434,11 +425,10 @@ def cmd_run(args, loaded: LoadedConfig, files: Writer) -> int:
     profiles = _align_corpus(manifest, loaded, files)
     _cluster_outputs([p for _, p in profiles], cfg, files)
     _comparison_outputs(profiles, annotated, loaded, files)
-    heatmaps_dir = files.mkdir(cfg.out_dir / "heatmaps")
     for _, profile in profiles:
         svg = svg_heatmap(profile.matrix.counts, loaded.inventory.symbols,
                           per_row=True)
-        files.write(heatmaps_dir / f"{profile.speaker_id}.svg", svg)
+        files.write(cfg.out_dir / "heatmaps" / f"{profile.speaker_id}.svg", svg)
     return EXIT_OK
 
 

@@ -82,26 +82,28 @@ def parse_lexicon(text: str, inventory: PhonemeInventory | None = None,
                   source=None) -> Lexicon:
     """Parse dictionary-format text into a Lexicon.
 
-    Unknown phoneme labels and malformed variant indices raise ParseError
-    naming the line. Comment and blank lines are ignored.
+    Each word's variants are ordered by index, the headword as 0 and
+    ``WORD(n)`` as n; entries with equal indices keep file order. Unknown
+    phoneme labels and malformed variant indices raise ParseError naming
+    the line. Comment and blank lines are ignored.
     """
     if inventory is None:
         inventory = PhonemeInventory.default()
-    lex = Lexicon(inventory)
+    numbered: dict[str, list[tuple[int, PronunciationVariant]]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith(_COMMENT_PREFIX):
             continue
         fields = line.split()
         head, phones = fields[0], fields[1:]
-        word = head
+        word, number = head, 0
         if head.endswith(")"):
             m = _VARIANT_RE.match(head)
             if m is None:
                 raise ParseError(
                     f"malformed variant index in {head!r}", line=lineno, source=source
                 )
-            word = m.group(1)
+            word, number = m.group(1), int(m.group(2))
         word = normalize_word(word)
         if not word:
             raise ParseError(
@@ -126,7 +128,12 @@ def parse_lexicon(text: str, inventory: PhonemeInventory | None = None,
                     line=lineno, source=source,
                 )
             indices.append(idx)
-        lex.add(word, PronunciationVariant(tuple(indices)))
+        numbered.setdefault(word, []).append(
+            (number, PronunciationVariant(tuple(indices))))
+    lex = Lexicon(inventory)
+    for word, variants in numbered.items():
+        for _, variant in sorted(variants, key=lambda v: v[0]):
+            lex.add(word, variant)
     return lex
 
 

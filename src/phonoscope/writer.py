@@ -1,25 +1,23 @@
 """Creates the CLI's output files in two helper processes.
 
 Creating a file costs far more kernel time than computing its bytes, so
-``Writer`` hands every directory and file to ``CREATORS`` child
-interpreters, and the caller goes on computing while they create them on
-other cores. Each directory has one child: a directory request is keyed
-by its path and a file request by its directory, and the first request
-of a key gives that key to the next child in turn, starting that child
-if it is not running yet. Two processes creating in one directory would
-wait on its lock, while two sibling directories fill in parallel. So one
-directory's entries are created in request order and a file never runs
-ahead of its own directory's request; ``os.makedirs`` tolerates a parent
-made by the other child. A parent made on the way has no such order: a
-file may go only into a directory that was itself requested, or that
-existed before.
+``Writer`` hands every file to ``CREATORS`` child interpreters, and the
+caller goes on computing while they create them on other cores. Each
+directory has one child: a file is keyed by its directory, and the first
+file of a directory gives it to the next child in turn, starting that
+child if it is not running yet. Two processes creating in one directory
+would wait on its lock, while two sibling directories fill in parallel.
+So one directory's files are created in request order. A child makes a
+file's directory, and any missing parents, before the first file it
+creates there; ``os.makedirs`` tolerates a parent made by the other
+child, and a directory is made only when a file goes into it.
 
-Requests go down a child's stdin as length-prefixed (op, sequence
-number, path, bytes) records, and the child creates them one after
-another. Where the platform allows, each stdin pipe is grown to
-``PIPE_BYTES``, so the caller can finish a burst of files and go on to
-the next stage while the children work through it; past that the caller
-blocks, so no process's memory grows with the size of the run.
+Requests go down a child's stdin as length-prefixed (sequence number,
+path, bytes) records, and the child creates them one after another.
+Where the platform allows, each stdin pipe is grown to ``PIPE_BYTES``,
+so the caller can finish a burst of files and go on to the next stage
+while the children work through it; past that the caller blocks, so no
+process's memory grows with the size of the run.
 
 After its first failed request a child creates nothing more, though it
 still reads every request. Leaving the ``with`` block waits for every
@@ -36,8 +34,8 @@ import struct
 import sys
 from pathlib import Path
 
-# op (b"d" directory, b"f" file), sequence number, path length, data length
-_HEADER = struct.Struct("<cIII")
+# sequence number, path length, data length
+_HEADER = struct.Struct("<III")
 
 # Child processes that create files. Pinned to one CPU, two creators
 # (then threads of one child) still did no worse than one on the corpus
@@ -54,18 +52,19 @@ PIPE_BYTES = 1 << 20
 _CHILD = f"""
 import os, struct, sys
 header, read = struct.Struct({_HEADER.format!r}), sys.stdin.buffer.read
-failed = None
+made, failed = set(), None
 while head := read(header.size):
-    op, seq, path_len, data_len = header.unpack(head)
+    seq, path_len, data_len = header.unpack(head)
     path, data = read(path_len), read(data_len)
     if failed:
         continue
+    directory = os.path.dirname(path)
     try:
-        if op == b"d":
-            os.makedirs(path, exist_ok=True)
-        else:
-            with open(path, "wb") as f:
-                f.write(data)
+        if directory and directory not in made:
+            os.makedirs(directory, exist_ok=True)
+            made.add(directory)
+        with open(path, "wb") as f:
+            f.write(data)
     except OSError as exc:
         failed = b"%d\\0%d\\0%s" % (seq, exc.errno, exc.filename or path)
 if failed:
@@ -87,35 +86,22 @@ def _start():
 
 
 class Writer:
-    """Sends directory and file requests to children started as keys need them."""
+    """Sends file requests to children started as directories need them."""
 
     def __init__(self) -> None:
         self._procs = []
         self._owners = {}
         self._sent = 0
 
-    def mkdir(self, path: Path) -> Path:
-        """Requests ``path`` and its parents as directories; returns ``path``.
-
-        A later file in ``path`` is created after it. A parent made on the
-        way has no such order, so request a parent too before writing
-        into it.
-        """
-        self._send(b"d", path, b"")
-        return path
-
     def write(self, path: Path, text: str) -> None:
-        """Requests a file; its directory must exist or have been requested."""
-        self._send(b"f", path, text.encode("utf-8"))
-
-    def _send(self, op: bytes, path: Path, data: bytes) -> None:
-        name = os.fsencode(path)
-        key = name if op == b"d" else os.path.dirname(name) or b"."
+        """Requests a file; its directory and missing parents are made first."""
+        name, data = os.fsencode(path), text.encode("utf-8")
+        key = os.path.dirname(name) or b"."
         owner = self._owners.setdefault(key, len(self._owners) % CREATORS)
         if owner == len(self._procs):
             self._procs.append(_start())
         stdin = self._procs[owner].stdin
-        stdin.write(_HEADER.pack(op, self._sent, len(name), len(data)) + name + data)
+        stdin.write(_HEADER.pack(self._sent, len(name), len(data)) + name + data)
         stdin.flush()
         self._sent += 1
 

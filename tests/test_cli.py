@@ -28,7 +28,7 @@ from phonoscope import alignment, annotations, clustering, lexicon
 from phonoscope.cli import build_parser, main, run_config
 from phonoscope.gridcsv import serialize_grid
 from phonoscope.manifest import CorpusManifest, RunConfig, load_config
-from phonoscope.writer import CREATORS, Writer
+from phonoscope.writer import CREATORS
 
 from .conftest import align_min_variant_bruteforce, no_resource_warning, reaped
 
@@ -110,6 +110,21 @@ def test_phonemize_skip_policy_excludes_utterance(tmp_path):
     assert code == 0
     report = json.loads((out / "oov_report.json").read_text())
     assert report["skipped_utterances"] == [["s1", "u1"]]
+
+
+# no alignments/ or phonemes/: a directory is made only for a file in it
+@pytest.mark.parametrize("command, made", [
+    ("align", ["oov_report.json", "profiles"]),
+    ("phonemize", ["oov_report.json"]),
+])
+def test_a_command_that_skips_every_utterance_makes_no_empty_directory(
+        tmp_path, command, made):
+    manifest = write_tiny_corpus(tmp_path, asr="unknownword")
+    out = tmp_path / "out"
+    code = main([command, str(manifest), "--lexicon", str(tmp_path / "lex.dict"),
+                 "--oov-policy", "skip_utterance", "--out-dir", str(out)])
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == made
 
 
 def test_empty_manifest_ok(tmp_path):
@@ -868,26 +883,12 @@ def test_library_defaults_match_run_config():
         assert library == pipeline and type(library) is type(pipeline)
 
 
-def test_each_output_directory_created_once(tmp_path, monkeypatch):
-    made = []
-    mkdir = Writer.mkdir
-
-    def counting_mkdir(self, path):
-        made.append(path)
-        return mkdir(self, path)
-
-    monkeypatch.setattr(Writer, "mkdir", counting_mkdir)
-    out = tmp_path / "out"
-    assert main(["run", *sample_args(out, ["--k", "3", "--min-occurrences", "2"])]) == 0
-    assert sorted(made) == sorted([out, *(p for p in out.rglob("*") if p.is_dir())])
-
-
 @pytest.mark.parametrize("case", ["out_dir_is_a_file", "directory_at_output_file"])
 def test_write_failure_exits_2_naming_the_path(tmp_path, capsys, case):
     out = tmp_path / "out"
     if case == "out_dir_is_a_file":
         out.write_text("")
-        failed, reason = out, "File exists"
+        failed, reason = out / "alignments", "Not a directory"
     else:
         failed, reason = out / "clusters.csv", "Is a directory"
         failed.mkdir(parents=True)

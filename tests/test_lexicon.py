@@ -41,6 +41,16 @@ def test_variant_order_preserved(inv):
     assert labels_of(lex, "READ") == [("R", "IY", "D"), ("R", "EH", "D")]
 
 
+def test_variants_are_ordered_by_index(inv):
+    # the headword is variant 0 wherever it stands; equal indices keep file order
+    lex = parse_lexicon("READ(2)  R EY1 D\nREAD(1)  R EH1 D\nREAD  R IY1 D\n"
+                        "READ  R AY1 D", inv)
+    assert labels_of(lex, "READ") == [("R", "IY", "D"), ("R", "AY", "D"),
+                                      ("R", "EH", "D"), ("R", "EY", "D")]
+    assert phonemize(["READ"], lex, variant_rule="first").indices == idx(inv, "R IY D")
+    assert serialize_lexicon(lex).splitlines()[0] == "READ  R IY D"
+
+
 def test_comments_and_blanks_ignored(inv):
     text = ";;; a comment\n\nHIS  HH IH1 Z\n;;; another\n"
     assert len(parse_lexicon(text, inv)) == 1

@@ -146,7 +146,6 @@ def test_the_first_failed_request_in_send_order_is_raised(tmp_path):
 def test_a_file_with_no_directory_part(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     with Writer() as files:
-        files.mkdir(Path("."))
         files.write(Path("x.svg"), "<svg/>")
     assert (tmp_path / "x.svg").read_text() == "<svg/>"
 
@@ -160,13 +159,11 @@ def test_an_error_other_than_oserror_ends_the_helper(tmp_path):
 
 
 def test_interleaved_directories_are_all_filled(tmp_path):
-    # requests alternate over 40 directories, so both children take
-    # requests all the way through
-    dirs = [tmp_path / f"d{i}" for i in range(40)]
+    # requests alternate over 40 directories under one new parent, so both
+    # children make siblings of it and take requests all the way through
+    dirs = [tmp_path / "new" / f"d{i}" for i in range(40)]
     requests = [(dirs[i % 40] / f"{i}.txt", f"{i}\n" * (i % 7)) for i in range(800)]
     with Writer() as files:
-        for directory in dirs:
-            files.mkdir(directory)
         sender = Sender(files, requests)
         sender.join(60)
         sent = sender.done()
