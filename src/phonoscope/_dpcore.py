@@ -143,9 +143,29 @@ def _raise_for(status: int) -> None:
 
 def dp_align_batch(phonemes, variant_offsets, word_offsets, utterance_offsets,
                    observed, observed_offsets, cost_rows, eps, pref0, pref1, pref2):
-    """Same contract as _dppy.dp_align_batch, on int64 arrays and a float64
-    grid; returns the totals and the chosen variants, op offsets and op
-    symbols as numpy arrays.
+    """Align each of a speaker's utterances, in one call: the contract of
+    both kernels, which _dppy.dp_align_batch meets on lists of the same
+    arrays.
+
+    Every argument but the scalars is a 1-d int64 array, and the grid a
+    square float64 array. Utterance u's words are words
+    utterance_offsets[u] up to utterance_offsets[u + 1]; word w's variants
+    are variants word_offsets[w] up to word_offsets[w + 1]; variant v is
+    phonemes[variant_offsets[v]:variant_offsets[v + 1]]; the observed side
+    is observed[observed_offsets[u]:observed_offsets[u + 1]]. A plain
+    prompt is one word of one variant. Every symbol is an epsilon-free
+    index into the grid. Each utterance is aligned to its variants of
+    least total, ties keeping the lowest variant indices, and its table is
+    backtraced with ties broken in the order pref0, pref1, pref2 (0
+    diagonal, 1 delete, 2 insert); _dpkernel.c says how the variants are
+    chosen.
+
+    Returns (totals, chosen, op_offsets, expected_ops, observed_ops): each
+    utterance's total as a float64 array, and as int64 arrays each word's
+    chosen variant counted from the word's first, and the ops' expected
+    and observed symbols, utterance u's from op_offsets[u] up to
+    op_offsets[u + 1]. Bad arguments raise ValueError or IndexError here;
+    _dppy leaves checking them to its caller.
     """
     (phonemes, variant_offsets, word_offsets, utterance_offsets, observed,
      observed_offsets) = [_checked(array, _INT64, 1, name) for array, name in (

@@ -4,10 +4,10 @@
    Must stay behaviorally identical to _dppy.py: same addition order in
    the table fill, same exact-equality backtrace, same tie preferences,
    same element-wise minimum at lattice word boundaries, the same
-   variant choice, and in the descent the same float operations in the
-   same order. The test suite asserts bitwise parity between the two
-   backends. _dpcore compiles this file with -ffp-contract=off, so no
-   multiply and add are fused.
+   variant choice in the table that is backtraced, and in the descent
+   the same float operations in the same order. The test suite asserts
+   bitwise parity between the two backends. _dpcore compiles this file
+   with -ffp-contract=off, so no multiply and add are fused.
 
    grid is a size x size row-major cost matrix and eps its epsilon index;
    every table has width m + 1 for the m observed symbols. */
@@ -152,27 +152,29 @@ static int64_t backtrace(const double *dp, const int64_t *expected, int64_t n,
    observed[observed_offsets[u] .. observed_offsets[u + 1]).
 
    Variant choice, where a word has more than one: one forward lattice
-   pass gives the minimum total, best. Then words are fixed left to right
-   from the fixed prefix's boundary row: each candidate variant but the
-   last is filled from that row, the unrestricted suffix is carried on
-   from its last row, and the first candidate whose total equals best is
-   chosen; when none does, the last variant is. A fixed word's boundary
-   row is its variant's last row, the minimum of one row, so each
-   candidate's total is that of the lattice restricted to the fixed
-   prefix and the candidate.
+   pass from the insertion row gives the minimum total, best. The table
+   then grows word by word below the insertion row: each candidate
+   variant of a word is filled once, from the last row of the words
+   already fixed, and the unrestricted suffix is carried on from the
+   candidate's last row through the rows below it. The first candidate
+   whose total equals best is kept, or the last variant when none does;
+   a kept candidate's rows stay in the table, so each candidate's total
+   is that of the lattice restricted to the fixed words and the
+   candidate. When the words run out, the table is that of the chosen
+   variants, concatenated, and it is backtraced as it stands, with ties
+   broken in the order pref0, pref1, pref2 (0 diagonal, 1 delete, 2
+   insert).
 
-   The chosen variants, concatenated, are then filled and backtraced
-   against the observed side with ties broken in the order pref0, pref1,
-   pref2 (0 diagonal, 1 delete, 2 insert). Writes utterance u's total to
-   totals[u], each word's chosen variant (counted from the word's first)
-   to chosen[w], and the utterance's ops to expected_ops and observed_ops
-   from op_offsets[u] up to op_offsets[u + 1]; op_offsets[0] is 0. The op
-   arrays need room for variants' phonemes plus observed symbols, which
-   bounds every utterance's op count. Returns the total op count; -1 if a
-   symbol lies outside the grid or is epsilon, or eps outside the grid;
-   -2 if scratch cannot be allocated; -3 if a backtrace fails to
-   reproduce a cell; -4 if an offsets array does not rise from 0 to the
-   length of what it indexes, or a word has no variant. */
+   Writes utterance u's total to totals[u], each word's chosen variant
+   (counted from the word's first) to chosen[w], and the utterance's ops
+   to expected_ops and observed_ops from op_offsets[u] up to
+   op_offsets[u + 1]; op_offsets[0] is 0. The op arrays need room for
+   variants' phonemes plus observed symbols, which bounds every
+   utterance's op count. Returns the total op count; -1 if a symbol lies
+   outside the grid or is epsilon, or eps outside the grid; -2 if
+   scratch cannot be allocated; -3 if a backtrace fails to reproduce a
+   cell; -4 if an offsets array does not rise from 0 to the length of
+   what it indexes, or a word has no variant. */
 int64_t dp_align_batch(const int64_t *phonemes, int64_t phoneme_count,
                        const int64_t *variant_offsets, int64_t variants,
                        const int64_t *word_offsets, int64_t words,
@@ -197,9 +199,10 @@ int64_t dp_align_batch(const int64_t *phonemes, int64_t phoneme_count,
     if (eps < 0 || eps >= size || bad_symbols(phonemes, phoneme_count, size, eps)
             || bad_symbols(observed, observed_count, size, eps))
         return -1;
-    /* scratch for the largest utterance: the table of its longest
-       possible chosen sequence, or the prefix and next rows plus the rows
-       of its longest variant */
+    /* scratch for the largest utterance: one row for the lattice's next
+       boundary, then the table of its longest possible chosen sequence
+       and, below its last row, a boundary row and its longest variant's
+       rows for the suffix */
     for (u = 0; u < utterances; u++) {
         const int64_t width = observed_offsets[u + 1] - observed_offsets[u] + 1;
         int64_t longest = 0, upper = 0;
@@ -212,8 +215,7 @@ int64_t dp_align_batch(const int64_t *phonemes, int64_t phoneme_count,
             upper += word_longest;
         }
         if (upper > longest_sequence) longest_sequence = upper;
-        if ((upper + 1) * width > rows) rows = (upper + 1) * width;
-        if ((longest + 3) * width > rows) rows = (longest + 3) * width;
+        if ((upper + longest + 3) * width > rows) rows = (upper + longest + 3) * width;
     }
     work = malloc((size_t)rows * sizeof *work);
     sequence = malloc((size_t)(longest_sequence + 1) * sizeof *sequence);
@@ -228,54 +230,41 @@ int64_t dp_align_batch(const int64_t *phonemes, int64_t phoneme_count,
         const int64_t first = utterance_offsets[u], last = utterance_offsets[u + 1];
         const int64_t *obs = observed + observed_offsets[u];
         const int64_t m = observed_offsets[u + 1] - observed_offsets[u], width = m + 1;
-        double *prefix = work, *next = prefix + width;
-        double *dp = next + width, best = 0.0;
-        int64_t n = 0, count, last_choice = first - 1;
+        double *next = work, *dp = next + width, best = 0.0;
+        int64_t n = 0, count;
 
-        for (w = first; w < last; w++)
-            if (word_offsets[w + 1] - word_offsets[w] > 1) last_choice = w;
-        if (last_choice >= first) {
-            insertion_row(obs, m, grid, size, eps, prefix);
-            memcpy(dp, prefix, (size_t)width * sizeof *dp);
+        insertion_row(obs, m, grid, size, eps, dp);
+        if (word_offsets[last] - word_offsets[first] > last - first) {   /* a choice */
+            memcpy(dp + width, dp, (size_t)width * sizeof *dp);
             lattice_rows(phonemes, variant_offsets, word_offsets, first, last,
-                         obs, m, grid, size, eps, dp, next);
-            best = dp[m];
+                         obs, m, grid, size, eps, dp + width, next);
+            best = dp[width + m];
         }
         for (w = first; w < last; w++) {
+            double *row = dp + n * width;   /* the fixed words' last row */
             int64_t length;
-            v = word_offsets[w];
-            if (w <= last_choice) {
-                for (; v < word_offsets[w + 1] - 1; v++) {
-                    length = variant_offsets[v + 1] - variant_offsets[v];
-                    memcpy(dp, prefix, (size_t)width * sizeof *dp);
-                    fill_rows(phonemes + variant_offsets[v], length, obs, m,
-                              grid, size, eps, dp);
-                    memmove(dp, dp + length * width, (size_t)width * sizeof *dp);
-                    lattice_rows(phonemes, variant_offsets, word_offsets, w + 1, last,
-                                 obs, m, grid, size, eps, dp, next);
-                    if (dp[m] == best) break;
-                }
-                if (w < last_choice) {   /* the next prefix: the chosen variant's last row */
-                    length = variant_offsets[v + 1] - variant_offsets[v];
-                    memcpy(dp, prefix, (size_t)width * sizeof *dp);
-                    fill_rows(phonemes + variant_offsets[v], length, obs, m,
-                              grid, size, eps, dp);
-                    memcpy(prefix, dp + length * width, (size_t)width * sizeof *dp);
-                }
+            for (v = word_offsets[w];; v++) {
+                double *end;
+                length = variant_offsets[v + 1] - variant_offsets[v];
+                end = row + length * width;
+                fill_rows(phonemes + variant_offsets[v], length, obs, m,
+                          grid, size, eps, row);
+                if (v == word_offsets[w + 1] - 1) break;
+                memcpy(end + width, end, (size_t)width * sizeof *dp);
+                lattice_rows(phonemes, variant_offsets, word_offsets, w + 1, last,
+                             obs, m, grid, size, eps, end + width, next);
+                if (end[width + m] == best) break;
             }
             chosen[w] = v - word_offsets[w];
-            length = variant_offsets[v + 1] - variant_offsets[v];
             memcpy(sequence + n, phonemes + variant_offsets[v],
                    (size_t)length * sizeof *sequence);
             n += length;
         }
 
-        insertion_row(obs, m, grid, size, eps, work);
-        fill_rows(sequence, n, obs, m, grid, size, eps, work);
-        count = backtrace(work, sequence, n, obs, m, grid, size, eps, prefs,
+        count = backtrace(dp, sequence, n, obs, m, grid, size, eps, prefs,
                           expected_ops + op_offsets[u], observed_ops + op_offsets[u]);
         if (count < 0) break;
-        totals[u] = work[n * width + m];
+        totals[u] = dp[n * width + m];
         op_offsets[u + 1] = op_offsets[u] + count;
     }
     free(work);

@@ -25,18 +25,19 @@ def _insertion_row(observed, eps_row):
     return row
 
 
-def _fill_rows(dp, expected, observed, cost_rows, eps):
-    """Fill rows 1..len(expected) of the flat table dp from its row 0.
+def _fill_rows(dp, start, expected, observed, cost_rows, eps):
+    """Fill the len(expected) rows of the flat table dp that follow its row
+    at dp[start:start + width], one expected symbol per row.
 
     The only table fill.
     """
     width = len(observed) + 1
     eps_row = cost_rows[eps]
-    for i in range(1, len(expected) + 1):
-        arow = cost_rows[expected[i - 1]]
+    for i, a in enumerate(expected):
+        arow = cost_rows[a]
         adel = arow[eps]
-        base = i * width
-        prev = base - width
+        prev = start + i * width
+        base = prev + width
         dp[base] = dp[prev] + adel
         for j in range(1, width):
             b = observed[j - 1]
@@ -50,26 +51,25 @@ def _fill_rows(dp, expected, observed, cost_rows, eps):
             dp[base + j] = best
 
 
-def _lattice_rows(dp, phonemes, variant_offsets, word_offsets, first, last,
+def _lattice_rows(boundary, phonemes, variant_offsets, word_offsets, first, last,
                   observed, cost_rows, eps):
-    """Carry the boundary row in dp[:width] through words first..last - 1
-    of the lattice, score only.
+    """The boundary row carried through words first..last - 1 of the
+    lattice, score only.
 
     Every variant of a word is filled from the same boundary row, and the
     next boundary row is the element-wise minimum of the variants' last
-    rows (an empty variant's last row is the boundary itself). dp has room
-    for the longest variant's rows.
+    rows (an empty variant's last row is the boundary itself).
     """
-    width = len(observed) + 1
+    width = len(boundary)
     for w in range(first, last):
-        boundary = [float("inf")] * width
+        following = [float("inf")] * width
         for v in range(word_offsets[w], word_offsets[w + 1]):
             expected = phonemes[variant_offsets[v]:variant_offsets[v + 1]]
-            _fill_rows(dp, expected, observed, cost_rows, eps)
-            end = len(expected) * width
-            boundary = [x if x < b else b
-                        for x, b in zip(dp[end:end + width], boundary)]
-        dp[:width] = boundary
+            dp = boundary + [0.0] * (len(expected) * width)
+            _fill_rows(dp, 0, expected, observed, cost_rows, eps)
+            following = [x if x < b else b for x, b in zip(dp[-width:], following)]
+        boundary = following
+    return boundary
 
 
 def _backtrace(dp, expected, observed, cost_rows, eps, prefs):
@@ -119,95 +119,77 @@ def _backtrace(dp, expected, observed, cost_rows, eps, prefs):
     return expected_ops, observed_ops
 
 
-def dp_align_batch(phonemes, variant_offsets, word_offsets, utterance_offsets,
-                   observed, observed_offsets, cost_rows, eps, pref0, pref1, pref2):
-    """Align each of a speaker's utterances, in one call.
+def _align_batch(phonemes, variant_offsets, word_offsets, utterance_offsets,
+                 observed, observed_offsets, cost_rows, eps, prefs):
+    """dp_align_batch on lists: the arguments and results are lists, and
+    cost_rows is the grid as nested lists.
 
-    Utterance u's words are words utterance_offsets[u] up to
-    utterance_offsets[u + 1]; word w's variants are variants
-    word_offsets[w] up to word_offsets[w + 1]; variant v is
-    phonemes[variant_offsets[v]:variant_offsets[v + 1]]; the observed
-    side is observed[observed_offsets[u]:observed_offsets[u + 1]]. A plain
-    prompt is one word of one variant. Every symbol is an epsilon-free
-    index into cost_rows.
-
-    Where a word has more than one variant, one forward lattice pass gives
-    the minimum total, best. Words are then fixed left to right from the
-    fixed prefix's boundary row: each candidate variant but the last is
-    filled from that row, the unrestricted suffix is carried on from its
-    last row, and the first candidate whose total equals best is chosen;
-    when none does, the last variant is. The chosen variants, concatenated,
-    are filled and backtraced with ties broken in the order pref0, pref1,
-    pref2 (DIAG, DELETE, INSERT).
-
-    Returns (totals, chosen, op_offsets, expected_ops, observed_ops):
-    each utterance's total, each word's chosen variant counted from the
-    word's first, and the ops' expected and observed symbols, utterance u's
-    from op_offsets[u] up to op_offsets[u + 1].
+    Variant choice, where a word has more than one: one forward lattice
+    pass from the insertion row gives the minimum total, best. The table
+    then grows word by word below the insertion row: each candidate
+    variant of a word is filled once, from the last row of the words
+    already fixed, and the unrestricted suffix is carried on from the
+    candidate's last row through _lattice_rows' own rows. The first
+    candidate whose total equals best is kept, or the last variant when
+    none does. When the words run out, the table is that of the chosen
+    variants, concatenated, and it is backtraced as it stands.
     """
-    prefs = (pref0, pref1, pref2)
     eps_row = cost_rows[eps]
     totals, chosen, op_offsets, expected_ops, observed_ops = [], [], [0], [], []
     for u in range(len(utterance_offsets) - 1):
         first, last = utterance_offsets[u], utterance_offsets[u + 1]
         obs = observed[observed_offsets[u]:observed_offsets[u + 1]]
         width = len(obs) + 1
-        last_choice = max((w for w in range(first, last)
-                           if word_offsets[w + 1] - word_offsets[w] > 1),
-                          default=first - 1)
-        if last_choice >= first:
-            longest = max(variant_offsets[v + 1] - variant_offsets[v]
-                          for v in range(word_offsets[first], word_offsets[last]))
-            prefix = _insertion_row(obs, eps_row)
-            dp = prefix + [0.0] * (longest * width)
-            _lattice_rows(dp, phonemes, variant_offsets, word_offsets, first, last,
-                          obs, cost_rows, eps)
-            best = dp[width - 1]
+        dp = _insertion_row(obs, eps_row)
+        if word_offsets[last] - word_offsets[first] > last - first:   # a choice
+            best = _lattice_rows(dp, phonemes, variant_offsets, word_offsets,
+                                 first, last, obs, cost_rows, eps)[-1]
         sequence = []
         for w in range(first, last):
-            v = word_offsets[w]
-            if w <= last_choice:
-                while v < word_offsets[w + 1] - 1:
-                    variant = phonemes[variant_offsets[v]:variant_offsets[v + 1]]
-                    dp[:width] = prefix
-                    _fill_rows(dp, variant, obs, cost_rows, eps)
-                    end = len(variant) * width
-                    dp[:width] = dp[end:end + width]
-                    _lattice_rows(dp, phonemes, variant_offsets, word_offsets,
-                                  w + 1, last, obs, cost_rows, eps)
-                    if dp[width - 1] == best:
-                        break
-                    v += 1
-                if w < last_choice:   # the next prefix: the chosen variant's last row
-                    variant = phonemes[variant_offsets[v]:variant_offsets[v + 1]]
-                    dp[:width] = prefix
-                    _fill_rows(dp, variant, obs, cost_rows, eps)
-                    end = len(variant) * width
-                    prefix = dp[end:end + width]
+            start = len(sequence) * width   # the fixed words' last row
+            for v in range(word_offsets[w], word_offsets[w + 1]):
+                variant = phonemes[variant_offsets[v]:variant_offsets[v + 1]]
+                dp[start + width:] = [0.0] * (len(variant) * width)
+                _fill_rows(dp, start, variant, obs, cost_rows, eps)
+                if v == word_offsets[w + 1] - 1 or _lattice_rows(
+                        dp[-width:], phonemes, variant_offsets, word_offsets,
+                        w + 1, last, obs, cost_rows, eps)[-1] == best:
+                    break
             chosen.append(v - word_offsets[w])
-            sequence += phonemes[variant_offsets[v]:variant_offsets[v + 1]]
+            sequence += variant
 
-        dp = _insertion_row(obs, eps_row) + [0.0] * (len(sequence) * width)
-        _fill_rows(dp, sequence, obs, cost_rows, eps)
         ops = _backtrace(dp, sequence, obs, cost_rows, eps, prefs)
-        totals.append(dp[len(sequence) * width + width - 1])
+        totals.append(dp[-1])
         expected_ops += ops[0]
         observed_ops += ops[1]
         op_offsets.append(len(expected_ops))
     return totals, chosen, op_offsets, expected_ops, observed_ops
 
 
+def dp_align_batch(phonemes, variant_offsets, word_offsets, utterance_offsets,
+                   observed, observed_offsets, grid, eps, pref0, pref1, pref2):
+    """Same contract as _dpcore.dp_align_batch, on the arguments turned
+    into lists; it leaves checking them to the caller."""
+    totals, *arrays = _align_batch(
+        *[a.tolist() for a in (phonemes, variant_offsets, word_offsets,
+                               utterance_offsets, observed, observed_offsets)],
+        grid.tolist(), eps, (pref0, pref1, pref2))
+    return (np.array(totals, dtype=np.float64),
+            *[np.array(a, dtype=np.int64) for a in arrays])
+
+
 def dp_align(expected, observed, cost_rows, eps, pref0, pref1, pref2):
-    """One pair through dp_align_batch, as one word of one variant.
+    """One pair as one word of one variant, on sequences and the grid as
+    nested lists.
 
     Returns (total_cost, moves) where moves is the forward-order list of
     move codes (DIAG consumes one symbol from each side, DELETE one from
     expected, INSERT one from observed).
     """
     expected, observed = list(expected), list(observed)
-    totals, _, _, expected_ops, observed_ops = dp_align_batch(
+    totals, _, _, expected_ops, observed_ops = _align_batch(
         expected, [0, len(expected)], [0, 1], [0, 1], observed, [0, len(observed)],
-        cost_rows, eps, pref0, pref1, pref2)
+        cost_rows, eps, (pref0, pref1, pref2))
     return totals[0], [INSERT if a == eps else DELETE if b == eps else DIAG
                        for a, b in zip(expected_ops, observed_ops)]
 

@@ -189,18 +189,6 @@ def _check_sequence(seq, inventory, side: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def _kernel_args(costs: CostMatrix, *sequences) -> list:
-    """The cost grid and index sequences in the form the active kernel takes.
-
-    The compiled kernel takes the float64 grid and int64 arrays, the pure
-    one the grid as nested lists and lists of ints.
-    """
-    arrays = [np.asarray(s, dtype=np.int64) for s in sequences]
-    if _BACKEND == "compiled":
-        return [costs.costs, *arrays]
-    return [costs.rows(), *[a.tolist() for a in arrays]]
-
-
 def _extend(flat: list, seq, side: str) -> None:
     """Appends seq's items to flat for one _check_sequence over the whole
     side; rejects what that check cannot see once items are pooled: a
@@ -289,16 +277,14 @@ def align_speaker(pairs, costs: CostMatrix,
     inv = costs.inventory
     e = _check_sequence(phonemes, inv, "expected")
     o = _check_sequence(observed, inv, "observed")
-    prefs = tie_codes(tie_break)
-    grid, *arrays = _kernel_args(costs, e, variant_offsets, word_offsets,
-                                 utterance_offsets, o, observed_offsets)
+    variant_offsets, word_offsets, utterance_offsets, observed_offsets = (
+        np.asarray(a, dtype=np.int64)
+        for a in (variant_offsets, word_offsets, utterance_offsets, observed_offsets))
     totals, choices, op_offsets, expected_ops, observed_ops = _kernel.dp_align_batch(
-        *arrays, grid, inv.epsilon_index, *prefs)
-    return SpeakerAlignment(
-        costs, np.asarray(totals, dtype=np.float64),
-        np.asarray(op_offsets, dtype=np.int64), np.asarray(expected_ops, dtype=np.int64),
-        np.asarray(observed_ops, dtype=np.int64), np.asarray(choices, dtype=np.int64),
-        np.asarray(utterance_offsets, dtype=np.int64))
+        e, variant_offsets, word_offsets, utterance_offsets, o, observed_offsets,
+        costs.costs, inv.epsilon_index, *tie_codes(tie_break))
+    return SpeakerAlignment(costs, totals, op_offsets, expected_ops, observed_ops,
+                            choices, utterance_offsets)
 
 
 def align(expected, observed, costs: CostMatrix,

@@ -193,11 +193,13 @@ class _CorpusPhonemes:
 
 def _phonemize_corpus(manifest, loaded: LoadedConfig,
                       files: Writer) -> _CorpusPhonemes:
-    """Phonemizes every utterance and creates --out-dir.
+    """Phonemizes every utterance; writes nothing unless the OOV verdict
+    fails.
 
     phonemize only reports misses; the OOV verdict is given here: when an
     utterance is skipped under any --oov-policy but skip_utterance, this
-    writes oov_report.json and raises OovError.
+    writes oov_report.json through files, whose writer makes --out-dir for
+    it, and raises OovError.
     """
     # phonemize's skip_utterance mode reports every miss instead of raising
     policy = OovPolicy("skip_utterance", loaded.policy.supplement)

@@ -51,7 +51,7 @@ class CostMatrix:
                 f"cost grid shape {costs.shape} does not match inventory size {n}"
             )
         self.inventory = inventory
-        self._rows = None  # lazy list-of-lists view for the pure kernel
+        self._rows = None  # lazy list-of-lists view, for lines, tests and perfbench's oracle
         # the DP's ties are exact float equalities: +inf == +inf keeps them
         # sound, but NaN equals nothing, not even itself
         for bad, what in ((np.isnan(costs), "NaN"), (costs < 0, "negative")):
