@@ -104,7 +104,7 @@ _dp_align_batch.argtypes = [
     _POINTER, ctypes.c_int64, _POINTER, ctypes.c_int64, _POINTER, ctypes.c_int64,
     _POINTER, ctypes.c_int64, _POINTER, ctypes.c_int64, _POINTER,
     _POINTER, ctypes.c_int64, ctypes.c_int64, ctypes.c_int, ctypes.c_int, ctypes.c_int,
-    _POINTER, _POINTER, _POINTER, _POINTER, _POINTER,
+    _POINTER, _POINTER, _POINTER, _POINTER,
 ]
 _dp_align_batch.restype = ctypes.c_int64
 _tsne_descend.argtypes = [
@@ -160,12 +160,13 @@ def dp_align_batch(phonemes, variant_offsets, word_offsets, utterance_offsets,
     diagonal, 1 delete, 2 insert); _dpkernel.c says how the variants are
     chosen.
 
-    Returns (totals, chosen, op_offsets, expected_ops, observed_ops): each
-    utterance's total as a float64 array, and as int64 arrays each word's
-    chosen variant counted from the word's first, and the ops' expected
-    and observed symbols, utterance u's from op_offsets[u] up to
-    op_offsets[u + 1]. Bad arguments raise ValueError or IndexError here;
-    _dppy leaves checking them to its caller.
+    Returns (totals, chosen, op_offsets, cells): each utterance's total as
+    a float64 array, and as int64 arrays each word's chosen variant
+    counted from the word's first, and each op as its row-major cell in
+    the grid, expected * len(grid) + observed with epsilon on the side an
+    insertion or a deletion leaves empty, utterance u's from op_offsets[u]
+    up to op_offsets[u + 1]. Bad arguments raise ValueError or IndexError
+    here; _dppy leaves checking them to its caller.
     """
     (phonemes, variant_offsets, word_offsets, utterance_offsets, observed,
      observed_offsets) = [_checked(array, _INT64, 1, name) for array, name in (
@@ -182,17 +183,16 @@ def dp_align_batch(phonemes, variant_offsets, word_offsets, utterance_offsets,
     chosen = np.empty(len(word_offsets) - 1, dtype=np.int64)
     op_offsets = np.empty(utterances + 1, dtype=np.int64)
     # no utterance has more ops than its variants' phonemes and observed symbols
-    expected_ops = np.empty(len(phonemes) + len(observed), dtype=np.int64)
-    observed_ops = np.empty_like(expected_ops)
+    cells = np.empty(len(phonemes) + len(observed), dtype=np.int64)
     count = _dp_align_batch(
         phonemes.ctypes.data, len(phonemes), variant_offsets.ctypes.data,
         len(variant_offsets) - 1, word_offsets.ctypes.data, len(word_offsets) - 1,
         utterance_offsets.ctypes.data, utterances, observed.ctypes.data, len(observed),
         observed_offsets.ctypes.data, cost_rows.ctypes.data, len(cost_rows), eps,
         pref0, pref1, pref2, totals.ctypes.data, chosen.ctypes.data,
-        op_offsets.ctypes.data, expected_ops.ctypes.data, observed_ops.ctypes.data)
+        op_offsets.ctypes.data, cells.ctypes.data)
     _raise_for(count)
-    return totals, chosen, op_offsets, expected_ops[:count], observed_ops[:count]
+    return totals, chosen, op_offsets, cells[:count]
 
 
 def dp_align(expected, observed, cost_rows, eps, pref0, pref1, pref2):
@@ -203,10 +203,11 @@ def dp_align(expected, observed, cost_rows, eps, pref0, pref1, pref2):
     """
     expected = _checked(expected, _INT64, 1, "expected")
     observed = _checked(observed, _INT64, 1, "observed")
-    totals, _, _, expected_ops, observed_ops = dp_align_batch(
+    totals, _, _, cells = dp_align_batch(
         expected, np.array([0, len(expected)], dtype=np.int64), _ONE, _ONE,
         observed, np.array([0, len(observed)], dtype=np.int64),
         cost_rows, eps, pref0, pref1, pref2)
+    expected_ops, observed_ops = np.divmod(cells, len(cost_rows))
     moves = np.where(expected_ops == eps, 2, np.where(observed_ops == eps, 1, 0))
     return float(totals[0]), moves.tolist()
 

@@ -10,7 +10,9 @@
    with -ffp-contract=off, so no multiply and add are fused.
 
    grid is a size x size row-major cost matrix and eps its epsilon index;
-   every table has width m + 1 for the m observed symbols. */
+   every table has width m + 1 for the m observed symbols. Each op is
+   returned as its row-major cell in grid, expected * size + observed,
+   with eps on the side an insertion or a deletion leaves empty. */
 
 #include <math.h>
 #include <stdint.h>
@@ -100,14 +102,12 @@ static void lattice_rows(const int64_t *phonemes, const int64_t *variant_offsets
 }
 
 /* Backtraces the filled table dp of expected[0 .. n) against
-   observed[0 .. m), writing each op's expected and observed symbol
-   (epsilon on the side an insertion or a deletion leaves empty) in
-   forward order. Returns the number of ops, or -3 if a cell cannot be
-   reproduced. */
+   observed[0 .. m), writing each op's cell in forward order. Returns the
+   number of ops, or -3 if a cell cannot be reproduced. */
 static int64_t backtrace(const double *dp, const int64_t *expected, int64_t n,
                          const int64_t *observed, int64_t m,
                          const double *grid, int64_t size, int64_t eps,
-                         const int prefs[3], int64_t *expected_ops, int64_t *observed_ops)
+                         const int prefs[3], int64_t *cells)
 {
     const int64_t width = m + 1;
     const double *ins_row = grid + eps * size;
@@ -128,16 +128,13 @@ static int64_t backtrace(const double *dp, const int64_t *expected, int64_t n,
             }
         }
         if (chosen < 0) return -3;
-        expected_ops[count] = chosen == INSERT ? eps : expected[--i];
-        observed_ops[count] = chosen == DELETE ? eps : observed[--j];
+        cells[count] = (chosen == INSERT ? eps : expected[--i]) * size
+                       + (chosen == DELETE ? eps : observed[--j]);
     }
     for (i = 0, j = count - 1; i < j; i++, j--) {
-        int64_t op = expected_ops[i];
-        expected_ops[i] = expected_ops[j];
-        expected_ops[j] = op;
-        op = observed_ops[i];
-        observed_ops[i] = observed_ops[j];
-        observed_ops[j] = op;
+        const int64_t cell = cells[i];
+        cells[i] = cells[j];
+        cells[j] = cell;
     }
     return count;
 }
@@ -166,15 +163,15 @@ static int64_t backtrace(const double *dp, const int64_t *expected, int64_t n,
    insert).
 
    Writes utterance u's total to totals[u], each word's chosen variant
-   (counted from the word's first) to chosen[w], and the utterance's ops
-   to expected_ops and observed_ops from op_offsets[u] up to
-   op_offsets[u + 1]; op_offsets[0] is 0. The op arrays need room for
-   variants' phonemes plus observed symbols, which bounds every
-   utterance's op count. Returns the total op count; -1 if a symbol lies
-   outside the grid or is epsilon, or eps outside the grid; -2 if
-   scratch cannot be allocated; -3 if a backtrace fails to reproduce a
-   cell; -4 if an offsets array does not rise from 0 to the length of
-   what it indexes, or a word has no variant. */
+   (counted from the word's first) to chosen[w], and the cells of the
+   utterance's ops to cells from op_offsets[u] up to op_offsets[u + 1];
+   op_offsets[0] is 0. cells needs room for the variants' phonemes plus
+   the observed symbols, which bounds every utterance's op count. Returns
+   the total op count; -1 if a symbol lies outside the grid or is
+   epsilon, or eps outside the grid; -2 if scratch cannot be allocated;
+   -3 if a backtrace fails to reproduce a cell; -4 if an offsets array
+   does not rise from 0 to the length of what it indexes, or a word has
+   no variant. */
 int64_t dp_align_batch(const int64_t *phonemes, int64_t phoneme_count,
                        const int64_t *variant_offsets, int64_t variants,
                        const int64_t *word_offsets, int64_t words,
@@ -184,7 +181,7 @@ int64_t dp_align_batch(const int64_t *phonemes, int64_t phoneme_count,
                        const double *grid, int64_t size, int64_t eps,
                        int pref0, int pref1, int pref2,
                        double *totals, int64_t *chosen, int64_t *op_offsets,
-                       int64_t *expected_ops, int64_t *observed_ops)
+                       int64_t *cells)
 {
     const int prefs[3] = {pref0, pref1, pref2};
     int64_t u, w, v, rows = 1, longest_sequence = 0;
@@ -262,7 +259,7 @@ int64_t dp_align_batch(const int64_t *phonemes, int64_t phoneme_count,
         }
 
         count = backtrace(dp, sequence, n, obs, m, grid, size, eps, prefs,
-                          expected_ops + op_offsets[u], observed_ops + op_offsets[u]);
+                          cells + op_offsets[u]);
         if (count < 0) break;
         totals[u] = dp[n * width + m];
         op_offsets[u + 1] = op_offsets[u] + count;

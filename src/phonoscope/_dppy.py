@@ -73,12 +73,11 @@ def _lattice_rows(boundary, phonemes, variant_offsets, word_offsets, first, last
 
 
 def _backtrace(dp, expected, observed, cost_rows, eps, prefs):
-    """Each op's expected and observed symbol in forward order, epsilon on
-    the side an insertion or a deletion leaves empty, from the filled
-    table dp."""
-    width = len(observed) + 1
+    """Each op's row-major cell in the grid, in forward order, from the
+    filled table dp."""
+    width, size = len(observed) + 1, len(cost_rows)
     eps_row = cost_rows[eps]
-    expected_ops, observed_ops = [], []
+    cells = []
     i, j = len(expected), len(observed)
     while i > 0 or j > 0:
         cur = dp[i * width + j]
@@ -104,19 +103,14 @@ def _backtrace(dp, expected, observed, cost_rows, eps, prefs):
                     break
         if chosen == -1:  # unreachable: the forward pass stored one of these sums
             raise RuntimeError("backtrace failed to reproduce DP cell")
-        if chosen == INSERT:
-            expected_ops.append(eps)
-        else:
+        if chosen != INSERT:
             i -= 1
-            expected_ops.append(expected[i])
-        if chosen == DELETE:
-            observed_ops.append(eps)
-        else:
+        if chosen != DELETE:
             j -= 1
-            observed_ops.append(observed[j])
-    expected_ops.reverse()
-    observed_ops.reverse()
-    return expected_ops, observed_ops
+        cells.append((eps if chosen == INSERT else expected[i]) * size
+                     + (eps if chosen == DELETE else observed[j]))
+    cells.reverse()
+    return cells
 
 
 def _align_batch(phonemes, variant_offsets, word_offsets, utterance_offsets,
@@ -135,7 +129,7 @@ def _align_batch(phonemes, variant_offsets, word_offsets, utterance_offsets,
     variants, concatenated, and it is backtraced as it stands.
     """
     eps_row = cost_rows[eps]
-    totals, chosen, op_offsets, expected_ops, observed_ops = [], [], [0], [], []
+    totals, chosen, op_offsets, cells = [], [], [0], []
     for u in range(len(utterance_offsets) - 1):
         first, last = utterance_offsets[u], utterance_offsets[u + 1]
         obs = observed[observed_offsets[u]:observed_offsets[u + 1]]
@@ -158,12 +152,10 @@ def _align_batch(phonemes, variant_offsets, word_offsets, utterance_offsets,
             chosen.append(v - word_offsets[w])
             sequence += variant
 
-        ops = _backtrace(dp, sequence, obs, cost_rows, eps, prefs)
+        cells += _backtrace(dp, sequence, obs, cost_rows, eps, prefs)
         totals.append(dp[-1])
-        expected_ops += ops[0]
-        observed_ops += ops[1]
-        op_offsets.append(len(expected_ops))
-    return totals, chosen, op_offsets, expected_ops, observed_ops
+        op_offsets.append(len(cells))
+    return totals, chosen, op_offsets, cells
 
 
 def dp_align_batch(phonemes, variant_offsets, word_offsets, utterance_offsets,
@@ -187,11 +179,12 @@ def dp_align(expected, observed, cost_rows, eps, pref0, pref1, pref2):
     expected, INSERT one from observed).
     """
     expected, observed = list(expected), list(observed)
-    totals, _, _, expected_ops, observed_ops = _align_batch(
+    totals, _, _, cells = _align_batch(
         expected, [0, len(expected)], [0, 1], [0, 1], observed, [0, len(observed)],
         cost_rows, eps, (pref0, pref1, pref2))
-    return totals[0], [INSERT if a == eps else DELETE if b == eps else DIAG
-                       for a, b in zip(expected_ops, observed_ops)]
+    size = len(cost_rows)
+    return totals[0], [INSERT if c // size == eps else DELETE if c % size == eps else DIAG
+                       for c in cells]
 
 
 def _sum(a, axis, out=None):

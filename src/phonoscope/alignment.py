@@ -207,26 +207,30 @@ def _extend(flat: list, seq, side: str) -> None:
 class SpeakerAlignment:
     """A speaker's alignments from one kernel call, as flat arrays.
 
-    Utterance u's ops are ``expected`` and ``observed`` from
-    ``op_offsets[u]`` up to ``op_offsets[u + 1]`` (inventory indices,
-    epsilon on the side an insertion or a deletion leaves empty) and its
-    total is ``totals[u]``. ``choices`` holds each word's chosen variant,
-    utterance u's words from ``word_offsets[u]`` up to
-    ``word_offsets[u + 1]``.
+    Utterance u's ops are ``cells`` from ``op_offsets[u]`` up to
+    ``op_offsets[u + 1]``, each op its row-major cell in the cost grid,
+    ``expected * n + observed`` for n inventory symbols (epsilon on the
+    side an insertion or a deletion leaves empty), and its total is
+    ``totals[u]``. ``choices`` holds each word's chosen variant, utterance
+    u's words from ``word_offsets[u]`` up to ``word_offsets[u + 1]``.
     """
 
     cost_matrix: CostMatrix
     totals: np.ndarray
     op_offsets: np.ndarray
-    expected: np.ndarray
-    observed: np.ndarray
+    cells: np.ndarray
     choices: np.ndarray
     word_offsets: np.ndarray
 
     @property
-    def cells(self) -> np.ndarray:
-        """Each op's row-major cell in the cost grid."""
-        return self.expected * len(self.cost_matrix.inventory) + self.observed
+    def expected(self) -> np.ndarray:
+        """Each op's expected symbol."""
+        return self.cells // len(self.cost_matrix.inventory)
+
+    @property
+    def observed(self) -> np.ndarray:
+        """Each op's observed symbol."""
+        return self.cells % len(self.cost_matrix.inventory)
 
     def counts(self) -> np.ndarray:
         """How often each (expected, observed) cell occurs among the ops."""
@@ -236,8 +240,8 @@ class SpeakerAlignment:
     def alignment(self, u: int) -> Alignment:
         """Utterance u's alignment."""
         a, b = self.op_offsets[u], self.op_offsets[u + 1]
-        return Alignment(self.expected[a:b], self.observed[a:b], self.cost_matrix,
-                         float(self.totals[u]))
+        return Alignment(*np.divmod(self.cells[a:b], len(self.cost_matrix.inventory)),
+                         self.cost_matrix, float(self.totals[u]))
 
     def chosen(self, u: int) -> tuple[int, ...]:
         """Utterance u's chosen variant index per word."""
@@ -280,11 +284,10 @@ def align_speaker(pairs, costs: CostMatrix,
     variant_offsets, word_offsets, utterance_offsets, observed_offsets = (
         np.asarray(a, dtype=np.int64)
         for a in (variant_offsets, word_offsets, utterance_offsets, observed_offsets))
-    totals, choices, op_offsets, expected_ops, observed_ops = _kernel.dp_align_batch(
+    totals, choices, op_offsets, cells = _kernel.dp_align_batch(
         e, variant_offsets, word_offsets, utterance_offsets, o, observed_offsets,
         costs.costs, inv.epsilon_index, *tie_codes(tie_break))
-    return SpeakerAlignment(costs, totals, op_offsets, expected_ops, observed_ops,
-                            choices, utterance_offsets)
+    return SpeakerAlignment(costs, totals, op_offsets, cells, choices, utterance_offsets)
 
 
 def align(expected, observed, costs: CostMatrix,

@@ -4,8 +4,8 @@ The canonical input is a neutral CSV (header
 ``utterance,position,target,observed,kind``, epsilon spelled ``<eps>``).
 Praat TextGrids are ingested through an adapter with one fixed label
 rule (decode_label); labels that do not match it are skipped and listed
-in ``parse_textgrid(...).skipped``. The run and compare subcommands do not
-write that list yet.
+in ``parse_textgrid(...).skipped``. The run and compare subcommands name
+them in one note per file on stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .confusion import ConfusionMatrix, PhonemeStats, format_percent, phoneme_stats
 from .costs import cell_kinds
@@ -91,6 +93,7 @@ def parse_annotation_csv(text: str, inventory: PhonemeInventory | None = None,
             f"expected header {','.join(_CSV_HEADER)!r}", line=1, source=source
         )
     records = []
+    last_position: dict[str, int] = {}
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != 5:
             raise ParseError(f"expected 5 fields, got {len(row)}",
@@ -109,13 +112,12 @@ def parse_annotation_csv(text: str, inventory: PhonemeInventory | None = None,
         msg = _kind_error(kind, target, observed, inventory)
         if msg:
             raise ParseError(msg, line=lineno, source=source)
+        if position < last_position.get(utt, position):
+            raise ParseError(f"positions decrease within utterance {utt!r}",
+                             line=lineno, source=source)
+        last_position[utt] = position
         records.append(AnnotationRecord(utt, position, target, observed, kind))
-    aset = AnnotationSet(speaker_id, records)
-    try:
-        aset.validate(inventory)
-    except ValidationError as exc:
-        raise ParseError(str(exc), source=source) from exc
-    return aset
+    return AnnotationSet(speaker_id, records)
 
 
 def serialize_annotation_csv(aset: AnnotationSet,
@@ -214,8 +216,9 @@ def annotations_to_confusion(aset: AnnotationSet,
     """Map records onto matrix cells; total records = total matrix mass."""
     aset.validate(inventory)
     matrix = ConfusionMatrix(inventory)
-    for rec in aset.records:
-        matrix.counts[rec.target, rec.observed] += 1
+    cells = np.array([(r.target, r.observed) for r in aset.records],
+                     dtype=np.intp).reshape(-1, 2)
+    np.add.at(matrix.counts, tuple(cells.T), 1)
     return matrix
 
 
@@ -281,15 +284,19 @@ class ComparisonTable:
 
 
 def resolve_targets(inventory: PhonemeInventory, targets) -> list[int]:
-    """Target labels or indices as indices; epsilon, unknown labels and
-    indices outside the inventory raise ValidationError."""
+    """Target labels or indices as indices; epsilon, unknown labels,
+    indices outside the inventory and a target given twice raise
+    ValidationError."""
     resolved = [inventory.index(t) if isinstance(t, str) else int(t)
                 for t in targets]
-    for t in resolved:
+    for i, t in enumerate(resolved):
         if inventory.is_epsilon(t):
             raise ValidationError("epsilon cannot be a comparison target")
         if not 0 <= t < len(inventory):
             raise ValidationError(f"comparison target {t} is outside the inventory")
+        if t in resolved[:i]:
+            raise ValidationError(
+                f"comparison target {inventory.label(t)} is given more than once")
     return resolved
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from .annotations import (
 )
 # accumulate is the per-utterance form of the per-speaker counts that
 # _align_corpus takes; perfbench's tracer wraps it as cli.accumulate
-from .confusion import ConfusionMatrix, SpeakerProfile, accumulate, merge  # noqa: F401
+from .confusion import ConfusionMatrix, SpeakerProfile, accumulate  # noqa: F401
 from .errors import OovError, ParseError, ValidationError, read_input
 from .heatmap import svg_heatmap
 from .lexicon import OovPolicy, PhonemizeResult, phonemize, tokenize
@@ -71,7 +72,8 @@ def _lexicon_flags(p: argparse.ArgumentParser) -> None:
                    help="cost matrix CSV (default: uniform costs)")
     p.add_argument("--supplementary-lexicon", dest="supplementary_lexicon_path",
                    type=Path,
-                   help="second lexicon for the supplementary_lexicon OOV policy")
+                   help="second lexicon, consulted for words the first lacks "
+                        "under every --oov-policy (supplementary_lexicon requires it)")
     p.add_argument("--oov-policy",
                    choices=["fail", "skip_utterance", "supplementary_lexicon"])
     p.add_argument("--variant-rule", choices=["first", "all"])
@@ -347,9 +349,16 @@ def cmd_cluster(args, loaded: LoadedConfig, files: Writer) -> int:
 
 
 def _load_annotation_file(path: Path, inventory, tier_name: str):
+    """The file's annotation set. A TextGrid's labels that the label rule
+    skips are named in one note on stderr."""
     if path.suffix.lower() == ".textgrid":
         result = parse_textgrid(read_input(path), tier_name,
                                 inventory=inventory, source=path)
+        if result.skipped:
+            first = result.skipped[0]
+            print(f"note: {path}: skipped {len(result.skipped)} TextGrid label(s); "
+                  f"first at intervals [{first.position + 1}], {first.label!r}: "
+                  f"{first.reason}", file=sys.stderr)
         return result.annotations
     return load_annotation_csv(path, inventory)
 
@@ -360,15 +369,14 @@ def _annotation_matrices(manifest, loaded: LoadedConfig) -> dict[str, ConfusionM
 
     Reads every file, so a bad one fails the command before it writes."""
     inventory = loaded.inventory
-    pooled: dict[str, ConfusionMatrix] = {}
+    pooled = defaultdict(lambda: ConfusionMatrix(inventory))
     for speaker in manifest.speakers:
-        matrix = pooled.get(speaker.l1_group, ConfusionMatrix(inventory))
+        matrix = pooled[speaker.l1_group]
         for utt in speaker.utterances:
             if utt.annotation_path is not None:
                 aset = _load_annotation_file(utt.annotation_path, inventory,
                                              loaded.config.annotation_tier)
-                matrix = merge(matrix, annotations_to_confusion(aset, inventory))
-        pooled[speaker.l1_group] = matrix
+                matrix.counts += annotations_to_confusion(aset, inventory).counts
     return pooled
 
 
@@ -377,11 +385,9 @@ def _comparison_outputs(profiles, annotated: dict[str, ConfusionMatrix],
     """comparison_<l1>.{csv,txt}: each L1 group's pooled ASR matrix against
     its pooled annotator matrix from _annotation_matrices."""
     cfg = loaded.config
-    asr: dict[str, ConfusionMatrix] = {}
+    asr = defaultdict(lambda: ConfusionMatrix(loaded.inventory))
     for speaker, profile in profiles:
-        asr[speaker.l1_group] = merge(
-            asr.get(speaker.l1_group, ConfusionMatrix(loaded.inventory)),
-            profile.matrix)
+        asr[speaker.l1_group].counts += profile.matrix.counts
     for l1 in sorted(asr):
         table = compare(asr[l1], annotated[l1], loaded.targets,
                         top_k=cfg.top_k, min_occurrences=cfg.min_occurrences)

@@ -161,10 +161,11 @@ DEFAULT_VARIANT_RULE = "first"
 class OovPolicy:
     """What to do with words missing from the lexicon.
 
-    ``fail`` raises listing all misses; ``skip_utterance`` flags the
-    utterance so callers exclude it from downstream counts;
-    ``supplementary_lexicon`` consults a second lexicon and fails only
-    when a word is in neither.
+    A second lexicon, ``supplement``, is consulted under every mode when it
+    is given, and a miss is a word in neither lexicon. ``fail`` raises
+    listing all misses; ``skip_utterance`` flags the utterance so callers
+    exclude it from downstream counts; ``supplementary_lexicon`` acts like
+    ``fail`` but requires the second lexicon.
     """
 
     mode: str = DEFAULT_OOV_POLICY

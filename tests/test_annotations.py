@@ -128,8 +128,9 @@ def test_bad_header_rejected():
 
 def test_positions_must_not_decrease():
     text = f"{HEADER}\nu1,3,T,T,correct\nu1,1,D,D,correct"
-    with pytest.raises(ParseError, match="decrease"):
-        parse_annotation_csv(text, INV)
+    with pytest.raises(ParseError, match="decrease") as err:
+        parse_annotation_csv(text, INV, source="a.csv")
+    assert (err.value.line, err.value.source) == (3, "a.csv")
     # non-decreasing across different utterances is unconstrained
     ok = f"{HEADER}\nu1,3,T,T,correct\nu2,0,D,D,correct"
     assert len(parse_annotation_csv(ok, INV).records) == 2
@@ -282,6 +283,12 @@ def test_compare_rejects_index_outside_the_inventory(target):
     # -1 would otherwise read the epsilon (insertion) row
     with pytest.raises(ValidationError, match="outside the inventory"):
         compare(asr_th_fixture(), ha_th_matrix(), targets=[target])
+
+
+@pytest.mark.parametrize("targets", [["TH", "TH"], ["TH", "S", INV.index("TH")]])
+def test_compare_rejects_a_target_given_twice(targets):
+    with pytest.raises(ValidationError, match="target TH is given more than once"):
+        compare(asr_th_fixture(), ha_th_matrix(), targets=targets)
 
 
 def test_compare_rejects_inventory_mismatch():

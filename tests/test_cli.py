@@ -1080,6 +1080,7 @@ def test_repeated_oov_word_counted_per_occurrence_under_every_policy(tmp_path):
     ["--k", "0"], ["--min-occurrences", "0"], ["--min-occurrences", "-3"],
     ["--top-k", "-1"], ["--tie-break", "foo"], ["--tie-break", "insert,delete"],
     ["--targets", "ZZ"], ["--targets", "<eps>"], ["--targets", "TH,<eps>"],
+    ["--targets", "TH,TH"],
 ], ids=" ".join)
 def test_bad_run_parameter_exits_2_before_writing(tmp_path, capsys, flags):
     out = tmp_path / "out"
@@ -1113,6 +1114,35 @@ def test_bad_annotation_file_exits_2_naming_it_before_writing(tmp_path, capsys,
     assert err.startswith(f"error: {corpus / 'annotations' / named}")
     assert "internal error" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_skipped_textgrid_labels_are_noted_on_stderr(tmp_path, capsys, command):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(SAMPLE, corpus)
+    grid = corpus / "annotations" / "spk_k1_u1.TextGrid"
+    # the first "AH" is interval 2
+    grid.write_text(grid.read_text().replace('text = "AH"', 'text = "QX"', 1))
+    trees = {}
+    for name, source in (("sample", SAMPLE), ("skipping", corpus)):
+        out = tmp_path / name
+        if command == "run":
+            assert main(["run", *sample_args(out, ["--k", "3"], source)]) == 0
+        else:
+            aligned = tmp_path / f"{name}-aligned"
+            assert main(["align", *sample_args(aligned, corpus=source)]) == 0
+            capsys.readouterr()
+            assert main(["compare", str(source / "manifest.json"),
+                         "--profiles-dir", str(aligned / "profiles"),
+                         "--out-dir", str(out)]) == 0
+        trees[name] = sorted(p.relative_to(out) for p in out.rglob("*"))
+        err = capsys.readouterr().err
+    # one note for the one file, naming its first skipped interval (a
+    # kernel-fallback note may precede it); the output tree holds the same files
+    assert [line for line in err.splitlines() if line.startswith("note: ") and
+            "TextGrid" in line] == [f"note: {grid}: skipped 1 TextGrid label(s); "
+                                    "first at intervals [2], 'QX': unknown phoneme 'QX'"]
+    assert trees["skipping"] == trees["sample"]
 
 
 def test_tsne_divergence_exits_2(tmp_path, capsys):
