@@ -26,8 +26,9 @@ _SOURCE = _HERE / "_dpkernel.c"
 _INT64 = np.dtype(np.int64)
 _FLOAT64 = np.dtype(np.float64)
 _ONE = np.array([0, 1], dtype=np.int64)   # the offsets of one word, or of one utterance
+_GATHER = 1 << 13   # doubles of sq_dists's column scratch
 # -ffp-contract=off: a fused multiply-add would round differently from _dppy
-_COMPILE = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_COMPILE = ("cc", "-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 def _cache_dirs() -> list[Path]:
@@ -93,12 +94,12 @@ def _cached_build() -> Path:
 def _load():
     try:
         library = ctypes.CDLL(str(_cached_build()))
-        return library.dp_align_batch, library.tsne_descend
+        return library.dp_align_batch, library.sq_dists, library.tsne_descend
     except (OSError, AttributeError) as exc:
         raise ImportError(str(exc)) from exc
 
 
-_dp_align_batch, _tsne_descend = _load()
+_dp_align_batch, _sq_dists, _tsne_descend = _load()
 _POINTER = ctypes.c_void_p  # of every array and of each kernel's out values
 _dp_align_batch.argtypes = [
     _POINTER, ctypes.c_int64, _POINTER, ctypes.c_int64, _POINTER, ctypes.c_int64,
@@ -107,6 +108,11 @@ _dp_align_batch.argtypes = [
     _POINTER, _POINTER, _POINTER, _POINTER,
 ]
 _dp_align_batch.restype = ctypes.c_int64
+_sq_dists.argtypes = [
+    _POINTER, ctypes.c_int64, _POINTER, ctypes.c_int64, ctypes.c_int64,
+    _POINTER, ctypes.c_int64, ctypes.c_int, ctypes.c_int64, _POINTER, _POINTER,
+]
+_sq_dists.restype = None
 _tsne_descend.argtypes = [
     _POINTER, _POINTER, ctypes.c_int64,
     ctypes.c_double, ctypes.c_int64, ctypes.c_double, ctypes.c_int64, _POINTER,
@@ -212,6 +218,28 @@ def dp_align(expected, observed, cost_rows, eps, pref0, pref1, pref2):
     return float(totals[0]), moves.tolist()
 
 
+def sq_dists(a, b, cols):
+    """Same contract as _dppy.sq_dists, on float64 matrices and int64 column
+    indices. With a is b, one triangle is summed and mirrored. The result
+    is the transpose of an len(b) x len(a) C-ordered array."""
+    same = a is b
+    a = _checked(a, _FLOAT64, 2, "a")
+    b = a if same else _checked(b, _FLOAT64, 2, "b")
+    cols = _checked(cols, _INT64, 1, "columns")
+    dim = a.shape[1]
+    if b.shape[1] != dim:
+        raise ValueError("a and b must have as many columns")
+    if len(cols) and not (0 <= cols.min() and cols.max() < dim):
+        raise IndexError("column index outside the matrices")
+    # a's columns are copied in blocks of about _GATHER doubles
+    block = max(1, _GATHER // max(1, len(a)))
+    scratch = np.empty(min(block, len(cols)) * len(a))
+    out = np.empty((len(b), len(a)))
+    _sq_dists(a.ctypes.data, len(a), b.ctypes.data, len(b), dim, cols.ctypes.data,
+              len(cols), same, block, scratch.ctypes.data, out.ctypes.data)
+    return out.T
+
+
 def tsne_descend(P, Y, learning_rate, iterations, early_exaggeration,
                  exaggeration_iters):
     """Same contract as _dppy.tsne_descend, on a float64 n x n P and n x 2 Y."""
@@ -220,12 +248,14 @@ def tsne_descend(P, Y, learning_rate, iterations, early_exaggeration,
     n = Y.shape[0]
     if n < 1 or P.shape != (n, n) or Y.shape != (n, 2):
         raise ValueError("affinities must be n x n for an n x 2 embedding, n >= 1")
+    if not np.array_equal(P.view(np.int64), P.T.view(np.int64)):
+        raise ValueError("affinities must equal their transpose bit for bit")
     # ctypes would silently wrap a count outside int64
     if not all(-2**63 <= count < 2**63 for count in (iterations, exaggeration_iters)):
         raise ValueError("iteration counts must fit in 64 bits")
     # C reads P, writes out and works in work; the names keep all three alive
     out = Y.copy()
-    work = np.empty(2 * n * n + 7 * n)
+    work = np.empty(2 * n * n + 9 * n)
     _tsne_descend(P.ctypes.data, out.ctypes.data, n,
                   learning_rate, iterations, early_exaggeration, exaggeration_iters,
                   work.ctypes.data)

@@ -1,13 +1,16 @@
 /* Compiled kernels, loaded by _dpcore.py: a speaker's weighted edit
-   distances in one call, and t-SNE's gradient descent.
+   distances in one call, strict-order squared distances between the
+   rows of two matrices, and t-SNE's gradient descent.
 
    Must stay behaviorally identical to _dppy.py: same addition order in
    the table fill, same exact-equality backtrace, same tie preferences,
    same element-wise minimum at lattice word boundaries, the same
-   variant choice in the table that is backtraced, and in the descent
-   the same float operations in the same order. The test suite asserts
-   bitwise parity between the two backends. _dpcore compiles this file
-   with -ffp-contract=off, so no multiply and add are fused.
+   variant choice in the table that is backtraced, and in the distances
+   and the descent the same float operations in the same order. The test
+   suite asserts bitwise parity between the two backends. _dpcore
+   compiles this file at -O3, where gcc vectorizes the loops that add one
+   term to many sums at once (never the terms of one sum), and with
+   -ffp-contract=off, so no multiply and add are fused.
 
    grid is a size x size row-major cost matrix and eps its epsilon index;
    every table has width m + 1 for the m observed symbols. Each op is
@@ -269,50 +272,105 @@ int64_t dp_align_batch(const int64_t *phonemes, int64_t phoneme_count,
     return u < utterances ? -3 : op_offsets[utterances];
 }
 
-/* Left-to-right sum of each row of the n x n matrix m, starting from the
-   row's first term. Four rows run side by side, each in its own order, so
-   their additions overlap. */
-static void row_sums(const double *m, int64_t n, double *out)
+/* Squared distances of the rows of the na x dim row-major a to those of
+   the nb x dim b: out, nb x na row-major, gets at out[j * na + i] the sum
+   of (a[i, c] - b[j, c])^2 over c = cols[0], cols[1], ..., strictly left
+   to right from 0. When same is set, b is a: only the entries i <= j are
+   summed, diagonal included, and the others are mirrored from them.
+
+   The columns are taken block at a time, each block of a's columns copied
+   column-major into scratch (block * na doubles), so the inner loop runs
+   along a's rows, adding one term to each of many sums; four columns go
+   through one pass. Each sum still gets its terms one at a time, in cols
+   order, so the result is the same float whatever the vector width. */
+void sq_dists(const double *a, int64_t na, const double *b, int64_t nb, int64_t dim,
+              const int64_t *cols, int64_t ncols, int same, int64_t block,
+              double *scratch, double *out)
 {
-    int64_t i = 0, j;
-    for (; i + 4 <= n; i += 4) {
-        const double *a = m + i * n, *b = a + n, *c = b + n, *d = c + n;
-        double sa = a[0], sb = b[0], sc = c[0], sd = d[0];
-        for (j = 1; j < n; j++) {
-            sa += a[j];
-            sb += b[j];
-            sc += c[j];
-            sd += d[j];
+    int64_t first, i, j, k;
+    for (i = 0; i < na * nb; i++) out[i] = 0.0;
+    for (first = 0; first < ncols; first += block) {
+        const int64_t *col = cols + first;
+        const int64_t width = ncols - first < block ? ncols - first : block;
+        for (i = 0; i < na; i++)
+            for (k = 0; k < width; k++) scratch[k * na + i] = a[i * dim + col[k]];
+        for (j = 0; j < nb; j++) {
+            const double *bj = b + j * dim;
+            const int64_t end = same ? j + 1 : na;
+            double *row = out + j * na;
+            for (k = 0; k + 4 <= width; k += 4) {
+                const double *t0 = scratch + k * na, *t1 = t0 + na, *t2 = t1 + na,
+                             *t3 = t2 + na;
+                const double v0 = bj[col[k]], v1 = bj[col[k + 1]], v2 = bj[col[k + 2]],
+                             v3 = bj[col[k + 3]];
+                for (i = 0; i < end; i++) {
+                    const double d0 = t0[i] - v0, d1 = t1[i] - v1, d2 = t2[i] - v2,
+                                 d3 = t3[i] - v3;
+                    row[i] = row[i] + d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3;
+                }
+            }
+            for (; k < width; k++) {
+                const double *t = scratch + k * na, v = bj[col[k]];
+                for (i = 0; i < end; i++) {
+                    const double d = t[i] - v;
+                    row[i] += d * d;
+                }
+            }
         }
-        out[i] = sa;
-        out[i + 1] = sb;
-        out[i + 2] = sc;
-        out[i + 3] = sd;
     }
-    for (; i < n; i++) {
-        const double *a = m + i * n;
-        double s = a[0];
-        for (j = 1; j < n; j++) s += a[j];
-        out[i] = s;
+    if (same)
+        for (j = 0; j < nb; j++)
+            for (i = 0; i < j; i++) out[i * na + j] = out[j * na + i];
+}
+
+/* Adds the terms of PQ's rows j .. j + 3, in that order, to the gradient
+   entries i0 .. i1 - 1, none of which lies on those rows' diagonal: row
+   j + k's entry i is e[i * across + k * down] and its coefficient
+   4 (0 - entry). */
+static void add_gradient_rows(const double *e, int64_t across, int64_t down,
+                              const double *xs, const double *ys,
+                              int64_t i0, int64_t i1, double *gx, double *gy)
+{
+    const double x0 = xs[0], x1 = xs[1], x2 = xs[2], x3 = xs[3];
+    const double y0 = ys[0], y1 = ys[1], y2 = ys[2], y3 = ys[3];
+    int64_t i;
+    for (i = i0; i < i1; i++) {
+        const double *t = e + i * across;
+        const double c0 = 4.0 * (0.0 - t[0]), c1 = 4.0 * (0.0 - t[down]),
+                     c2 = 4.0 * (0.0 - t[2 * down]), c3 = 4.0 * (0.0 - t[3 * down]);
+        gx[i] = gx[i] + c0 * x0 + c1 * x1 + c2 * x2 + c3 * x3;
+        gy[i] = gy[i] + c0 * y0 + c1 * y1 + c2 * y2 + c3 * y3;
     }
 }
 
+/* Row r's entry at column i of 4 (diag(rowsum(PQ)) - PQ), with PQ in its
+   upper triangle and its row sums in sums. */
+static double gradient_weight(const double *pq, int64_t n, const double *sums,
+                              int64_t r, int64_t i)
+{
+    if (r == i) return 4.0 * sums[i];
+    return 4.0 * (0.0 - (r < i ? pq[r * n + i] : pq[i * n + r]));
+}
+
 /* Exact t-SNE's gradient descent on the n x 2 row-major embedding Y, in
-   place, against the n x n affinities P (zero diagonal). Iteration it
-   uses P * early_exaggeration and momentum 0.5 while it <
-   exaggeration_iters, then P and momentum 0.8. Each iteration:
-     num = 1 / (1 + dx*dx + dy*dy) off the diagonal, 0 on it, once per
-           pair j < i and mirrored;
+   place, against the n x n affinities P (zero diagonal), which must equal
+   their transpose bit for bit. Iteration it uses P * early_exaggeration
+   and momentum 0.5 while it < exaggeration_iters, then P and momentum
+   0.8. Each iteration:
+     num = 1 / (1 + dx*dx + dy*dy) off the diagonal, 0 on it;
      Z = the sum of num's row sums;
-     PQ = (P_eff - num / Z) * num, the two entries of a pair sharing
-          num / Z;
+     PQ = (P_eff - num / Z) * num;
      grad = (4 (diag(rowsum(PQ)) - PQ)) Y;
      delta-bar-delta gains (x 0.8 where the signs of grad and the last
           update agree, + 0.2 elsewhere, at least 0.01), update =
           momentum * update - learning_rate * gains * grad, Y += update;
      Y -= the column sums of Y / n.
-   Every sum runs left to right from its first term. work is scratch of
-   2 n^2 + 7 n doubles, so the function allocates nothing. */
+   Every sum runs left to right from its first term. num and PQ are
+   symmetric, so each is computed once per pair, into its upper triangle,
+   and each row sum is taken down the columns: a pass walks the rows in
+   order and adds each row to one running sum per column, which
+   vectorizes without changing any sum's order. work is scratch of
+   2 n^2 + 9 n doubles, so the function allocates nothing. */
 void tsne_descend(const double *P, double *Y, int64_t n,
                   double learning_rate, int64_t iterations,
                   double early_exaggeration, int64_t exaggeration_iters,
@@ -320,8 +378,13 @@ void tsne_descend(const double *P, double *Y, int64_t n,
 {
     int64_t it, i, j;
     double *num = work, *pq = num + n * n, *sums = pq + n * n;
-    double *grad = sums + n, *update = grad + 2 * n, *gains = update + 2 * n;
+    double *xs = sums + n, *ys = xs + n, *grad = ys + n, *update = grad + 2 * n;
+    double *gains = update + 2 * n, *gx = grad, *gy = grad + n;
 
+    for (i = 0; i < n; i++) {
+        xs[i] = Y[2 * i];
+        ys[i] = Y[2 * i + 1];
+    }
     for (i = 0; i < 2 * n; i++) {
         update[i] = 0.0;
         gains[i] = 1.0;
@@ -330,48 +393,63 @@ void tsne_descend(const double *P, double *Y, int64_t n,
     for (it = 0; it < iterations; it++) {
         const int exaggerating = it < exaggeration_iters;
         const double momentum = exaggerating ? 0.5 : 0.8;
+        const double scale = exaggerating ? early_exaggeration : 1.0;
         double z, sx, sy, mx, my;
 
-        for (i = 0; i < n; i++) {
-            const double xi = Y[2 * i], yi = Y[2 * i + 1];
-            for (j = 0; j < i; j++) {
-                const double dx = xi - Y[2 * j], dy = yi - Y[2 * j + 1];
-                const double w = 1.0 / (dx * dx + dy * dy + 1.0);
-                num[i * n + j] = w;
-                num[j * n + i] = w;
+        /* num and PQ live in their upper triangles. Row j's entries right
+           of the diagonal are computed there and added to their columns'
+           sums at once; its entries left of it are the rows above's
+           entries j. Every sum starts from -0.0, as -0.0 + t is t. */
+        for (i = 0; i < n; i++) sums[i] = -0.0;
+        for (j = 0; j < n; j++) {
+            double *row = num + j * n;
+            const double xj = xs[j], yj = ys[j];
+            row[j] = 0.0;
+            for (i = 0; i <= j; i++) sums[i] += num[i * n + j];
+            for (i = j + 1; i < n; i++) {
+                const double dx = xj - xs[i], dy = yj - ys[i];
+                row[i] = 1.0 / (dx * dx + dy * dy + 1.0);
+                sums[i] += row[i];
             }
-            num[i * n + i] = 0.0;
         }
-        row_sums(num, n, sums);
         z = sums[0];
         for (i = 1; i < n; i++) z += sums[i];
 
-        for (i = 0; i < n; i++) {
-            for (j = 0; j <= i; j++) {
-                const double w = num[i * n + j], q = w / z;
-                double pij = P[i * n + j], pji = P[j * n + i];
-                if (exaggerating) {
-                    pij = pij * early_exaggeration;
-                    pji = pji * early_exaggeration;
-                }
-                pq[i * n + j] = (pij - q) * w;
-                pq[j * n + i] = (pji - q) * w;
+        /* x * 1.0 is x, so scale 1.0 leaves P as it is */
+        for (i = 0; i < n; i++) sums[i] = -0.0;
+        for (j = 0; j < n; j++) {
+            const double *w = num + j * n, *p = P + j * n;
+            double *row = pq + j * n;
+            row[j] = (p[j] * scale - w[j] / z) * w[j];
+            for (i = 0; i <= j; i++) sums[i] += pq[i * n + j];
+            for (i = j + 1; i < n; i++) {
+                row[i] = (p[i] * scale - w[i] / z) * w[i];
+                sums[i] += row[i];
             }
         }
-        row_sums(pq, n, sums);
 
-        for (i = 0; i < n; i++) {
-            /* row i of 4 (diag(rowsum(PQ)) - PQ) times Y */
-            const double *row = pq + i * n;
-            double c = i == 0 ? 4.0 * sums[0] : 4.0 * (0.0 - row[0]);
-            double gx = c * Y[0], gy = c * Y[1];
-            for (j = 1; j < n; j++) {
-                c = j == i ? 4.0 * sums[i] : 4.0 * (0.0 - row[j]);
-                gx += c * Y[2 * j];
-                gy += c * Y[2 * j + 1];
+        /* row i of 4 (diag(rowsum(PQ)) - PQ) times Y, as the sum over j
+           of row j's terms, four rows j at a time */
+        for (i = 0; i < n; i++) gx[i] = gy[i] = -0.0;
+        for (j = 0; j + 4 <= n; j += 4) {
+            /* left of the diagonal: the entries j .. j + 3 of the rows above */
+            add_gradient_rows(pq + j, n, 1, xs + j, ys + j, 0, j, gx, gy);
+            for (i = j; i < j + 4; i++) {
+                int64_t r;
+                for (r = j; r < j + 4; r++) {
+                    const double c = gradient_weight(pq, n, sums, r, i);
+                    gx[i] += c * xs[r];
+                    gy[i] += c * ys[r];
+                }
             }
-            grad[2 * i] = gx;
-            grad[2 * i + 1] = gy;
+            add_gradient_rows(pq + j * n, 1, n, xs + j, ys + j, j + 4, n, gx, gy);
+        }
+        for (; j < n; j++) {
+            for (i = 0; i < n; i++) {
+                const double c = gradient_weight(pq, n, sums, j, i);
+                gx[i] += c * xs[j];
+                gy[i] += c * ys[j];
+            }
         }
 
         for (i = 0; i < 2 * n; i++) {
@@ -379,20 +457,24 @@ void tsne_descend(const double *P, double *Y, int64_t n,
             else gains[i] += 0.2;
             if (gains[i] < 0.01) gains[i] = 0.01;
             update[i] = momentum * update[i] - learning_rate * gains[i] * grad[i];
-            Y[i] += update[i];
+            xs[i] += update[i];   /* xs and ys are one array of 2 n */
         }
 
-        sx = Y[0];
-        sy = Y[1];
+        sx = xs[0];
+        sy = ys[0];
         for (i = 1; i < n; i++) {
-            sx += Y[2 * i];
-            sy += Y[2 * i + 1];
+            sx += xs[i];
+            sy += ys[i];
         }
         mx = sx / (double)n;
         my = sy / (double)n;
         for (i = 0; i < n; i++) {
-            Y[2 * i] -= mx;
-            Y[2 * i + 1] -= my;
+            xs[i] -= mx;
+            ys[i] -= my;
         }
+    }
+    for (i = 0; i < n; i++) {
+        Y[2 * i] = xs[i];
+        Y[2 * i + 1] = ys[i];
     }
 }

@@ -1,13 +1,14 @@
 """Pure-Python kernels (fallback backend): a speaker's weighted edit
-distances in one call and, in numpy, t-SNE's gradient descent.
+distances in one call and, in numpy, squared distances and t-SNE's
+gradient descent.
 
 Mirrors _dpkernel.c operation for operation: both fill the DP table with
 the same additions in the same order, take the same element-wise minimum
 at lattice word boundaries, choose variants by the same comparisons and
 backtrace with the same exact float comparisons, so the two backends
-return bitwise-identical costs, choices and ops. The descent does the
-same float operations as the C loop in the same order, so the embeddings
-match bit for bit too.
+return bitwise-identical costs, choices and ops. The distances and the
+descent do the same float operations as the C loops in the same order,
+so the embeddings match bit for bit too.
 """
 
 import numpy as np
@@ -187,6 +188,33 @@ def dp_align(expected, observed, cost_rows, eps, pref0, pref1, pref2):
                        for c in cells]
 
 
+# Squared differences sq_dists takes at once: the columns of one block hold
+# at most this many (512 KiB), or one column's worth when that is more, so
+# small inputs do not pay a numpy call per column.
+SQ_DISTS_BLOCK = 1 << 16
+
+
+def sq_dists(a, b, cols):
+    """Squared distance of every row of the 2-d float64 a to every row of b,
+    over the columns cols, an int64 array of indices.
+
+    Each distance sums (a[i, c] - b[j, c])**2 strictly left to right from 0
+    over c = cols[0], cols[1], ..., so it is the same float on every CPU.
+    """
+    step = max(1, SQ_DISTS_BLOCK // max(1, len(a) * len(b)))
+    # b x a, transposed on return, so the subtract runs along a's rows
+    total = np.zeros((len(b), len(a)))
+    block = np.empty((min(step, len(cols)), len(b), len(a)))
+    for start in range(0, len(cols), step):
+        c = cols[start:start + step]
+        terms = block[:len(c)]
+        np.subtract(a.T[c][:, None, :], b.T[c][:, :, None], out=terms)
+        terms *= terms
+        for term in terms:
+            total += term
+    return total.T
+
+
 def _sum(a, axis, out=None):
     """Left-to-right sums along axis, each starting from its first term:
     the last partial sum of np.add.accumulate, which adds sequentially
@@ -197,7 +225,8 @@ def _sum(a, axis, out=None):
 def tsne_descend(P, Y, learning_rate, iterations, early_exaggeration,
                  exaggeration_iters):
     """Exact t-SNE's gradient descent from the n x 2 embedding Y against the
-    n x n affinities P (zero diagonal); returns the new embedding.
+    n x n affinities P (zero diagonal, equal to their transpose bit for
+    bit, or ValueError); returns the new embedding.
 
     Iteration it uses P * early_exaggeration and momentum 0.5 while it <
     exaggeration_iters, then P and momentum 0.8. Z, the row sums of PQ,
@@ -206,6 +235,8 @@ def tsne_descend(P, Y, learning_rate, iterations, early_exaggeration,
     CPU. Three n x n work arrays are allocated once and reused in every
     iteration.
     """
+    if not np.array_equal(P.view(np.int64), P.T.view(np.int64)):
+        raise ValueError("affinities must equal their transpose bit for bit")
     n = Y.shape[0]
     Y = np.array(Y, dtype=np.float64)
     update = np.zeros_like(Y)

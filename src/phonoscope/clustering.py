@@ -6,7 +6,9 @@ step depends on iteration order of sets or dicts. Distances are squared
 Euclidean throughout. Every float that reaches the t-SNE descent comes
 from IEEE +, -, *, / and the exact rint, ldexp and frexp in one fixed
 order, never from numpy's per-CPU SIMD variants, so the embedding's bytes
-are the same on every CPU.
+are the same on every CPU. The distances and the descent run in the
+kernel that alignment.backend() names: C loops that vectorize across
+sums, never within one, or their numpy twins.
 """
 
 from __future__ import annotations
@@ -134,33 +136,19 @@ def check_parameters(vectors: int, k: int | None = None,
             raise ValidationError(f"{name} {value} must be finite and above 0")
 
 
-# Squared differences sq_dists takes at once: the columns of one block hold
-# at most this many (512 KiB), or one column's worth when that is more, so
-# small inputs do not pay a numpy call per column.
-SQ_DISTS_BLOCK = 1 << 16
-
-
-def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def sq_dists(a: np.ndarray, b: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
     """Squared distance of every row of a to every row of b.
 
     Each distance sums (a[i, c] - b[j, c])**2 strictly left to right over
     the columns c, so it is the same float on every CPU. Only the columns
-    nonzero in a or b are visited: adding +0.0 leaves a sum unchanged, so
-    the result is bitwise the sum over all columns.
+    nonzero in a or b are visited, or the given cols when they include
+    those: adding +0.0 leaves a sum unchanged, so the result is bitwise the
+    sum over all columns. The kernel that alignment.backend() names does
+    the sums.
     """
-    cols = np.flatnonzero(a.any(axis=0) | b.any(axis=0))
-    step = max(1, SQ_DISTS_BLOCK // max(1, len(a) * len(b)))
-    # b x a, transposed on return, so the subtract runs along a's rows
-    total = np.zeros((len(b), len(a)))
-    block = np.empty((min(step, len(cols)), len(b), len(a)))
-    for start in range(0, len(cols), step):
-        c = cols[start:start + step]
-        terms = block[:len(c)]
-        np.subtract(a.T[c][:, None, :], b.T[c][:, :, None], out=terms)
-        terms *= terms
-        for term in terms:
-            total += term
-    return total.T
+    if cols is None:
+        cols = np.flatnonzero(a.any(axis=0) | b.any(axis=0))
+    return alignment._kernel.sq_dists(a, b, cols)
 
 
 # The draw streams: one per consumer of a seed, so each draws its own values.
@@ -202,19 +190,20 @@ def _d2_picks(closest: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return np.minimum(picks, n - 1)
 
 
-def _init_kmeanspp(data: np.ndarray, centers: np.ndarray, seed: int) -> None:
+def _init_kmeanspp(data: np.ndarray, centers: np.ndarray, seed: int,
+                   cols: np.ndarray) -> None:
     """Greedy k-means++ (Arthur & Vassilvitskii, 2007): the first center is a
     uniform pick; each later one is the best of 2 + floor(ln k) D² picks,
     the one that leaves the smallest summed squared distance to the nearest
-    center, the first of them on a tie."""
+    center, the first of them on a tie. cols are data's nonzero columns."""
     n, k = data.shape[0], centers.shape[0]
     trials = 2 + int(math.log(k))
     draws = _uniforms(seed, KMEANSPP_STREAM, 1 + (k - 1) * trials)
     centers[0] = data[min(int(draws[0] * n), n - 1)]
-    closest = sq_dists(data, centers[:1])[:, 0]
+    closest = sq_dists(data, centers[:1], cols)[:, 0]
     for c in range(1, k):
         picks = _d2_picks(closest, draws[1 + (c - 1) * trials:1 + c * trials])
-        candidates = sq_dists(data, data[picks])
+        candidates = sq_dists(data, data[picks], cols)
         sums = [np.minimum(closest, column).sum() for column in candidates.T]
         best = int(np.argmin(sums))
         centers[c] = data[picks[best]]
@@ -251,14 +240,17 @@ def kmeans(speakers: SpeakerMatrix, k: int, seed: int = DEFAULT_SEED,
     if len(centers) != k:
         raise ValidationError(f"k={k} needs {k} centroid rows, "
                               f"the matrix has {len(centers)}")
+    # every center is a row or a mean of rows, nonzero only where data is,
+    # so one list of data's nonzero columns serves every distance pass
+    cols = np.flatnonzero(data.any(axis=0))
     if init == "kmeanspp":
-        _init_kmeanspp(data, centers, seed)
+        _init_kmeanspp(data, centers, seed, cols)
     elif init == "forgy":
         _init_forgy(data, centers, seed)
     else:
         raise ValidationError(f"unknown init {init!r}")
 
-    dists = sq_dists(data, centers)
+    dists = sq_dists(data, centers, cols)
     labels = dists.argmin(axis=1)
     inertia = float(dists[np.arange(n), labels].sum())
     history = [inertia]
@@ -267,13 +259,17 @@ def kmeans(speakers: SpeakerMatrix, k: int, seed: int = DEFAULT_SEED,
     for iterations in range(1, KMEANS_MAX_ITER + 1):
         for c in range(k):
             members = labels == c
-            if members.any():
-                np.mean(data, axis=0, where=members[:, None], out=centers[c])
+            count = np.count_nonzero(members)
+            if count:
+                # np.mean's masked sum and division, without its count of
+                # the mask broadcast to data's shape
+                np.add.reduce(data, axis=0, where=members[:, None], out=centers[c])
+                centers[c] /= count
             else:
                 farthest = int(np.argmax(dists[np.arange(n), labels]))
                 centers[c] = data[farthest]
                 labels[farthest] = c
-        dists = sq_dists(data, centers)
+        dists = sq_dists(data, centers, cols)
         new_labels = dists.argmin(axis=1)
         new_inertia = float(dists[np.arange(n), new_labels].sum())
         # Lloyd is monotone; allow only float-noise-level slack
@@ -520,7 +516,8 @@ def tsne(speakers: SpeakerMatrix, perplexity: float = DEFAULT_PERPLEXITY,
 
     final_kl = _kl(P, Y)
     if not np.isfinite(Y).all() or not np.isfinite(final_kl):
-        raise ValidationError("t-SNE diverged; lower the learning rate")
+        raise ValidationError("t-SNE diverged; lower the learning rate or the "
+                              "early exaggeration")
 
     points = [EmbeddingPoint(sid, float(x), float(y))
               for sid, (x, y) in zip(speakers.ids, Y)]

@@ -786,8 +786,8 @@ def test_changed_compile_flags_rebuild_the_kernel(tmp_path):
     before = cached()
     core = package / "_dpcore.py"
     source = core.read_text()
-    assert source.count('"-O2"') == 1
-    core.write_text(source.replace('"-O2"', '"-O1"'))
+    assert source.count('"-O3"') == 1
+    core.write_text(source.replace('"-O3"', '"-O2"'))
     after = cached()
     assert len(before) == 1 and len(after) == 1 and before != after, (before, after)
 

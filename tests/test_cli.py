@@ -1146,9 +1146,13 @@ def test_skipped_textgrid_labels_are_noted_on_stderr(tmp_path, capsys, command):
 
 
 def test_tsne_divergence_exits_2(tmp_path, capsys):
-    out = tmp_path / "out"
-    assert main(["run", *sample_args(out, ["--k", "3", "--learning-rate", "1e308"])]) == 2
-    assert "t-SNE diverged" in capsys.readouterr().err
+    """Too large a learning rate or early exaggeration each make t-SNE
+    diverge, and the message names both."""
+    for flag in ("--learning-rate", "--early-exaggeration"):
+        out = tmp_path / flag
+        assert main(["run", *sample_args(out, ["--k", "3", flag, "1e308"])]) == 2
+        assert ("t-SNE diverged; lower the learning rate or the early exaggeration"
+                in capsys.readouterr().err)
 
 
 def test_readme_library_snippet_runs(monkeypatch, capsys):

@@ -16,10 +16,10 @@ from phonoscope import (
     purity,
     tsne,
 )
+from phonoscope._dppy import SQ_DISTS_BLOCK
 from phonoscope.clustering import (
     RAW_COUNTS,
     ROW_FREQUENCY,
-    SQ_DISTS_BLOCK,
     SpeakerMatrix,
     _d2_picks,
     _init_forgy,
@@ -31,6 +31,7 @@ from phonoscope.manifest import RunConfig
 
 from .conftest import (
     fold,
+    kernel_backend,
     kmeans_full,
     make_group_vectors,
     reference_initial_embedding,
@@ -264,9 +265,11 @@ def random_grids(rng, count):
 
 
 def test_blocked_distances_cross_block_boundaries():
-    """70 rows of 1681 floats are summed SQ_DISTS_BLOCK // (70 * 3) = 312
-    columns at a time against 3 centers and SQ_DISTS_BLOCK // 70**2 = 13
-    against themselves, so each sum crosses blocks. The strict full sums
+    """70 rows of 1681 floats are summed, by the numpy kernel,
+    SQ_DISTS_BLOCK // (70 * 3) = 312 columns at a time against 3 centers
+    and SQ_DISTS_BLOCK // 70**2 = 13 against themselves, and by the C
+    kernel 2**13 // 70 = 117 columns at a time, so each sum crosses
+    blocks. The strict full sums
     agree bit for bit; the einsum formulations, which sum in another order,
     agree within the rounding of one addition per column."""
     rng = np.random.default_rng(3)
@@ -313,6 +316,92 @@ def test_sq_dists_is_a_strict_left_to_right_sum(na, nb, data):
     want_self = [[fold([0.0] + [(x - y) * (x - y) for x, y in zip(row_a, row_b)])
                   for row_b in a.tolist()] for row_a in a.tolist()]
     assert same_bits(sq_dists(a, a), want_self)
+
+
+def same_bits_or_nan(a, b) -> bool:
+    """same_bits, with every NaN taken as one value: IEEE leaves a NaN
+    result's payload to the operand order, which the compiler may swap in
+    an addition, and no NaN distance reaches an output (t-SNE raises on a
+    non-finite KL)."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return same_bits(np.where(np.isnan(a), np.nan, a), np.where(np.isnan(b), np.nan, b))
+
+
+def distance_inputs():
+    """(a, b) pairs for sq_dists: 0 to 9 rows of 0 to 12 columns, some all
+    zero, with negative and fractional entries and, in some pairs, a few
+    infinite or NaN ones; b is a, an equal copy of a, or its own matrix;
+    a may be non-contiguous."""
+    element = st.one_of(st.just(0.0), st.integers(-5, 5).map(float),
+                        st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False))
+
+    @st.composite
+    def build(draw):
+        na, dim = draw(st.integers(0, 9)), draw(st.integers(0, 12))
+        a = draw(hnp.arrays(np.float64, (na, dim), elements=element))
+        kind = draw(st.sampled_from(["same", "copy", "other"]))
+        if kind == "other":
+            b = draw(hnp.arrays(np.float64, (draw(st.integers(0, 9)), dim),
+                                elements=element))
+        else:
+            b = a.copy()
+        for matrix in (a, b):
+            specials = draw(st.lists(st.sampled_from([np.inf, -np.inf, np.nan]),
+                                     max_size=2 if matrix.size else 0))
+            flat = matrix.reshape(-1)
+            for value in specials:
+                flat[draw(st.integers(0, matrix.size - 1))] = value
+        if kind == "copy":
+            b = a.copy()
+        zero = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+        a[:, zero] = 0.0
+        b[:, zero] = 0.0
+        # every other row of a stacked twin, or Fortran order
+        layout = draw(st.sampled_from(["c", "strided", "fortran"]))
+        if layout == "strided":
+            a = np.repeat(a, 2, axis=0)[::2]
+        elif layout == "fortran":
+            a = np.asfortranarray(a)
+        return a, (a if kind == "same" else b)
+
+    return build()
+
+
+NORMAL_ROWS = np.random.default_rng(0).normal(0.0, 10.0, size=(9, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(distance_inputs())
+@example((np.zeros((0, 3)), np.zeros((2, 3))))
+@example((NORMAL_ROWS, NORMAL_ROWS))
+@example((NORMAL_ROWS[:, ::2], NORMAL_ROWS[:4, 1::2]))
+@example((np.array([[1.0, np.inf], [np.nan, 2.0]]),) * 2)
+def test_compiled_sq_dists_matches_the_numpy_twin(pair):
+    """The C sum, which takes one triangle and mirrors it when b is a,
+    gives the numpy twin's bits, diagonal included: a row holding inf or
+    NaN is NaN away from itself, and even from itself."""
+    a, b = pair
+    results = []
+    for kernel in ("compiled", "pure"):
+        # as in t-SNE's KL, where a diverged embedding meets inf - inf
+        with kernel_backend(kernel), np.errstate(invalid="ignore", over="ignore"):
+            results.append(sq_dists(a, b))
+    compiled, pure = results
+    assert compiled.shape == (len(a), len(b))
+    assert same_bits_or_nan(compiled, pure)
+
+
+def test_compiled_sq_dists_rejects_bad_arguments():
+    _dpcore = pytest.importorskip("phonoscope._dpcore")
+    a, cols = np.zeros((3, 4)), np.arange(4)
+    for bad in ((a.tolist(), a, cols), (a, a.astype(np.float32), cols),
+                (a, np.zeros((3, 5)), cols), (a, a, cols.astype(np.int32)),
+                (a[0], a, cols)):
+        with pytest.raises(ValueError):
+            _dpcore.sq_dists(*bad)
+    for bad_cols in ([4], [-1]):
+        with pytest.raises(IndexError):
+            _dpcore.sq_dists(a, a, np.array(bad_cols))
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,7 +6,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from phonoscope import ValidationError, tsne
+from phonoscope import ValidationError, _dppy, tsne
 from phonoscope.clustering import (
     conditional_affinities,
     fixed_exp,
@@ -402,7 +402,8 @@ def test_backends_agree(seed, n, dim, fraction, iterations, learning_rate,
                                  result.kl_divergence, result.initial_kl))
     compiled, pure = outcomes
     if learning_rate == 1e308 and iterations > 0:
-        assert compiled == pure == "t-SNE diverged; lower the learning rate"
+        assert compiled == pure == ("t-SNE diverged; lower the learning rate or "
+                                    "the early exaggeration")
     elif isinstance(compiled, str):
         assert compiled == pure
     else:
@@ -419,6 +420,35 @@ def test_compiled_descent_rejects_bad_arguments():
             _dpcore.tsne_descend(bad_P, bad_Y, 200.0, 10, 12.0, 250)
     with pytest.raises(ValueError):
         _dpcore.tsne_descend(P, Y, 200.0, 2**64, 12.0, 250)
+    # both twins read P as symmetric, bit for bit: -0.0 is not 0.0 here
+    for entry in (0.1, -0.0):
+        asymmetric = P.copy()
+        asymmetric[0, 2] = entry
+        for twin in (_dpcore, _dppy):
+            with pytest.raises(ValueError, match="^affinities must equal their "
+                                                 "transpose bit for bit$"):
+                twin.tsne_descend(asymmetric, Y, 200.0, 10, 12.0, 250)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 203])
+def test_compiled_descent_matches_the_numpy_twin(n):
+    """The C descent, which computes each pair once and sums down the
+    columns, gives the numpy twin's bits through both phases. The sizes
+    cover the vector loops' tails and every remainder of the gradient's
+    four-row blocks; n = 1 has Z = 0, so both give NaN."""
+    _dpcore = pytest.importorskip("phonoscope._dpcore")
+    rng = np.random.default_rng(n)
+    P = rng.random((n, n))
+    P += P.T
+    np.fill_diagonal(P, 0.0)
+    if n > 1:
+        P /= P.sum()
+    Y = rng.normal(0.0, 1e-4, size=(n, 2))
+    with np.errstate(invalid="ignore"):
+        compiled = _dpcore.tsne_descend(P, Y, 200.0, 60, 12.0, 30)
+        pure = _dppy.tsne_descend(P, Y, 200.0, 60, 12.0, 30)
+    assert same_bits(compiled, pure)
+    assert np.isfinite(compiled).all() == (n > 1)
 
 
 QUALITY_DATA = np.random.default_rng(7).poisson(0.5, size=(43, 1681)).astype(float)
