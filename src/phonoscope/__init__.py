@@ -8,7 +8,6 @@ clusters speakers by their error patterns.
 
 from .alignment import (
     Alignment,
-    EditOp,
     SpeakerAlignment,
     align,
     align_min_variant,
@@ -77,7 +76,6 @@ __all__ = [
     "ConfusionMatrix",
     "CorpusManifest",
     "CostMatrix",
-    "EditOp",
     "EmbeddingPoint",
     "Lexicon",
     "OovError",

@@ -213,8 +213,8 @@ def dp_align(expected, observed, cost_rows, eps, pref0, pref1, pref2):
         expected, np.array([0, len(expected)], dtype=np.int64), _ONE, _ONE,
         observed, np.array([0, len(observed)], dtype=np.int64),
         cost_rows, eps, pref0, pref1, pref2)
-    expected_ops, observed_ops = np.divmod(cells, len(cost_rows))
-    moves = np.where(expected_ops == eps, 2, np.where(observed_ops == eps, 1, 0))
+    n = len(cost_rows)
+    moves = np.where(cells // n == eps, 2, np.where(cells % n == eps, 1, 0))
     return float(totals[0]), moves.tolist()
 
 

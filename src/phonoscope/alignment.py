@@ -13,10 +13,12 @@ sums, which keeps alignments reproducible across runs and backends.
 align_speaker aligns a speaker's utterances in one kernel call; align
 and align_min_variant are batches of one. An expected side is a
 pronunciation lattice (a plain prompt is one word of one variant), and
-the kernel chooses each word's variant itself. The kernel is compiled C
-(_dpcore) when it builds and loads, otherwise a pure-Python twin
-(_dppy), and fallback_reason() says why. Set PHONOSCOPE_PURE=1 to force
-the fallback. Both produce identical output.
+the kernel chooses each word's variant itself. A SpeakerAlignment holds
+each op as its cell in the cost grid, and an Alignment one utterance's
+slice of them. The kernel is compiled C (_dpcore) when it builds and
+loads, otherwise a pure-Python twin (_dppy), and fallback_reason() says
+why. Set PHONOSCOPE_PURE=1 to force the fallback. Both produce identical
+output.
 clustering.tsne runs its gradient descent in the same kernel.
 """
 
@@ -71,79 +73,67 @@ def fallback_reason() -> str | None:
     return _FALLBACK_REASON
 
 
-@dataclass(frozen=True)
-class EditOp:
-    """One alignment step. Epsilon is encoded as the inventory's eps index."""
-
-    kind: str
-    expected: int
-    observed: int
-    cost: float
-
-
-@dataclass(frozen=True, eq=False)
-class Alignment:
-    """An alignment as its ops' cells under one cost grid, in forward order.
-
-    ``expected`` and ``observed`` are equal-length 1-d integer arrays of
-    inventory indices, epsilon on the side an insertion or a deletion
-    leaves empty. Each op's kind and cost are its cell's in
-    ``cost_matrix``, so an alignment cannot disagree with its grid.
-    """
-
-    expected: np.ndarray
-    observed: np.ndarray
-    cost_matrix: CostMatrix
-    total_cost: float
-
-    def __post_init__(self):
-        e, o, inv = self.expected, self.observed, self.cost_matrix.inventory
-        if not (isinstance(e, np.ndarray) and isinstance(o, np.ndarray)
-                and e.ndim == o.ndim == 1 and len(e) == len(o)
-                and e.dtype.kind in "iu" and o.dtype.kind in "iu"):
-            raise ValidationError("alignment sides must be equal-length 1-d integer arrays")
-        n = len(inv)
-        try:
-            cells = np.ravel_multi_index((e, o), (n, n))
-        except ValueError:
-            raise ValidationError("alignment cell outside the cost grid") from None
-        if np.count_nonzero(cells == inv.epsilon_index * (n + 1)):
-            raise ValidationError("(eps, eps) is no op")
+class _Ops:
+    """Views of ``cells``, each op its row-major cell in ``cost_matrix``:
+    ``expected * n + observed`` for n inventory symbols, epsilon on the
+    side an insertion or a deletion leaves empty. An op's kind and cost
+    are its cell's, so the ops cannot disagree with their grid."""
 
     @property
-    def cells(self) -> np.ndarray:
-        """Each op's row-major cell in the cost grid."""
-        n = len(self.cost_matrix.inventory)
-        return np.ravel_multi_index((self.expected, self.observed), (n, n))
+    def expected(self) -> np.ndarray:
+        """Each op's expected symbol."""
+        return self.cells // len(self.cost_matrix.inventory)
+
+    @property
+    def observed(self) -> np.ndarray:
+        """Each op's observed symbol."""
+        return self.cells % len(self.cost_matrix.inventory)
 
     @property
     def kinds(self) -> np.ndarray:
         """Each op's kind as an index into KINDS."""
-        return cell_kinds(self.cost_matrix.inventory)[self.expected, self.observed]
+        return cell_kinds(self.cost_matrix.inventory).ravel()[self.cells]
 
     @property
     def costs(self) -> np.ndarray:
         """Each op's cost."""
-        return self.cost_matrix.costs[self.expected, self.observed]
+        return self.cost_matrix.costs.ravel()[self.cells]
 
-    @property
-    def ops(self) -> tuple[EditOp, ...]:
-        """The ops as EditOp records, built on each access."""
-        return tuple(map(EditOp, [KINDS[k] for k in self.kinds.tolist()],
-                         self.expected.tolist(), self.observed.tolist(),
-                         self.costs.tolist()))
+    def counts(self) -> np.ndarray:
+        """How often each (expected, observed) cell occurs among the ops."""
+        n = len(self.cost_matrix.inventory)
+        # older numpy's bincount refuses uint64, which a hand-built alignment may hold
+        return np.bincount(self.cells.astype(np.int64, copy=False),
+                           minlength=n * n).reshape(n, n)
+
+
+@dataclass(frozen=True, eq=False)
+class Alignment(_Ops):
+    """One utterance's ops in forward order, their ``total_cost`` and
+    ``chosen``, each word's variant: a plain prompt is one word of variant
+    0, and an alignment built by hand may leave it empty. Two alignments
+    are equal when they hold the same ops at the same costs and totals."""
+
+    cells: np.ndarray
+    cost_matrix: CostMatrix
+    total_cost: float
+    chosen: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        cells, inv = self.cells, self.cost_matrix.inventory
+        if not (isinstance(cells, np.ndarray) and cells.ndim == 1
+                and cells.dtype.kind in "iu"):
+            raise ValidationError("alignment cells must be a 1-d integer array")
+        n = len(inv)
+        if np.count_nonzero((cells < 0) | (cells >= n * n)):
+            raise ValidationError("alignment cell outside the cost grid")
+        if np.count_nonzero(cells == inv.epsilon_index * (n + 1)):
+            raise ValidationError("(eps, eps) is no op")
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Alignment) and self.ops == other.ops
-                and self.total_cost == other.total_cost)
-
-
-@dataclass(frozen=True)
-class VariantAlignment:
-    """Result of align_min_variant: best alignment + variant index per word."""
-
-    alignment: Alignment
-    chosen: tuple[int, ...]
+        return (isinstance(other, Alignment) and self.total_cost == other.total_cost
+                and all(np.array_equal(getattr(self, view), getattr(other, view))
+                        for view in ("expected", "observed", "kinds", "costs")))
 
 
 def tie_codes(tie_break) -> tuple[int, int, int]:
@@ -204,13 +194,11 @@ def _extend(flat: list, seq, side: str) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class SpeakerAlignment:
+class SpeakerAlignment(_Ops):
     """A speaker's alignments from one kernel call, as flat arrays.
 
-    Utterance u's ops are ``cells`` from ``op_offsets[u]`` up to
-    ``op_offsets[u + 1]``, each op its row-major cell in the cost grid,
-    ``expected * n + observed`` for n inventory symbols (epsilon on the
-    side an insertion or a deletion leaves empty), and its total is
+    ``cells`` holds every utterance's ops, utterance u's from
+    ``op_offsets[u]`` up to ``op_offsets[u + 1]``, and its total is
     ``totals[u]``. ``choices`` holds each word's chosen variant, utterance
     u's words from ``word_offsets[u]`` up to ``word_offsets[u + 1]``.
     """
@@ -222,30 +210,13 @@ class SpeakerAlignment:
     choices: np.ndarray
     word_offsets: np.ndarray
 
-    @property
-    def expected(self) -> np.ndarray:
-        """Each op's expected symbol."""
-        return self.cells // len(self.cost_matrix.inventory)
-
-    @property
-    def observed(self) -> np.ndarray:
-        """Each op's observed symbol."""
-        return self.cells % len(self.cost_matrix.inventory)
-
-    def counts(self) -> np.ndarray:
-        """How often each (expected, observed) cell occurs among the ops."""
-        n = len(self.cost_matrix.inventory)
-        return np.bincount(self.cells, minlength=n * n).reshape(n, n)
-
     def alignment(self, u: int) -> Alignment:
-        """Utterance u's alignment."""
-        a, b = self.op_offsets[u], self.op_offsets[u + 1]
-        return Alignment(*np.divmod(self.cells[a:b], len(self.cost_matrix.inventory)),
-                         self.cost_matrix, float(self.totals[u]))
-
-    def chosen(self, u: int) -> tuple[int, ...]:
-        """Utterance u's chosen variant index per word."""
-        return tuple(self.choices[self.word_offsets[u]:self.word_offsets[u + 1]].tolist())
+        """Utterance u's alignment, with its chosen variant per word."""
+        if not 0 <= u < len(self.totals):
+            raise IndexError(f"utterance {u} outside 0 .. {len(self.totals) - 1}")
+        (a, b), (w, x) = self.op_offsets[u:u + 2], self.word_offsets[u:u + 2]
+        return Alignment(self.cells[a:b], self.cost_matrix, float(self.totals[u]),
+                         tuple(self.choices[w:x].tolist()))
 
 
 def align_speaker(pairs, costs: CostMatrix,
@@ -302,11 +273,10 @@ def align(expected, observed, costs: CostMatrix,
 
 def align_min_variant(
     expected_lattice, observed, costs: CostMatrix, tie_break=DEFAULT_TIE_BREAK,
-) -> VariantAlignment:
+) -> Alignment:
     """Minimize alignment cost over the cross-product of per-word variants:
-    align_speaker of one utterance, with its chosen variant per word."""
-    batch = align_speaker([(expected_lattice, observed)], costs, tie_break)
-    return VariantAlignment(batch.alignment(0), batch.chosen(0))
+    align_speaker of one utterance, whose ``chosen`` is its variant per word."""
+    return align_speaker([(expected_lattice, observed)], costs, tie_break).alignment(0)
 
 
 def dump_alignment(alignment: Alignment) -> str:

@@ -74,7 +74,10 @@ class SpeakerMatrix:
     def from_profiles(cls, profiles, normalization: str = RAW_COUNTS,
                       centroids: int = 0) -> SpeakerMatrix:
         """Vectorize each SpeakerProfile straight into its row; the
-        centroids centroid rows start at zero."""
+        centroids centroid rows start at zero. Raises ValidationError
+        unless every profile is over one inventory."""
+        if any(p.matrix.inventory != profiles[0].matrix.inventory for p in profiles):
+            raise ValidationError("cannot stack profiles over different inventories")
         dim = profiles[0].matrix.counts.size if profiles else 0
         data = np.zeros((len(profiles) + centroids, dim))
         for row, profile in zip(data, profiles):

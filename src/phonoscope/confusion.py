@@ -105,11 +105,16 @@ def _is_count(value) -> bool:
 
 
 def accumulate(profile: SpeakerProfile, alignment: Alignment) -> SpeakerProfile:
-    """Add one utterance's edit ops into the profile (mutates and returns it).
+    """Add one utterance's op counts, ``alignment.counts()``, into the
+    profile (mutates and returns it); run takes each speaker's counts the
+    same way from its SpeakerAlignment. Raises ValidationError when the
+    alignment's cost grid is over another inventory than the profile.
 
     A profile must not be updated from two workers simultaneously.
     """
-    np.add.at(profile.matrix.counts, (alignment.expected, alignment.observed), 1)
+    if alignment.cost_matrix.inventory != profile.matrix.inventory:
+        raise ValidationError("cannot accumulate an alignment over a different inventory")
+    profile.matrix.counts += alignment.counts()
     profile.utterance_count += 1
     return profile
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import itertools
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import settings
 
 from phonoscope import CostMatrix, PhonemeInventory, ValidationError, align, alignment
-from phonoscope.alignment import DEFAULT_TIE_BREAK, VariantAlignment, _check_sequence
+from phonoscope.alignment import DEFAULT_TIE_BREAK, Alignment, _check_sequence
 from phonoscope.clustering import (
     _EXP_MAX,
     _EXP_MIN,
@@ -29,6 +30,7 @@ from phonoscope.clustering import (
     SpeakerMatrix,
     conditional_affinities,
 )
+from phonoscope.costs import KINDS
 
 ORACLE_MAX_COMBINATIONS = 4096
 BRUTEFORCE_MAX = 12
@@ -171,11 +173,11 @@ def align_bruteforce(expected, observed, costs: CostMatrix) -> float:
 
 
 def align_min_variant_bruteforce(expected_lattice, observed, costs,
-                                 tie_break=DEFAULT_TIE_BREAK) -> VariantAlignment:
+                                 tie_break=DEFAULT_TIE_BREAK) -> Alignment:
     """Full align() of every variant combination (oracle for align_min_variant).
 
     The first strict minimum in itertools.product order wins, so ties keep
-    the lowest variant indices.
+    the lowest variant indices; the winner's chosen is its combination.
     """
     lattice = [[tuple(getattr(v, "phonemes", v)) for v in word]
                for word in expected_lattice]
@@ -185,9 +187,22 @@ def align_min_variant_bruteforce(expected_lattice, observed, costs,
     for choice in itertools.product(*[range(len(word)) for word in lattice]):
         expected = [p for word, v in zip(lattice, choice) for p in word[v]]
         candidate = align(expected, observed, costs, tie_break)
-        if best is None or candidate.total_cost < best.alignment.total_cost:
-            best = VariantAlignment(candidate, choice)
+        if best is None or candidate.total_cost < best.total_cost:
+            best = dataclasses.replace(candidate, chosen=choice)
     return best
+
+
+def op_records(alignment) -> list[tuple[str, int, int, float]]:
+    """Each op of an alignment as (kind, expected, observed, cost)."""
+    return list(zip([KINDS[k] for k in alignment.kinds.tolist()],
+                    alignment.expected.tolist(), alignment.observed.tolist(),
+                    alignment.costs.tolist()))
+
+
+def script(alignment) -> list[tuple[str, str, str]]:
+    """Each op of an alignment as (kind, expected label, observed label)."""
+    label = alignment.cost_matrix.inventory.label
+    return [(kind, label(e), label(o)) for kind, e, o, _ in op_records(alignment)]
 
 
 def make_group_vectors(seed=0, groups=6, per_group=4, dim=1600):

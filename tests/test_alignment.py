@@ -16,9 +16,12 @@ from hypothesis import strategies as st
 
 import phonoscope
 from phonoscope import (
+    ConfusionMatrix,
     CostMatrix,
     PhonemeInventory,
+    SpeakerProfile,
     ValidationError,
+    accumulate,
     align,
     align_min_variant,
     align_speaker,
@@ -34,7 +37,9 @@ from .conftest import (
     align_min_variant_bruteforce,
     idx,
     kernel_backend,
+    op_records,
     random_cost_matrix,
+    script,
 )
 
 INV = PhonemeInventory.default()
@@ -78,14 +83,12 @@ def enumerate_scripts(e, o, costs):
 
 
 def kinds(alignment):
-    return [op.kind for op in alignment.ops]
+    return [kind for kind, *_ in op_records(alignment)]
 
 
 def test_table2_disambiguation_weighted(weighted):
     a = align(idx(INV, "HH IH Z"), idx(INV, "IY Z"), weighted)
-    assert [
-        (op.kind, INV.label(op.expected), INV.label(op.observed)) for op in a.ops
-    ] == [
+    assert script(a) == [
         (DELETE, "HH", "<eps>"),
         (SUBSTITUTE, "IH", "IY"),
         (MATCH, "Z", "Z"),
@@ -116,7 +119,7 @@ def test_single_substitution():
 
 def test_empty_sequences():
     a = align([], [], UNIFORM)
-    assert a.ops == ()
+    assert op_records(a) == []
     assert a.total_cost == 0.0
 
 
@@ -181,8 +184,8 @@ def test_alignment_reconstructs_inputs(e, o, seed):
     assert a.expected[a.expected != eps].tolist() == list(e)
     assert a.observed[a.observed != eps].tolist() == list(o)
     total = 0.0
-    for op in a.ops:
-        total = total + op.cost
+    for cost in a.costs.tolist():
+        total = total + cost
     assert total == a.total_cost
 
 
@@ -232,7 +235,7 @@ def test_min_variant_picks_exact_match(weighted):
     lattice = [[idx(INV, "R IY D"), idx(INV, "R EH D")]]
     result = align_min_variant(lattice, idx(INV, "R EH D"), weighted)
     assert result.chosen == (1,)
-    assert result.alignment.total_cost == 0.0
+    assert result.total_cost == 0.0
 
 
 def test_min_variant_single_variants_match_align(weighted):
@@ -241,7 +244,7 @@ def test_min_variant_single_variants_match_align(weighted):
     direct = align(idx(INV, "HH IH Z IY Z"), observed, weighted)
     result = align_min_variant(lattice, observed, weighted)
     assert result.chosen == (0, 0)
-    assert result.alignment == direct
+    assert result == direct
 
 
 def test_min_variant_two_by_two():
@@ -252,7 +255,7 @@ def test_min_variant_two_by_two():
     observed = idx(INV, "T AH R EH D")
     result = align_min_variant(lattice, observed, UNIFORM)
     assert result.chosen == (1, 1)
-    assert result.alignment.total_cost == 0.0
+    assert result.total_cost == 0.0
 
 
 def test_min_variant_requires_nonempty_variant_lists():
@@ -295,8 +298,8 @@ def test_min_variant_matches_enumeration_oracle(kernel, lattice, observed,
         result = align_min_variant(lattice, observed, costs, tie_break)
         oracle = align_min_variant_bruteforce(lattice, observed, costs, tie_break)
     assert result.chosen == oracle.chosen
-    assert result.alignment.total_cost.hex() == oracle.alignment.total_cost.hex()
-    assert result.alignment.ops == oracle.alignment.ops
+    assert result.total_cost.hex() == oracle.total_cost.hex()
+    assert op_records(result) == op_records(oracle)
 
 
 variant_seqs = st.lists(st.sampled_from([INV.index(s) for s in ("T", "D", "AH", "IY")]),
@@ -319,17 +322,30 @@ def test_align_speaker_matches_the_bruteforce_oracles(kernel, speaker, tie_break
         oracles = [align_min_variant_bruteforce(lattice, observed, costs, tie_break)
                    for lattice, observed in speaker]
     assert len(batch.totals) == len(speaker)
+    pooled = SpeakerProfile("spk", ConfusionMatrix(INV))
     for u, ((lattice, observed), oracle) in enumerate(zip(speaker, oracles)):
         expected = [p for word, v in zip(lattice, oracle.chosen) for p in word[v]]
         total = batch.totals[u]
-        assert batch.chosen(u) == oracle.chosen
-        assert total.hex() == align_bruteforce(expected, observed, costs).hex()
         a = batch.alignment(u)
-        assert a.ops == oracle.alignment.ops
+        assert a.chosen == oracle.chosen
+        assert total.hex() == align_bruteforce(expected, observed, costs).hex()
+        assert op_records(a) == op_records(oracle)
         # the ops spell out both sides, and their costs fold to the total
         assert [x for x in a.expected.tolist() if x != eps] == expected
         assert [y for y in a.observed.tolist() if y != eps] == observed
         assert functools.reduce(operator.add, a.costs.tolist(), 0.0).hex() == total.hex()
+        accumulate(pooled, oracle)
+    # run writes each speaker's counts() as its profile
+    assert np.array_equal(batch.counts(), pooled.matrix.counts)
+
+
+def test_speaker_alignment_refuses_an_utterance_outside_the_batch():
+    t, d = idx(INV, "T D")
+    batch = align_speaker([([[[t]]], [d]), ([[[d]]], [d])], UNIFORM)
+    assert batch.alignment(1) == align([d], [d], UNIFORM)
+    for u in (-1, 2):
+        with pytest.raises(IndexError, match=f"utterance {u} outside 0 .. 1"):
+            batch.alignment(u)
 
 
 def test_dump_format(weighted):
@@ -341,8 +357,8 @@ def test_dump_format(weighted):
 
 def plain_dump(a, inv):
     """dump_alignment's format rendered op by op (oracle for its line table)."""
-    return "".join(f"{inv.label(op.expected)}\t{inv.label(op.observed)}\t{op.kind}\t{op.cost!r}\n"
-                   for op in a.ops)
+    return "".join(f"{inv.label(e)}\t{inv.label(o)}\t{kind}\t{cost!r}\n"
+                   for kind, e, o, cost in op_records(a))
 
 
 def test_dump_lines_follow_each_cost_grid():
@@ -421,23 +437,32 @@ def test_cost_grid_is_a_frozen_copy(kernel):
 
 
 def test_alignment_construction_checks_its_cells():
-    t, eps = INV.index("T"), INV.index("<eps>")
+    t, eps, n = INV.index("T"), INV.index("<eps>"), len(INV)
 
-    def alignment_of(expected, observed):
-        return alignment.Alignment(np.array(expected, dtype=np.int64),
-                                   np.array(observed, dtype=np.int64), UNIFORM, 1.0)
+    def alignment_of(cells, dtype=np.int64):
+        return alignment.Alignment(np.array(cells, dtype=dtype), UNIFORM, 1.0)
 
-    assert alignment_of([t, eps], [eps, t]).kinds.tolist() == [2, 3]
-    for expected, observed, message in (
-            ([t, eps], [t, eps], "no op"),
-            ([t], [-1], "outside"),
-            ([len(INV)], [t], "outside"),
-            ([t, t], [t], "equal-length"),
-            ([[t]], [[t]], "1-d")):
+    both = alignment_of([t * n + eps, eps * n + t])
+    assert both.kinds.tolist() == [2, 3]
+    # equal: the same ops at the same costs, and the same total
+    assert both == alignment_of([t * n + eps, eps * n + t], np.int16)
+    assert both != alignment_of([t * n + eps])
+    assert both != alignment.Alignment(both.cells, CostMatrix(INV, UNIFORM.costs / 2), 1.0)
+    assert both != alignment.Alignment(both.cells, UNIFORM, 2.0)
+    # any integer dtype, uint64 too, which older numpy's bincount refuses
+    assert alignment_of([t * n + eps], np.uint64).counts()[t, eps] == 1
+    for cells, message in (
+            ([t * n + t, eps * n + eps], "no op"),
+            ([n * n + t], "outside"),   # expected index len(INV)
+            ([n * n], "outside"),
+            ([-1], "outside"),
+            ([[t]], "1-d")):
         with pytest.raises(ValidationError, match=message):
-            alignment_of(expected, observed)
+            alignment_of(cells)
     with pytest.raises(ValidationError, match="integer"):
-        alignment.Alignment(np.array([1.0]), np.array([1.0]), UNIFORM, 1.0)
+        alignment_of([1.0], np.float64)
+    with pytest.raises(ValidationError, match="1-d integer array"):
+        alignment.Alignment([t], UNIFORM, 1.0)
 
 
 T = INV.index("T")
@@ -491,7 +516,7 @@ def test_align_accepts_any_integer_dtype_and_empty_sequences(kernel):
                   (T, d), np.array([T, d], dtype=np.uint64)):
             assert align(e, np.array([d], dtype=np.int16), UNIFORM) == expected
         for empty in ([], (), np.array([]), np.zeros(0, dtype=np.uint8)):
-            assert align(empty, [], UNIFORM).ops == ()
+            assert op_records(align(empty, [], UNIFORM)) == []
 
 
 def _batch_args(speaker):

@@ -397,7 +397,7 @@ def test_twelve_two_variant_words_run_without_a_cap(tmp_path):
     assert 0 in oracle.chosen and 1 in oracle.chosen
     for sid in ("s1", "s2"):
         assert ((out / "alignments" / sid / "u1.tsv").read_text()
-                == dump_alignment(oracle.alignment))
+                == dump_alignment(oracle))
 
 
 def test_nan_cost_exits_2_naming_the_cell(tmp_path, capsys):

@@ -93,6 +93,14 @@ def test_vectorize_profile_carries_id():
     assert SpeakerMatrix.from_profiles([p]).speaker_ids == ["spk_7"]
 
 
+def test_from_profiles_refuses_profiles_over_different_inventories():
+    for other in (PhonemeInventory(INV.symbols[::-1]), PhonemeInventory(("T", "D", "<eps>"))):
+        profiles = [SpeakerProfile("a", ConfusionMatrix(INV)),
+                    SpeakerProfile("b", ConfusionMatrix(other))]
+        with pytest.raises(ValidationError, match="different inventories"):
+            SpeakerMatrix.from_profiles(profiles)
+
+
 def test_vectorize_injective_on_random_matrices():
     rng = np.random.default_rng(13)
     seen = set()

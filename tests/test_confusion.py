@@ -25,8 +25,10 @@ from phonoscope import (
     recognition_rate,
     tokenize,
 )
-from phonoscope.alignment import Alignment, EditOp
+from phonoscope.alignment import Alignment
 from phonoscope.confusion import Substitute
+
+from .conftest import op_records
 
 INV = PhonemeInventory.default()
 EPS = INV.epsilon_index
@@ -37,24 +39,23 @@ def fresh_profile(speaker="spk"):
 
 
 def ops_alignment(ops):
-    """An Alignment of the ops' cells under uniform costs, which give each op
-    its kind and cost."""
+    """An Alignment of the cells of (kind, expected, observed, cost) ops under
+    uniform costs, which give each op its kind and cost."""
     total = 0.0
-    for op in ops:
-        total = total + op.cost
-    alignment = Alignment(np.array([op.expected for op in ops], dtype=np.int64),
-                          np.array([op.observed for op in ops], dtype=np.int64),
+    for *_, cost in ops:
+        total = total + cost
+    alignment = Alignment(np.array([e * len(INV) + o for _, e, o, _ in ops], dtype=np.int64),
                           CostMatrix.uniform(INV), total)
-    assert alignment.ops == tuple(ops)
+    assert op_records(alignment) == list(ops)
     return alignment
 
 
 def table2_alignment():
     hh, ih, iy, z = (INV.index(s) for s in ("HH", "IH", "IY", "Z"))
     return ops_alignment([
-        EditOp("delete", hh, EPS, 1.0),
-        EditOp("substitute", ih, iy, 1.0),
-        EditOp("match", z, z, 0.0),
+        ("delete", hh, EPS, 1.0),
+        ("substitute", ih, iy, 1.0),
+        ("match", z, z, 0.0),
     ])
 
 
@@ -88,9 +89,20 @@ def test_accumulate_empty_alignment():
 def test_accumulate_insertion():
     ah = INV.index("AH")
     profile = accumulate(fresh_profile(), ops_alignment([
-        EditOp("insert", EPS, ah, 1.0)
+        ("insert", EPS, ah, 1.0)
     ]))
     assert profile.matrix.counts[EPS, ah] == 1
+
+
+def test_accumulate_refuses_an_alignment_over_another_inventory():
+    t_to_d = align([INV.index("T")], [INV.index("D")], CostMatrix.uniform(INV))
+    # the reversed inventory reads T -> D's cell as DH -> TH; the short one
+    # has no such cell
+    for other in (PhonemeInventory(INV.symbols[::-1]), PhonemeInventory(("T", "D", "<eps>"))):
+        profile = SpeakerProfile("spk", ConfusionMatrix(other))
+        with pytest.raises(ValidationError, match="different inventory"):
+            accumulate(profile, t_to_d)
+        assert profile.matrix.mass() == 0 and profile.utterance_count == 0
 
 
 def test_recognition_rate_fixture():
@@ -249,7 +261,7 @@ def test_merge_equals_pooled_accumulation():
 
 def test_accumulate_order_independent():
     rng = random.Random(4)
-    ops = table2_alignment().ops
+    ops = op_records(table2_alignment())
     alignments = [ops_alignment([op]) for op in ops] * 3
     p1 = fresh_profile()
     for a in alignments:
