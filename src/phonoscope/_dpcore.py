@@ -110,7 +110,7 @@ _dp_align_batch.argtypes = [
 _dp_align_batch.restype = ctypes.c_int64
 _sq_dists.argtypes = [
     _POINTER, ctypes.c_int64, _POINTER, ctypes.c_int64, ctypes.c_int64,
-    _POINTER, ctypes.c_int64, ctypes.c_int, ctypes.c_int64, _POINTER, _POINTER,
+    ctypes.c_int, ctypes.c_int64, _POINTER, _POINTER,
 ]
 _sq_dists.restype = None
 _tsne_descend.argtypes = [
@@ -218,25 +218,22 @@ def dp_align(expected, observed, cost_rows, eps, pref0, pref1, pref2):
     return float(totals[0]), moves.tolist()
 
 
-def sq_dists(a, b, cols):
-    """Same contract as _dppy.sq_dists, on float64 matrices and int64 column
-    indices. With a is b, one triangle is summed and mirrored. The result
-    is the transpose of an len(b) x len(a) C-ordered array."""
+def sq_dists(a, b):
+    """Same contract as _dppy.sq_dists, on float64 matrices. With a is b,
+    one triangle is summed and mirrored. The result is the transpose of an
+    len(b) x len(a) C-ordered array."""
     same = a is b
     a = _checked(a, _FLOAT64, 2, "a")
     b = a if same else _checked(b, _FLOAT64, 2, "b")
-    cols = _checked(cols, _INT64, 1, "columns")
     dim = a.shape[1]
     if b.shape[1] != dim:
         raise ValueError("a and b must have as many columns")
-    if len(cols) and not (0 <= cols.min() and cols.max() < dim):
-        raise IndexError("column index outside the matrices")
     # a's columns are copied in blocks of about _GATHER doubles
     block = max(1, _GATHER // max(1, len(a)))
-    scratch = np.empty(min(block, len(cols)) * len(a))
+    scratch = np.empty(min(block, dim) * len(a))
     out = np.empty((len(b), len(a)))
-    _sq_dists(a.ctypes.data, len(a), b.ctypes.data, len(b), dim, cols.ctypes.data,
-              len(cols), same, block, scratch.ctypes.data, out.ctypes.data)
+    _sq_dists(a.ctypes.data, len(a), b.ctypes.data, len(b), dim, same, block,
+              scratch.ctypes.data, out.ctypes.data)
     return out.T
 
 

@@ -274,35 +274,32 @@ int64_t dp_align_batch(const int64_t *phonemes, int64_t phoneme_count,
 
 /* Squared distances of the rows of the na x dim row-major a to those of
    the nb x dim b: out, nb x na row-major, gets at out[j * na + i] the sum
-   of (a[i, c] - b[j, c])^2 over c = cols[0], cols[1], ..., strictly left
-   to right from 0. When same is set, b is a: only the entries i <= j are
+   of (a[i, c] - b[j, c])^2 over c = 0, 1, ..., dim - 1, strictly left to
+   right from 0. When same is set, b is a: only the entries i <= j are
    summed, diagonal included, and the others are mirrored from them.
 
    The columns are taken block at a time, each block of a's columns copied
    column-major into scratch (block * na doubles), so the inner loop runs
    along a's rows, adding one term to each of many sums; four columns go
-   through one pass. Each sum still gets its terms one at a time, in cols
+   through one pass. Each sum still gets its terms one at a time, in column
    order, so the result is the same float whatever the vector width. */
 void sq_dists(const double *a, int64_t na, const double *b, int64_t nb, int64_t dim,
-              const int64_t *cols, int64_t ncols, int same, int64_t block,
-              double *scratch, double *out)
+              int same, int64_t block, double *scratch, double *out)
 {
     int64_t first, i, j, k;
     for (i = 0; i < na * nb; i++) out[i] = 0.0;
-    for (first = 0; first < ncols; first += block) {
-        const int64_t *col = cols + first;
-        const int64_t width = ncols - first < block ? ncols - first : block;
+    for (first = 0; first < dim; first += block) {
+        const int64_t width = dim - first < block ? dim - first : block;
         for (i = 0; i < na; i++)
-            for (k = 0; k < width; k++) scratch[k * na + i] = a[i * dim + col[k]];
+            for (k = 0; k < width; k++) scratch[k * na + i] = a[i * dim + first + k];
         for (j = 0; j < nb; j++) {
-            const double *bj = b + j * dim;
+            const double *bj = b + j * dim + first;
             const int64_t end = same ? j + 1 : na;
             double *row = out + j * na;
             for (k = 0; k + 4 <= width; k += 4) {
                 const double *t0 = scratch + k * na, *t1 = t0 + na, *t2 = t1 + na,
                              *t3 = t2 + na;
-                const double v0 = bj[col[k]], v1 = bj[col[k + 1]], v2 = bj[col[k + 2]],
-                             v3 = bj[col[k + 3]];
+                const double v0 = bj[k], v1 = bj[k + 1], v2 = bj[k + 2], v3 = bj[k + 3];
                 for (i = 0; i < end; i++) {
                     const double d0 = t0[i] - v0, d1 = t1[i] - v1, d2 = t2[i] - v2,
                                  d3 = t3[i] - v3;
@@ -310,7 +307,7 @@ void sq_dists(const double *a, int64_t na, const double *b, int64_t nb, int64_t 
                 }
             }
             for (; k < width; k++) {
-                const double *t = scratch + k * na, v = bj[col[k]];
+                const double *t = scratch + k * na, v = bj[k];
                 for (i = 0; i < end; i++) {
                     const double d = t[i] - v;
                     row[i] += d * d;

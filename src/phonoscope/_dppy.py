@@ -194,21 +194,21 @@ def dp_align(expected, observed, cost_rows, eps, pref0, pref1, pref2):
 SQ_DISTS_BLOCK = 1 << 16
 
 
-def sq_dists(a, b, cols):
-    """Squared distance of every row of the 2-d float64 a to every row of b,
-    over the columns cols, an int64 array of indices.
+def sq_dists(a, b):
+    """Squared distance of every row of the 2-d float64 a to every row of b.
 
     Each distance sums (a[i, c] - b[j, c])**2 strictly left to right from 0
-    over c = cols[0], cols[1], ..., so it is the same float on every CPU.
+    over every column c, so it is the same float on every CPU.
     """
+    dim = a.shape[1]
     step = max(1, SQ_DISTS_BLOCK // max(1, len(a) * len(b)))
     # b x a, transposed on return, so the subtract runs along a's rows
     total = np.zeros((len(b), len(a)))
-    block = np.empty((min(step, len(cols)), len(b), len(a)))
-    for start in range(0, len(cols), step):
-        c = cols[start:start + step]
-        terms = block[:len(c)]
-        np.subtract(a.T[c][:, None, :], b.T[c][:, :, None], out=terms)
+    block = np.empty((min(step, dim), len(b), len(a)))
+    for start in range(0, dim, step):
+        end = min(start + step, dim)
+        terms = block[:end - start]
+        np.subtract(a.T[start:end, None, :], b.T[start:end, :, None], out=terms)
         terms *= terms
         for term in terms:
             total += term

@@ -41,24 +41,15 @@ ENTROPY_TOL = 1e-5
 AFFINITY_MAX_STEPS = 100
 
 
-def _vectorize_into(counts: np.ndarray, normalization: str, out: np.ndarray) -> None:
-    """Write the row-major flattening of a count grid into the contiguous
-    float64 vector out; row_frequency scales each nonempty row to sum 1,
-    so speakers with different utterance volumes become comparable."""
-    if normalization not in (RAW_COUNTS, ROW_FREQUENCY):
-        raise ValidationError(f"unknown normalization {normalization!r}")
-    grid = out.reshape(counts.shape)
-    grid[...] = counts
-    if normalization == ROW_FREQUENCY:
-        sums = grid.sum(axis=1, keepdims=True)
-        nonzero = sums[:, 0] > 0
-        grid[nonzero] /= sums[nonzero]
-
-
 @dataclass
 class SpeakerMatrix:
     """Speaker vectors as the rows of one C-ordered float64 array, which
     kmeans and tsne read in place.
+
+    Column j holds grid cell cells[j], expected * n + observed for an
+    inventory of n symbols, as in an alignment's cells. from_profiles
+    keeps only the cells some profile counts, in grid order: a cell that
+    no speaker has adds 0 to every distance.
 
     The first len(speaker_ids) rows are speakers and the rows below them
     are centroid rows. kmeans with k equal to their count clusters the
@@ -69,20 +60,36 @@ class SpeakerMatrix:
 
     speaker_ids: list[str]
     data: np.ndarray
+    cells: np.ndarray
 
     @classmethod
     def from_profiles(cls, profiles, normalization: str = RAW_COUNTS,
                       centroids: int = 0) -> SpeakerMatrix:
-        """Vectorize each SpeakerProfile straight into its row; the
-        centroids centroid rows start at zero. Raises ValidationError
-        unless every profile is over one inventory."""
+        """Vectorize each SpeakerProfile straight into its row, as raw
+        counts or, under row_frequency, each count divided by its grid
+        row's sum where that is above 0; the centroids centroid rows start
+        at zero. Raises ValidationError for an unknown normalization,
+        centroids below 0, or profiles over different inventories."""
+        if normalization not in (RAW_COUNTS, ROW_FREQUENCY):
+            raise ValidationError(f"unknown normalization {normalization!r}")
+        if centroids < 0:
+            raise ValidationError(f"centroid rows {centroids} must be at least 0")
         if any(p.matrix.inventory != profiles[0].matrix.inventory for p in profiles):
             raise ValidationError("cannot stack profiles over different inventories")
-        dim = profiles[0].matrix.counts.size if profiles else 0
-        data = np.zeros((len(profiles) + centroids, dim))
+        counted = np.zeros(profiles[0].matrix.counts.shape if profiles else (0, 0),
+                           dtype=bool)
+        for profile in profiles:
+            counted |= profile.matrix.counts != 0
+        grid_rows = np.nonzero(counted)[0]
+        data = np.zeros((len(profiles) + centroids, len(grid_rows)))
         for row, profile in zip(data, profiles):
-            _vectorize_into(profile.matrix.counts, normalization, row)
-        return cls([p.speaker_id for p in profiles], data)
+            row[...] = profile.matrix.counts[counted]
+            if normalization == ROW_FREQUENCY:
+                # each nonempty grid row sums to 1, so that speakers with
+                # different utterance volumes become comparable
+                sums = profile.matrix.counts.sum(axis=1, dtype=np.float64)[grid_rows]
+                np.divide(row, sums, out=row, where=sums > 0)
+        return cls([p.speaker_id for p in profiles], data, np.flatnonzero(counted))
 
     @property
     def speaker_rows(self) -> np.ndarray:
@@ -139,19 +146,14 @@ def check_parameters(vectors: int, k: int | None = None,
             raise ValidationError(f"{name} {value} must be finite and above 0")
 
 
-def sq_dists(a: np.ndarray, b: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared distance of every row of a to every row of b.
 
     Each distance sums (a[i, c] - b[j, c])**2 strictly left to right over
-    the columns c, so it is the same float on every CPU. Only the columns
-    nonzero in a or b are visited, or the given cols when they include
-    those: adding +0.0 leaves a sum unchanged, so the result is bitwise the
-    sum over all columns. The kernel that alignment.backend() names does
-    the sums.
+    every column c, so it is the same float on every CPU. The kernel that
+    alignment.backend() names does the sums.
     """
-    if cols is None:
-        cols = np.flatnonzero(a.any(axis=0) | b.any(axis=0))
-    return alignment._kernel.sq_dists(a, b, cols)
+    return alignment._kernel.sq_dists(a, b)
 
 
 # The draw streams: one per consumer of a seed, so each draws its own values.
@@ -193,20 +195,19 @@ def _d2_picks(closest: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return np.minimum(picks, n - 1)
 
 
-def _init_kmeanspp(data: np.ndarray, centers: np.ndarray, seed: int,
-                   cols: np.ndarray) -> None:
+def _init_kmeanspp(data: np.ndarray, centers: np.ndarray, seed: int) -> None:
     """Greedy k-means++ (Arthur & Vassilvitskii, 2007): the first center is a
     uniform pick; each later one is the best of 2 + floor(ln k) D² picks,
     the one that leaves the smallest summed squared distance to the nearest
-    center, the first of them on a tie. cols are data's nonzero columns."""
+    center, the first of them on a tie."""
     n, k = data.shape[0], centers.shape[0]
     trials = 2 + int(math.log(k))
     draws = _uniforms(seed, KMEANSPP_STREAM, 1 + (k - 1) * trials)
     centers[0] = data[min(int(draws[0] * n), n - 1)]
-    closest = sq_dists(data, centers[:1], cols)[:, 0]
+    closest = sq_dists(data, centers[:1])[:, 0]
     for c in range(1, k):
         picks = _d2_picks(closest, draws[1 + (c - 1) * trials:1 + c * trials])
-        candidates = sq_dists(data, data[picks], cols)
+        candidates = sq_dists(data, data[picks])
         sums = [np.minimum(closest, column).sum() for column in candidates.T]
         best = int(np.argmin(sums))
         centers[c] = data[picks[best]]
@@ -243,17 +244,14 @@ def kmeans(speakers: SpeakerMatrix, k: int, seed: int = DEFAULT_SEED,
     if len(centers) != k:
         raise ValidationError(f"k={k} needs {k} centroid rows, "
                               f"the matrix has {len(centers)}")
-    # every center is a row or a mean of rows, nonzero only where data is,
-    # so one list of data's nonzero columns serves every distance pass
-    cols = np.flatnonzero(data.any(axis=0))
     if init == "kmeanspp":
-        _init_kmeanspp(data, centers, seed, cols)
+        _init_kmeanspp(data, centers, seed)
     elif init == "forgy":
         _init_forgy(data, centers, seed)
     else:
         raise ValidationError(f"unknown init {init!r}")
 
-    dists = sq_dists(data, centers, cols)
+    dists = sq_dists(data, centers)
     labels = dists.argmin(axis=1)
     inertia = float(dists[np.arange(n), labels].sum())
     history = [inertia]
@@ -261,18 +259,21 @@ def kmeans(speakers: SpeakerMatrix, k: int, seed: int = DEFAULT_SEED,
 
     for iterations in range(1, KMEANS_MAX_ITER + 1):
         for c in range(k):
-            members = labels == c
-            count = np.count_nonzero(members)
-            if count:
-                # np.mean's masked sum and division, without its count of
-                # the mask broadcast to data's shape
-                np.add.reduce(data, axis=0, where=members[:, None], out=centers[c])
-                centers[c] /= count
+            members = np.flatnonzero(labels == c)
+            if len(members):
+                # the members' mean, their rows added one at a time in row
+                # order whatever data's width: over one column numpy's
+                # reduce would sum pairwise instead
+                center = centers[c]
+                center[...] = 0.0
+                for i in members:
+                    center += data[i]
+                center /= len(members)
             else:
                 farthest = int(np.argmax(dists[np.arange(n), labels]))
                 centers[c] = data[farthest]
                 labels[farthest] = c
-        dists = sq_dists(data, centers, cols)
+        dists = sq_dists(data, centers)
         new_labels = dists.argmin(axis=1)
         new_inertia = float(dists[np.arange(n), new_labels].sum())
         # Lloyd is monotone; allow only float-noise-level slack

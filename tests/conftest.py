@@ -231,11 +231,11 @@ def make_group_vectors(seed=0, groups=6, per_group=4, dim=1600):
 
 def speaker_matrix(rows, k=0):
     """The (speaker id, values) rows stacked into a SpeakerMatrix, followed
-    by k zero centroid rows."""
+    by k zero centroid rows; column j stands for cell j."""
     values = [np.asarray(v, dtype=np.float64) for _, v in rows]
     data = np.zeros((len(rows) + k, len(values[0]) if values else 0))
     data[:len(rows)] = values
-    return SpeakerMatrix([sid for sid, _ in rows], data)
+    return SpeakerMatrix([sid for sid, _ in rows], data, np.arange(data.shape[1]))
 
 
 fold = functools.partial(functools.reduce, operator.add)   # left to right

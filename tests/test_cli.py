@@ -964,6 +964,40 @@ def test_sample_output_tree_is_pinned(tmp_path, variant_rule, backend):
     assert tree_sha256(out) == SAMPLE_TREE_SHA256
 
 
+# The sample tree under --normalization row_frequency --init forgy: the
+# other branch of the speaker matrix's vectorizing and of k-means's start.
+ROW_FREQUENCY_TREE_SHA256 = "33ae097cdb30342e92514d7c51413b3cb67d69b80f26fe1054be16b266601bc5"
+
+
+@pytest.mark.parametrize("backend", ["default", "pure"])
+def test_row_frequency_forgy_tree_is_pinned(tmp_path, backend):
+    out = tmp_path / "out"
+    args = sample_args(out, ["--k", "3", "--seed", "42", "--min-occurrences", "2",
+                             "--normalization", "row_frequency", "--init", "forgy"])
+    subprocess.run([sys.executable, "-m", "phonoscope.cli", "run", *args],
+                   env=backend_env(backend), check=True, timeout=120)
+    assert tree_sha256(out) == ROW_FREQUENCY_TREE_SHA256
+
+
+# Five speakers without utterances count no cell, so k-means and t-SNE
+# cluster a matrix of 0 columns: every distance is 0.
+NO_UTTERANCES_TREE_SHA256 = "6d68c9069852781229937c2f5da5d4af3e03110b0f2683e14a9be3618b99de47"
+
+
+@pytest.mark.parametrize("backend", ["default", "pure"])
+def test_speakers_without_utterances_give_the_pinned_tree(tmp_path, backend):
+    (tmp_path / "lex.dict").write_text(TINY_LEXICON)
+    speakers = [{"speaker_id": f"s{i}", "l1_label": "L1A", "utterances": []}
+                for i in range(5)]
+    (tmp_path / "manifest.json").write_text(json.dumps({"speakers": speakers}))
+    out = tmp_path / "out"
+    subprocess.run([sys.executable, "-m", "phonoscope.cli", "run",
+                    str(tmp_path / "manifest.json"), "--lexicon", str(tmp_path / "lex.dict"),
+                    "--k", "2", "--perplexity", "2", "--out-dir", str(out)],
+                   env=backend_env(backend), check=True, timeout=120)
+    assert tree_sha256(out) == NO_UTTERANCES_TREE_SHA256
+
+
 def test_kernel_fallback_is_noted_and_changes_no_byte(tmp_path):
     """When the compiled kernel cannot be built (here each of its cache
     directories is a regular file or lies under one), a run says so in one

@@ -50,9 +50,12 @@ INV = PhonemeInventory.default()
 
 
 def profile_row(matrix, normalization=RAW_COUNTS):
-    """The one row SpeakerMatrix.from_profiles gives a profile of matrix."""
-    profile = SpeakerProfile("s", matrix)
-    return SpeakerMatrix.from_profiles([profile], normalization).data[0]
+    """The one row SpeakerMatrix.from_profiles gives a profile of matrix,
+    spread back over the whole grid: zero at every cell the row omits."""
+    speakers = SpeakerMatrix.from_profiles([SpeakerProfile("s", matrix)], normalization)
+    row = np.zeros(matrix.counts.size)
+    row[speakers.cells] = speakers.data[0]
+    return row
 
 
 def test_vectorize_zero_matrix():
@@ -115,6 +118,30 @@ def test_vectorize_injective_on_random_matrices():
 def test_vectorize_rejects_unknown_normalization():
     with pytest.raises(ValidationError):
         profile_row(ConfusionMatrix(INV), "zscore")
+    with pytest.raises(ValidationError, match="unknown normalization 'zscore'"):
+        SpeakerMatrix.from_profiles([], "zscore", centroids=2)
+
+
+def test_from_profiles_refuses_fewer_than_zero_centroid_rows():
+    profiles = [SpeakerProfile("a", ConfusionMatrix(INV))]
+    with pytest.raises(ValidationError, match="centroid rows -1"):
+        SpeakerMatrix.from_profiles(profiles, centroids=-1)
+
+
+def test_from_profiles_keeps_the_counted_cells_in_grid_order():
+    """Only cells some profile counts get a column, numbered as an
+    alignment's cells, expected * n + observed."""
+    n = len(INV)
+    a, b = ConfusionMatrix(INV), ConfusionMatrix(INV)
+    a.counts[3, 1], a.counts[0, 2] = 4, 1
+    b.counts[0, 2], b.counts[2, 0] = 5, 2
+    speakers = SpeakerMatrix.from_profiles(
+        [SpeakerProfile("a", a), SpeakerProfile("b", b)], centroids=1)
+    assert speakers.cells.tolist() == [2, 2 * n, 3 * n + 1]
+    assert speakers.data.tolist() == [[1.0, 0.0, 4.0], [5.0, 2.0, 0.0], [0.0, 0.0, 0.0]]
+    empty = SpeakerMatrix.from_profiles([SpeakerProfile("c", ConfusionMatrix(INV))] * 3,
+                                        ROW_FREQUENCY, centroids=2)
+    assert empty.data.shape == (5, 0) and empty.cells.shape == (0,)
 
 
 def vecs(arrays, k):
@@ -273,7 +300,7 @@ def random_grids(rng, count):
 
 
 def test_blocked_distances_cross_block_boundaries():
-    """70 rows of 1681 floats are summed, by the numpy kernel,
+    """70 rows of 1600 floats are summed, by the numpy kernel,
     SQ_DISTS_BLOCK // (70 * 3) = 312 columns at a time against 3 centers
     and SQ_DISTS_BLOCK // 70**2 = 13 against themselves, and by the C
     kernel 2**13 // 70 = 117 columns at a time, so each sum crosses
@@ -308,8 +335,8 @@ def matrices_with_zero_columns(rows):
 @example(1, 1, None)
 def test_sq_dists_is_a_strict_left_to_right_sum(na, nb, data):
     """Every distance equals the left-to-right sum of (a[i, c] - b[j, c])**2
-    over every column c, one Python float at a time: visiting only the
-    columns nonzero in a or b changes no bit."""
+    over every column c, one Python float at a time, all-zero columns
+    included."""
     if data is None:   # n = 1 against an all-zero matrix
         a, b = np.zeros((1, 5)), np.zeros((1, 5))
     else:
@@ -401,15 +428,11 @@ def test_compiled_sq_dists_matches_the_numpy_twin(pair):
 
 def test_compiled_sq_dists_rejects_bad_arguments():
     _dpcore = pytest.importorskip("phonoscope._dpcore")
-    a, cols = np.zeros((3, 4)), np.arange(4)
-    for bad in ((a.tolist(), a, cols), (a, a.astype(np.float32), cols),
-                (a, np.zeros((3, 5)), cols), (a, a, cols.astype(np.int32)),
-                (a[0], a, cols)):
+    a = np.zeros((3, 4))
+    for bad in ((a.tolist(), a), (a, a.astype(np.float32)), (a, np.zeros((3, 5))),
+                (a[0], a)):
         with pytest.raises(ValueError):
             _dpcore.sq_dists(*bad)
-    for bad_cols in ([4], [-1]):
-        with pytest.raises(IndexError):
-            _dpcore.sq_dists(a, a, np.array(bad_cols))
 
 
 @settings(max_examples=60, deadline=None)
@@ -425,7 +448,9 @@ def test_speaker_matrix_path_matches_full_temporaries(seed, rows, distinct, k, i
     """The pipeline's path (profiles vectorized into one shared matrix, k-means
     keeping its centroids in the matrix's last rows, t-SNE of the whole
     matrix) gives the same bits as the formulations with full-size
-    temporaries. Rows are drawn from `distinct` grids, so they repeat."""
+    temporaries. Rows are drawn from `distinct` grids, so they repeat. The
+    matrix holds the full-width reference's columns at its cells, and every
+    other reference column is zero."""
     k = min(k, rows)
     rng = np.random.default_rng(seed)
     grids = random_grids(rng, min(distinct, rows))
@@ -436,11 +461,14 @@ def test_speaker_matrix_path_matches_full_temporaries(seed, rows, distinct, k, i
     result = kmeans(matrix, k, seed=seed % 1000, init=init)
 
     data = np.stack([vectorize_full(grids[g], normalization) for g in picks])
-    assert same_bits(matrix.speaker_rows, data)
+    cells = matrix.cells
+    assert same_bits(matrix.speaker_rows, data[:, cells])
+    assert not np.delete(data, cells, axis=1).any()
     labels, centers, history = kmeans_full(data, k, seed % 1000, init)
     assert [result.assignments[p.speaker_id] for p in profiles] == labels.tolist()
-    assert same_bits(result.centroids, centers)
-    assert same_bits(matrix.centroid_rows, centers)
+    assert same_bits(result.centroids, centers[:, cells])
+    assert same_bits(matrix.centroid_rows, centers[:, cells])
+    assert not np.delete(centers, cells, axis=1).any()
     assert same_bits(result.inertia_history, history)
 
     points = rows + k
@@ -458,6 +486,47 @@ def test_speaker_matrix_path_matches_full_temporaries(seed, rows, distinct, k, i
     assert same_bits(embedded.initial_kl, initial_kl)
 
 
+# six rows of one nonzero column, whose two-cluster means numpy's reduce
+# would sum pairwise
+ONE_COLUMN = np.array([[4.0, 0.0], [0.5 ** 0.5, 0.0], [0.5 ** 0.5, 0.0], [0.0, 0.0],
+                       [0.5 ** 0.5, 0.0], [0.5 ** 0.5, 0.0]])
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "pure"])
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 10).flatmap(matrices_with_zero_columns), st.integers(1, 3),
+       st.integers(0, 999), st.sampled_from(["kmeanspp", "forgy"]),
+       st.floats(0.0, 0.999), st.sampled_from([0, 1, 30]))
+@example((ONE_COLUMN, [False, True]), 2, 0, "forgy", 0.0, 0)
+def test_zero_columns_change_no_bit_of_kmeans_or_tsne(kernel, matrix, k, seed, init,
+                                                      fraction, iterations):
+    """A cell that no speaker counts adds +0.0 to every distance and every
+    mean, so a hand-built matrix clusters and embeds to the same bits with
+    all-zero columns inserted anywhere; the centroids are zero there."""
+    padded, zero = matrix
+    padded = np.where(zero, 0.0, padded)
+    kept = np.flatnonzero(~np.array(zero, dtype=bool))
+    values = padded[:, kept]
+    perplexity = 1.0 + fraction * (len(values) + k - 2)
+    results = []
+    with kernel_backend(kernel):
+        for rows in (values, padded):
+            speakers = speaker_matrix([(f"s{i}", row) for i, row in enumerate(rows)], k)
+            clusters = kmeans(speakers, k, seed=seed, init=init)
+            embedded = tsne(speakers, perplexity=perplexity, iterations=iterations,
+                            seed=seed)
+            results.append((clusters, embedded))
+    (clusters, embedded), (padded_clusters, padded_embedded) = results
+    assert padded_clusters.assignments == clusters.assignments
+    assert same_bits(padded_clusters.inertia_history, clusters.inertia_history)
+    assert same_bits(padded_clusters.centroids[:, kept], clusters.centroids)
+    assert not np.delete(padded_clusters.centroids, kept, axis=1).any()
+    assert same_bits([(p.x, p.y) for p in padded_embedded.points],
+                     [(p.x, p.y) for p in embedded.points])
+    assert same_bits(padded_embedded.kl_divergence, embedded.kl_divergence)
+    assert same_bits(padded_embedded.initial_kl, embedded.initial_kl)
+
+
 def test_kmeans_rejects_a_matrix_without_k_centroid_rows():
     profiles = [SpeakerProfile(f"s{i}", ConfusionMatrix(INV)) for i in range(4)]
     with pytest.raises(ValidationError, match="centroid rows"):
@@ -470,11 +539,15 @@ class _Files:
 
 
 def test_cluster_outputs_memory_is_bounded(tmp_path):
-    """Clustering 203 speakers into k = 3 holds at most one (n + k) x d
-    matrix, four (n + k) x (n + k) float64 arrays and 1 MiB more at once,
-    counted by tracemalloc, which sees numpy's allocations."""
+    """Clustering 203 speakers into k = 3, with about half the grid's cells
+    counted, holds at most one (n + k) x (counted cells) matrix, four
+    (n + k) x (n + k) float64 arrays and 1 MiB more at once, counted by
+    tracemalloc, which sees numpy's allocations."""
     n, k = 203, 3
-    grids = random_grids(np.random.default_rng(0), n)
+    rng = np.random.default_rng(0)
+    counted = rng.random((len(INV), len(INV))) < 0.5
+    counted[INV.epsilon_index, INV.epsilon_index] = False
+    grids = rng.poisson(3.0, size=(n, len(INV), len(INV))) * counted
     profiles = [SpeakerProfile(f"s{i}", ConfusionMatrix(INV, grid), "l1")
                 for i, grid in enumerate(grids)]
     cfg = RunConfig(k=k, tsne_iterations=5, out_dir=tmp_path)
@@ -484,5 +557,6 @@ def test_cluster_outputs_memory_is_bounded(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    points, dim = n + k, len(INV) ** 2
-    assert peak <= 8 * (points * dim + 4 * points ** 2) + 2**20, peak
+    points, cells = n + k, np.count_nonzero(grids.any(axis=0))
+    assert cells == np.count_nonzero(counted) < 0.55 * len(INV) ** 2
+    assert peak <= 8 * (points * cells + 4 * points ** 2) + 2**20, peak
