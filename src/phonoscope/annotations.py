@@ -10,15 +10,13 @@ them in one note per file on stderr.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .confusion import ConfusionMatrix, PhonemeStats, format_percent, phoneme_stats
 from .costs import cell_kinds
-from .errors import ParseError, ValidationError, read_input
+from .errors import ParseError, ValidationError, csv_records, read_input
 from .inventory import EPSILON, PhonemeInventory
 from .textgrid import parse_textgrid_file
 
@@ -83,27 +81,23 @@ def parse_annotation_csv(text: str, inventory: PhonemeInventory | None = None,
                          speaker_id: str = "", source=None) -> AnnotationSet:
     if inventory is None:
         inventory = PhonemeInventory.default()
-    try:
-        rows = list(csv.reader(io.StringIO(text)))
-    except csv.Error as exc:   # e.g. a field over csv's size limit
-        raise ParseError(f"bad CSV: {exc}", source=source) from None
-    rows = [r for r in rows if any(cell.strip() for cell in r)]
-    if not rows or [c.strip() for c in rows[0]] != _CSV_HEADER:
+    rows = csv_records(text, source)
+    line, header = next(rows, (1, []))
+    if [c.strip() for c in header] != _CSV_HEADER:
         raise ParseError(
-            f"expected header {','.join(_CSV_HEADER)!r}", line=1, source=source
+            f"expected header {','.join(_CSV_HEADER)!r}", line=line, source=source
         )
     records = []
     last_position: dict[str, int] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows:
         if len(row) != 5:
             raise ParseError(f"expected 5 fields, got {len(row)}",
                              line=lineno, source=source)
         utt, pos_s, target_s, observed_s, kind = [c.strip() for c in row]
-        try:
-            position = int(pos_s)
-        except ValueError:
-            raise ParseError(f"bad position {pos_s!r}", line=lineno,
-                             source=source) from None
+        if not (pos_s.isascii() and pos_s.isdigit()):
+            raise ParseError(f"bad position {pos_s!r}: expected ASCII digits",
+                             line=lineno, source=source)
+        position = int(pos_s)
         try:
             target = inventory.index(target_s)
             observed = inventory.index(observed_s)
@@ -189,18 +183,23 @@ class TextGridAnnotations:
 def parse_textgrid(text: str, tier_name: str,
                    inventory: PhonemeInventory | None = None,
                    source=None) -> TextGridAnnotations:
-    """Read one annotation tier of a TextGrid.
+    """Read the first TextGrid tier named tier_name.
 
-    Positions follow interval order. Blank intervals are ignored;
-    non-blank labels decode_label cannot decode are skipped and reported.
+    Positions follow interval order, and a point tier gives no records.
+    Blank intervals are ignored; non-blank labels decode_label cannot
+    decode are skipped and reported.
     """
     if inventory is None:
         inventory = PhonemeInventory.default()
-    tier = parse_textgrid_file(text, source).tier(tier_name, source)
+    tiers = parse_textgrid_file(text, source)
+    texts = next((texts for name, texts in tiers if name == tier_name), None)
+    if texts is None:
+        available = ", ".join(repr(name) for name, _ in tiers) or "(none)"
+        raise ParseError(f"no tier named {tier_name!r}; available tiers: {available}",
+                         source=source)
     records = []
     skipped = []
-    for position, interval in enumerate(tier.intervals):
-        label = interval.text.strip()
+    for position, label in enumerate(map(str.strip, texts)):
         if not label:
             continue
         decoded = decode_label(label, inventory)

@@ -1,8 +1,11 @@
-"""Exception types shared across the package, and the input-file reader.
+"""Exception types shared across the package, and the input readers.
 
 The CLI maps these onto exit codes: parse/validation problems exit 2,
 out-of-vocabulary failures exit 3, anything else exits 1.
 """
+
+import csv
+import io
 
 
 class PhonoscopeError(Exception):
@@ -56,3 +59,18 @@ def read_input(path) -> str:
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text ({exc.reason})", offset=exc.start,
                          source=path) from None
+
+
+def csv_records(text: str, source=None):
+    """Yield (line, fields) for each record of a CSV text that holds more
+    than whitespace; line is the 1-based line the record starts on. A
+    malformed record raises a ParseError at that line."""
+    reader = csv.reader(io.StringIO(text))
+    line = 1
+    try:
+        for fields in reader:
+            if any(field.strip() for field in fields):
+                yield line, fields
+            line = reader.line_num + 1
+    except csv.Error as exc:   # e.g. a field over csv's size limit
+        raise ParseError(f"bad CSV: {exc}", line=line, source=source) from None

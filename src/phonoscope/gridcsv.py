@@ -8,33 +8,28 @@ inventory order.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, csv_records
 from .inventory import PhonemeInventory
 
 
 def parse_grid(text: str, inventory: PhonemeInventory, *, source=None) -> np.ndarray:
-    try:
-        rows = list(csv.reader(io.StringIO(text)))
-    except csv.Error as exc:   # e.g. a field over csv's size limit
-        raise ParseError(f"bad CSV: {exc}", source=source) from None
-    rows = [r for r in rows if any(cell.strip() for cell in r)]
-    if not rows:
+    records = csv_records(text, source)
+    header_line, header = next(records, (None, None))
+    if header is None:
         raise ParseError("empty grid", source=source)
     n = len(inventory)
 
-    header = [cell.strip() for cell in rows[0][1:]]
-    _check_labels(header, inventory, "column", source)
+    header = [cell.strip() for cell in header[1:]]
+    _check_labels(header, inventory, "column", source, header_line)
     col_for = [inventory.index(lab) for lab in header]
 
     grid = np.zeros((n, n), dtype=np.float64)
     seen_rows = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in records:
         label = row[0].strip()
         if label not in inventory:
             raise ParseError(f"unknown row label {label!r}", line=lineno, source=source)
@@ -62,20 +57,21 @@ def parse_grid(text: str, inventory: PhonemeInventory, *, source=None) -> np.nda
     return grid
 
 
-def _check_labels(labels, inventory, axis, source):
+def _check_labels(labels, inventory, axis, source, line=None):
     seen = set()
     for lab in labels:
         if lab not in inventory:
-            raise ParseError(f"unknown {axis} label {lab!r}", source=source)
+            raise ParseError(f"unknown {axis} label {lab!r}", line=line, source=source)
         if lab in seen:
-            raise ParseError(f"duplicate {axis} label {lab!r}", source=source)
+            raise ParseError(f"duplicate {axis} label {lab!r}", line=line,
+                             source=source)
         seen.add(lab)
     missing = [s for s in inventory.symbols if s not in seen]
     if missing:
         raise ParseError(
             f"missing {axis} label {missing[0]!r}"
             + (f" (+{len(missing) - 1} more)" if len(missing) > 1 else ""),
-            source=source,
+            line=line, source=source,
         )
 
 

@@ -8,6 +8,8 @@ shared inventory, so symbol order is fixed at construction.
 
 from __future__ import annotations
 
+import re
+
 from .errors import ParseError, ValidationError, read_input
 
 EPSILON = "<eps>"
@@ -23,13 +25,19 @@ ARPABET = (
 
 _STRESS_DIGITS = ("0", "1", "2")
 
+# what the CSV outputs, which write symbols unquoted, cannot carry: Unicode
+# whitespace, "," and '"', control characters and lone surrogates
+_UNCARRIED = re.compile(r'[\s,"\x00-\x1f\x7f-\x9f\ud800-\udfff]')
+
 
 class PhonemeInventory:
     """Ordered, immutable symbol set containing exactly one ``<eps>``.
 
     The canonical inventory is ``ARPABET + (EPSILON,)``; a custom ordering
     or symbol set may be supplied (e.g. parsed from an inventory file),
-    as long as symbols are unique and ``<eps>`` appears exactly once.
+    as long as symbols are unique, ``<eps>`` appears exactly once and no
+    symbol holds a character that the CSV outputs cannot carry unquoted:
+    whitespace, ``,``, ``"``, a control character or a lone surrogate.
     """
 
     __slots__ = ("symbols", "epsilon_index", "_index")
@@ -38,14 +46,9 @@ class PhonemeInventory:
         if symbols is None:
             symbols = ARPABET + (EPSILON,)
         symbols = tuple(symbols)
-        if len(symbols) < 2:
-            raise ValidationError("inventory needs at least one phoneme plus <eps>")
-        if len(set(symbols)) != len(symbols):
-            seen = set()
-            dup = next(s for s in symbols if s in seen or seen.add(s))
-            raise ValidationError(f"duplicate inventory symbol: {dup}")
-        if symbols.count(EPSILON) != 1:
-            raise ValidationError(f"inventory must contain {EPSILON} exactly once")
+        fault = _first_fault(symbols)
+        if fault is not None:
+            raise ValidationError(fault[1])
         self.symbols = symbols
         self.epsilon_index = symbols.index(EPSILON)
         self._index = {s: i for i, s in enumerate(symbols)}
@@ -57,8 +60,7 @@ class PhonemeInventory:
     @classmethod
     def from_text(cls, text: str) -> "PhonemeInventory":
         """Parse an inventory definition file: one symbol per line."""
-        symbols = [line.strip() for line in text.splitlines() if line.strip()]
-        return cls(symbols)
+        return cls(symbol for _, symbol in _numbered_symbols(text))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -103,9 +105,41 @@ def strip_stress(label: str, inventory: PhonemeInventory | None = None) -> str:
     return stripped
 
 
+def _numbered_symbols(text: str) -> list[tuple[int, str]]:
+    """(line, symbol) for each non-blank line of an inventory file."""
+    return [(n, line.strip()) for n, line in enumerate(text.splitlines(), 1)
+            if line.strip()]
+
+
+def _first_fault(symbols) -> tuple[int | None, str] | None:
+    """(index, reason) of the first fault in a symbol list, with index None
+    when the fault is the whole list's; None when there is none."""
+    if len(symbols) < 2:
+        return None, "inventory needs at least one phoneme plus <eps>"
+    seen = set()
+    for i, symbol in enumerate(symbols):
+        bad = _UNCARRIED.search(symbol)
+        if bad:
+            return i, (f"inventory symbol {symbol!r} holds {bad[0]!r}; no symbol may "
+                       "hold whitespace, ',', '\"', a control character or a lone "
+                       "surrogate")
+        if symbol in seen:
+            return i, (f"inventory must contain {EPSILON} exactly once"
+                       if symbol == EPSILON else f"duplicate inventory symbol: {symbol}")
+        seen.add(symbol)
+    if EPSILON not in seen:
+        return None, f"inventory must contain {EPSILON} exactly once"
+    return None
+
+
 def load_inventory(path) -> PhonemeInventory:
-    """Read an inventory definition file, wrapping errors with the filename."""
-    try:
-        return PhonemeInventory.from_text(read_input(path))
-    except ValidationError as exc:
-        raise ParseError(str(exc), source=path) from exc
+    """Read an inventory definition file; a fault names the file and,
+    where one symbol is at fault, its line."""
+    numbered = _numbered_symbols(read_input(path))
+    symbols = [symbol for _, symbol in numbered]
+    fault = _first_fault(symbols)
+    if fault is not None:
+        index, message = fault
+        raise ParseError(message, line=None if index is None else numbered[index][0],
+                         source=path)
+    return PhonemeInventory(symbols)

@@ -4,50 +4,19 @@ Both forms are the same sequence of values: quoted strings, in which
 ``""`` is a literal quote and which may span lines, and numbers. The long
 form only adds labels such as ``xmin =`` and ``item [1]:`` around them,
 so the reader takes the values in order and skips everything else,
-``[...]`` indices and ``<flag>``s included. Only the structure needed for
-annotation ingestion is modelled: interval tiers with (xmin, xmax, text)
-triples. Point tiers are read (so the values stay in step) but carry no
-intervals. Structural problems raise ParseError with the byte offset of
-the offending value, or of the end of the file.
+``[...]`` indices and ``<flag>``s included. It keeps only what annotation
+ingestion reads: each tier's name and the texts of its intervals. Every
+xmin, xmax and point time must still be a number, and point marks are
+read so the values stay in step, but none of these is kept. Structural
+problems raise ParseError with the byte offset of the offending value,
+or of the end of the file.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .errors import ParseError
-
-
-@dataclass
-class Interval:
-    xmin: float
-    xmax: float
-    text: str
-
-
-@dataclass
-class Tier:
-    name: str
-    tier_class: str
-    xmin: float
-    xmax: float
-    intervals: list[Interval] = field(default_factory=list)
-
-
-@dataclass
-class TextGrid:
-    xmin: float
-    xmax: float
-    tiers: list[Tier] = field(default_factory=list)
-
-    def tier(self, name: str, source=None) -> Tier:
-        for t in self.tiers:
-            if t.name == name:
-                return t
-        available = ", ".join(repr(t.name) for t in self.tiers) or "(none)"
-        raise ParseError(f"no tier named {name!r}; available tiers: {available}",
-                         source=source)
 
 
 _NUMBER = r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?"
@@ -100,7 +69,9 @@ class _Values:
         return int(number)
 
 
-def parse_textgrid_file(text: str, source=None) -> TextGrid:
+def parse_textgrid_file(text: str, source=None) -> list[tuple[str, list[str]]]:
+    """Each tier's name and interval texts, in file order; a point tier
+    has no texts. Times are checked to be numbers, then dropped."""
     values = _Values(text, source)
     header = values.take("file type header")
     if "ooTextFile" not in (header[1] or ""):
@@ -109,23 +80,27 @@ def parse_textgrid_file(text: str, source=None) -> TextGrid:
     if "TextGrid" not in (object_class[1] or ""):
         values.fail("not a TextGrid: object class is not TextGrid", object_class)
 
-    grid = TextGrid(values.number("xmin"), values.number("xmax"))
+    values.number("xmin")
+    values.number("xmax")
+    tiers = []
     for _ in range(values.count("tier count")):
         tier_class = values.string("tier class")
-        tier = Tier(values.string("tier name"), tier_class,
-                    values.number("tier xmin"), values.number("tier xmax"))
+        name = values.string("tier name")
+        values.number("tier xmin")
+        values.number("tier xmax")
         count = values.count("interval count")
+        texts = []
         if tier_class == "IntervalTier":
             for _ in range(count):
-                tier.intervals.append(Interval(values.number("interval xmin"),
-                                               values.number("interval xmax"),
-                                               values.string("interval text")))
+                values.number("interval xmin")
+                values.number("interval xmax")
+                texts.append(values.string("interval text"))
         else:
             for _ in range(count):
                 values.number("point time")
                 values.string("point mark")
-        grid.tiers.append(tier)
+        tiers.append((name, texts))
     extra = next(values.matches, None)
     if extra is not None:
         values.fail(f"unexpected value {extra[0]!r} after the last tier", extra)
-    return grid
+    return tiers

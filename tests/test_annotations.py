@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -330,3 +332,38 @@ def test_csv_roundtrip_random_sets():
         aset = AnnotationSet("spk", records)
         text = serialize_annotation_csv(aset, INV)
         assert parse_annotation_csv(text, INV, "spk") == aset
+
+
+@pytest.mark.parametrize("text,line", [
+    # the record is named by the line it starts on, blank lines counted
+    (f"{HEADER}\n\nu1,0,T,T,correct\n\nu1,1,QX,T,substitution\n", 5),
+    (f"\n\n{HEADER}\nu1,0,QX,T,substitution\n", 4),
+    (f"\n \n{HEADER.replace('kind', 'sort')}\nu1,0,T,T,correct\n", 3),
+    (f'{HEADER}\n"u\n1",0,T,T,correct\nu1,1,QX,T,substitution\n', 4),
+    (f'{HEADER}\r\n"u\r\n1",0,QX,T,correct\r\n', 2),
+])
+def test_csv_error_names_the_line_its_record_starts_on(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_annotation_csv(text, INV, source="a.csv")
+    assert (err.value.line, err.value.source) == (line, "a.csv")
+
+
+def test_a_field_over_the_csv_size_limit_names_its_line():
+    long_field = "x" * (csv.field_size_limit() + 1)
+    text = f"{HEADER}\nu1,0,T,T,correct\n\n{long_field},1,T,T,correct\n"
+    with pytest.raises(ParseError, match="bad CSV") as err:
+        parse_annotation_csv(text, INV)
+    assert err.value.line == 4
+
+
+@pytest.mark.parametrize("position", ["-3", "+5", "1_0", "\u0663", "3.0", "", "0x1"])
+def test_position_must_be_ascii_digits(position):
+    with pytest.raises(ParseError, match="bad position") as err:
+        parse_annotation_csv(f"{HEADER}\nu1,0,T,T,correct\nu1,{position},T,T,correct\n",
+                             INV)
+    assert err.value.line == 3
+
+
+def test_position_digits_are_read_as_written():
+    aset = parse_annotation_csv(f"{HEADER}\nu1, 007 ,T,T,correct\n", INV)
+    assert aset.records[0].position == 7

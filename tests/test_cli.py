@@ -485,6 +485,21 @@ def test_custom_inventory_file(tmp_path):
                                [0, 0, 0, 0]]
 
 
+def test_inventory_symbol_with_a_comma_exits_2_before_any_write(tmp_path, capsys):
+    # the comparison CSV would carry "T,H" as two fields under one column
+    manifest = write_tiny_corpus(tmp_path, annotation=True)
+    phones = tmp_path / "phones.txt"
+    phones.write_text("HH\nIH\nZ\nIY\nT\nW\nAH\n\nT,H\n<eps>\n")
+    out = tmp_path / "out"
+    code = main(["run", str(manifest), "--lexicon", str(tmp_path / "lex.dict"),
+                 "--inventory", str(phones), "--k", "1", "--min-occurrences", "1",
+                 "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{phones}, line 9: inventory symbol 'T,H' holds ','" in err
+    assert not out.exists()
+
+
 def test_compare_without_annotations_marks_ha_absent(tmp_path):
     manifest = write_tiny_corpus(tmp_path, annotation=False)
     out = tmp_path / "out"

@@ -1,4 +1,7 @@
+import csv
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -78,3 +81,16 @@ def test_arbitrary_cells_raise_only_parse_error(values):
     except ParseError:
         return
     assert grid.shape == (3, 3)
+
+
+@pytest.mark.parametrize("text,line,message", [
+    # blank lines count: each record is named by the line it starts on
+    (",A,B,<eps>\n\nA,0,1,1\n\nB,1,0,1\n\n<eps>,1,x,0\n", 7, "bad numeric value 'x'"),
+    ("\n\n,A,QQ,<eps>\nA,0,1,1\n", 3, "unknown column label 'QQ'"),
+    (',A,B,<eps>\n"A\n",0,1,1\nB,1,0\n', 4, "has 2 values"),
+    (",A,B,<eps>\nA,0,1,1\n\n" + "x" * (csv.field_size_limit() + 1), 4, "bad CSV"),
+])
+def test_error_names_the_line_its_record_starts_on(text, line, message):
+    with pytest.raises(ParseError, match=message) as err:
+        parse_grid(text, SMALL, source="g.csv")
+    assert (err.value.line, err.value.source) == (line, "g.csv")

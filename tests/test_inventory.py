@@ -1,7 +1,8 @@
 import pytest
 
-from phonoscope import EPSILON, PhonemeInventory, ValidationError, strip_stress
-from phonoscope.inventory import ARPABET
+from phonoscope import (EPSILON, ParseError, PhonemeInventory, ValidationError,
+                        strip_stress)
+from phonoscope.inventory import ARPABET, load_inventory
 
 
 def test_default_inventory_is_40_symbols(inv):
@@ -61,3 +62,29 @@ def test_strip_stress_rejects_unknown(inv):
 
 def test_strip_stress_without_inventory_does_not_validate():
     assert strip_stress("QX1") == "QX"
+
+
+@pytest.mark.parametrize("symbol", ["T,H", 'T"', "T H", "T\tH", "\xa0T", "T\x00",
+                                    "T\x7f", "T\u2028", "T\ud800"])
+def test_symbol_the_outputs_cannot_carry_rejected(symbol):
+    with pytest.raises(ValidationError, match="no symbol may hold"):
+        PhonemeInventory(["AA", symbol, EPSILON])
+
+
+def test_symbols_beyond_ascii_allowed():
+    assert PhonemeInventory(["θ", "t͡ʃ", "ʔ", EPSILON]).index("t͡ʃ") == 1
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("AA\n\nT,H\n<eps>\n", 3, "holds ','"),
+    ("AA\nT\n\nAA\n<eps>\n", 4, "duplicate inventory symbol: AA"),
+    ("<eps>\nAA\n<eps>\n", 3, "exactly once"),
+    ("AA\nT\n", None, "exactly once"),
+    ("AA\n", None, "at least one phoneme"),
+])
+def test_load_inventory_names_the_file_and_line(tmp_path, text, line, message):
+    path = tmp_path / "phones.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message) as err:
+        load_inventory(path)
+    assert (err.value.source, err.value.line) == (path, line)

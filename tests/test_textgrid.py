@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phonoscope import ParseError, PhonemeInventory, parse_textgrid
-from phonoscope.textgrid import Interval, TextGrid, Tier, parse_textgrid_file
+from phonoscope.textgrid import parse_textgrid_file
 
 INV = PhonemeInventory.default()
 
@@ -129,8 +129,8 @@ def test_truncated_file_fails():
 
 
 def test_quoted_quotes_unescaped():
-    grid = parse_textgrid_file(long_form(['he said ""hi""']))
-    assert grid.tiers[0].intervals[0].text == 'he said "hi"'
+    tiers = parse_textgrid_file(long_form(['he said ""hi""']))
+    assert tiers == [("annotations", ['he said "hi"'])]
 
 
 def test_point_tiers_walked_but_empty():
@@ -162,10 +162,34 @@ def test_point_tiers_walked_but_empty():
         "            xmax = 1",
         '            text = "T"',
     ]
-    grid = parse_textgrid_file("\n".join(lines) + "\n")
-    assert [t.name for t in grid.tiers] == ["points", "annotations"]
-    assert grid.tiers[0].intervals == []
-    assert len(grid.tiers[1].intervals) == 1
+    tiers = parse_textgrid_file("\n".join(lines) + "\n")
+    assert tiers == [("points", []), ("annotations", ["T"])]
+
+
+def short_form_tiers(*tiers):
+    """A short-form TextGrid of (class, name, labels) tiers."""
+    lines = ['File type = "ooTextFile"', 'Object class = "TextGrid"', "0", "1",
+             "<exists>", str(len(tiers))]
+    for tier_class, name, labels in tiers:
+        lines += [f'"{tier_class}"', f'"{name}"', "0", "1", str(len(labels))]
+        for i, lab in enumerate(labels):
+            times = [str(i), str(i + 1)] if tier_class == "IntervalTier" else [str(i)]
+            lines += [*times, f'"{lab}"']
+    return "\n".join(lines) + "\n"
+
+
+def test_first_tier_of_the_name_wins():
+    text = short_form_tiers(("IntervalTier", "annotations", ["T"]),
+                            ("IntervalTier", "annotations", ["D", "T,D,s"]))
+    records = parse_textgrid(text, "annotations", inventory=INV).annotations.records
+    assert [(r.position, INV.label(r.target)) for r in records] == [(0, "T")]
+
+
+def test_point_tier_of_the_name_gives_no_annotations():
+    text = short_form_tiers(("TextTier", "annotations", ["T", "QX"]),
+                            ("IntervalTier", "annotations", ["T"]))
+    result = parse_textgrid(text, "annotations", inventory=INV)
+    assert (result.annotations.records, result.skipped) == ([], [])
 
 
 def test_bundled_sample_textgrid_parses():
@@ -251,7 +275,7 @@ def _skip_header(cur: _Lines, name: str) -> None:
         cur.pos += 1
 
 
-def line_reader(text: str, source=None) -> TextGrid:
+def line_reader(text: str, source=None) -> list[tuple[str, list[str]]]:
     """The first TextGrid reader, one value per line; the oracle for
     parse_textgrid_file on files that keep to that layout."""
     cur = _Lines(text, source)
@@ -264,37 +288,36 @@ def line_reader(text: str, source=None) -> TextGrid:
         cur.pos -= 1
         cur.fail("not a TextGrid: object class is not TextGrid")
 
-    xmin = _field_number(cur, "xmin")
-    xmax = _field_number(cur, "xmax")
+    _field_number(cur, "xmin")
+    _field_number(cur, "xmax")
     line = cur.peek()
     if line is not None and ("tiers?" in line or "exists" in line):
         cur.pos += 1
     size = _field_count(cur, "tier count")
     _skip_header(cur, "item")  # the "item []:" container line
 
-    grid = TextGrid(xmin, xmax)
+    tiers = []
     for _ in range(size):
         _skip_header(cur, "item")
         tier_class = _field_string(cur, "tier class")
         name = _field_string(cur, "tier name")
-        t_xmin = _field_number(cur, "tier xmin")
-        t_xmax = _field_number(cur, "tier xmax")
+        _field_number(cur, "tier xmin")
+        _field_number(cur, "tier xmax")
         count = _field_count(cur, "interval count")
-        tier = Tier(name, tier_class, t_xmin, t_xmax)
+        texts = []
         if tier_class == "IntervalTier":
             for _ in range(count):
                 _skip_header(cur, "intervals")
-                i_xmin = _field_number(cur, "interval xmin")
-                i_xmax = _field_number(cur, "interval xmax")
-                text = _field_string(cur, "interval text")
-                tier.intervals.append(Interval(i_xmin, i_xmax, text))
+                _field_number(cur, "interval xmin")
+                _field_number(cur, "interval xmax")
+                texts.append(_field_string(cur, "interval text"))
         else:
             for _ in range(count):
                 _skip_header(cur, "points")
                 _field_number(cur, "point time")
                 _field_string(cur, "point mark")
-        grid.tiers.append(tier)
-    return grid
+        tiers.append((name, texts))
+    return tiers
 
 
 # every character str.splitlines breaks at, which one-line labels leave out
@@ -313,15 +336,14 @@ def quoted(text: str) -> str:
        st.sampled_from([long_form, short_form]))
 def test_reader_equals_the_line_reader(labels, name, form):
     text = form([quoted(lab) for lab in labels], tier=quoted(name))
-    grid = parse_textgrid_file(text)
-    assert grid == line_reader(text)
-    assert grid.tiers[0].name == name
-    assert [i.text for i in grid.tiers[0].intervals] == labels
+    tiers = parse_textgrid_file(text)
+    assert tiers == line_reader(text)
+    assert tiers == [(name, labels)]
 
 
 def test_label_spanning_lines():
-    grid = parse_textgrid_file(long_form(["T,D,s", "first\nsecond", "T"]))
-    assert [i.text for i in grid.tiers[0].intervals] == ["T,D,s", "first\nsecond", "T"]
+    tiers = parse_textgrid_file(long_form(["T,D,s", "first\nsecond", "T"]))
+    assert tiers == [("annotations", ["T,D,s", "first\nsecond", "T"])]
 
 
 def test_several_values_on_one_line():
